@@ -27,11 +27,9 @@ from .linalg import (
     _clamp_probability,
     basis_ket,
     dagger,
+    embed_principal,
     lift_operator,
     partial_trace_matrix,
-    permute_ket,
-    permute_wires,
-    projector,
 )
 
 __all__ = [
@@ -188,9 +186,6 @@ class Path(Mapping):
             return dict(self._items) == dict(other)
         return NotImplemented
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self._items)
-
     def restrict(self, gate_ids: Iterable[str]) -> dict[str, str]:
         wanted = set(gate_ids)
         return {k: v for k, v in self._items if k in wanted}
@@ -315,7 +310,6 @@ def _prerequisite_edges(c: Circuit) -> set[tuple[str, str]]:
     Classical: F is a classical source of G.
     """
     edges: set[tuple[str, str]] = set()
-    pos = {gid: i for i, gid in enumerate(c.gate_order)}
     ids = [gid for gid in c.gate_order if gid in c.gates]
     for i, f in enumerate(ids):
         fw = set(c.gates[f].wires)
@@ -387,7 +381,7 @@ def validate_circuit(c: Circuit) -> list[Violation]:
         anc_spec = c.space.restrict(ancilla)
         if c.ancilla_init.space != anc_spec or len(c.ancilla_init.vector) != anc_spec.dim:
             v.append(Violation("ANCILLA_INIT", None, "ancilla_init does not live on the ancilla wires"))
-        elif abs(c.ancilla_init.norm() - 1.0) > 1e-9:
+        elif not abs(c.ancilla_init.norm() - 1.0) <= 1e-9:
             v.append(Violation("ANCILLA_INIT", None, f"ancilla_init norm {c.ancilla_init.norm():.6f} != 1"))
     except ValueError as exc:
         v.append(Violation("ANCILLA_INIT", None, str(exc)))
@@ -420,7 +414,7 @@ def validate_circuit(c: Circuit) -> list[Violation]:
         if shapes_ok:
             for mi, m in enumerate(g.measurements):
                 defect = m.completeness_defect()
-                if defect > TOL.complete:
+                if not defect <= TOL.complete:
                     v.append(
                         Violation(
                             "MEASUREMENT_COMPLETENESS",
@@ -480,25 +474,25 @@ def validate_circuit(c: Circuit) -> list[Violation]:
             v.append(Violation("PREREQ_CYCLE", None, "prerequisite relation contains a cycle"))
 
     if not ({x.code for x in v} & _WALK_BLOCKERS):
-        partials: list[dict[str, str]] = [{}]
-        for gid in flattened_gates(c):
-            g = c.gates[gid]
-            nxt: list[dict[str, str]] = []
-            holes = False
-            for pa in partials:
-                assignment = {s: pa[s] for s in g.classical_sources}
-                m = g.measurement_for(assignment)
-                if m is None:
-                    holes = True
-                    continue
-                for label in m.labels:
-                    nxt.append(pa | {gid: label})
-            if holes:
-                v.append(Violation("SELECTION_TOTALITY", gid, "selection undefined for a coherent source assignment"))
-            partials = nxt
-            if len(partials) > _MAX_WALK_STATES:
-                v.append(Violation("PATH_EXPLOSION", gid, f"more than {_MAX_WALK_STATES} coherent prefixes"))
+        # The cap bounds the prefixes at each depth, not their total; the
+        # walk stops at the first depth it finds over the cap.
+        seq = flattened_gates(c)
+        counts = [0] * (len(seq) + 1)
+        holes: set[str] = set()
+        exploded_at = None
+        for assignment, g, m in _walk(c):
+            depth = len(assignment)
+            counts[depth] += 1
+            if counts[depth] > _MAX_WALK_STATES:
+                exploded_at = seq[depth - 1]
                 break
+            if g is not None and m is None:
+                holes.add(g.gate_id)
+        for gid in seq:
+            if gid in holes:
+                v.append(Violation("SELECTION_TOTALITY", gid, "selection undefined for a coherent source assignment"))
+        if exploded_at is not None:
+            v.append(Violation("PATH_EXPLOSION", exploded_at, f"more than {_MAX_WALK_STATES} coherent prefixes"))
 
     return v
 
@@ -512,20 +506,44 @@ def flattened_gates(c: Circuit) -> list[str]:
     return out
 
 
+def _walk(c: Circuit, follow=None):
+    """Depth first over the coherent outcome prefixes of ``c``.
+
+    Gates come in execution order and outcomes in declared order. Yields
+    ``(assignment, gate, measurement)`` at each prefix, ``gate`` being the
+    next gate to fire and ``measurement`` the one its sources select (None
+    at a selection hole, which ends the prefix), and
+    ``(assignment, None, None)`` at each complete path. Once a prefix has
+    been yielded, ``follow(gate, measurement, assignment)`` names the
+    outcomes to descend into; by default all of them. Consumers must not
+    mutate the yielded assignments.
+    """
+    seq = [c.gates[gid] for gid in flattened_gates(c)]
+    # per gate: source outcomes -> selected measurement, looked up once each
+    selected: list[dict] = [{} for _ in seq]
+    stack: list[dict[str, str]] = [{}]
+    while stack:
+        assignment = stack.pop()
+        depth = len(assignment)
+        if depth == len(seq):
+            yield assignment, None, None
+            continue
+        g = seq[depth]
+        sources = {s: assignment[s] for s in g.classical_sources}
+        key = tuple(sources.items())
+        if key not in selected[depth]:
+            selected[depth][key] = g.measurement_for(sources)
+        m = selected[depth][key]
+        yield assignment, g, m
+        if m is not None:
+            for label in reversed(m.labels if follow is None else follow(g, m, assignment)):
+                stack.append({**assignment, g.gate_id: label})
+
+
 def enumerate_paths(c: Circuit) -> list[Path]:
     """All coherent paths, in schedule order with declared outcome order."""
     c.require_valid()
-    partials: list[dict[str, str]] = [{}]
-    for gid in flattened_gates(c):
-        g = c.gates[gid]
-        nxt: list[dict[str, str]] = []
-        for pa in partials:
-            m = g.measurement_for({s: pa[s] for s in g.classical_sources})
-            assert m is not None  # validation guarantees totality
-            for label in m.labels:
-                nxt.append(pa | {gid: label})
-        partials = nxt
-    return [Path(pa) for pa in partials]
+    return [Path(a) for a, g, _ in _walk(c) if g is None]
 
 
 def is_coherent(c: Circuit, path: Mapping[str, str]) -> bool:
@@ -533,12 +551,11 @@ def is_coherent(c: Circuit, path: Mapping[str, str]) -> bool:
     c.require_valid()
     if set(path) != set(c.gates):
         return False
-    for gid in flattened_gates(c):
-        g = c.gates[gid]
-        m = g.measurement_for({s: path[s] for s in g.classical_sources})
-        if m is None or path[gid] not in m.outcomes:
-            return False
-    return True
+    return all(
+        m is not None and path[g.gate_id] in m.outcomes
+        for _, g, m in _walk(c, lambda g, m, a: (path[g.gate_id],))
+        if g is not None
+    )
 
 
 def full_input(c: Circuit, rho: DensityOperator) -> np.ndarray:
@@ -547,12 +564,7 @@ def full_input(c: Circuit, rho: DensityOperator) -> np.ndarray:
         raise ValueError(
             f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {c.principal_spec.dim}"
         )
-    anc = projector(c.ancilla_init.vector)
-    big = np.kron(rho.matrix, anc)
-    src = HilbertSpec.of(
-        [(w, c.space.dim_of(w)) for w in c.principal_wires + c.ancilla_wires]
-    )
-    return permute_wires(big, src, c.space.wires)
+    return embed_principal(c, rho.matrix)
 
 
 def embed_principal_ket(c: Circuit, psi: np.ndarray) -> np.ndarray:
@@ -560,11 +572,7 @@ def embed_principal_ket(c: Circuit, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if len(psi) != c.principal_spec.dim:
         raise ValueError(f"principal ket has length {len(psi)}, expected {c.principal_spec.dim}")
-    big = np.kron(psi, c.ancilla_init.vector)
-    src = HilbertSpec.of(
-        [(w, c.space.dim_of(w)) for w in c.principal_wires + c.ancilla_wires]
-    )
-    return permute_ket(big, src, c.space.wires)
+    return embed_principal(c, psi)
 
 
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:
@@ -574,15 +582,16 @@ def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> 
     exactly when the path has probability zero; it is never renormalized.
     """
     c.require_valid()
-    if not is_coherent(c, path):
+    if set(path) != set(c.gates):
         raise ValueError(f"not a coherent path: {dict(path)}")
     sigma = full_input(c, rho)
     t0 = float(sigma.trace().real)
-    for gid in flattened_gates(c):
-        g = c.gates[gid]
-        m = g.measurement_for({s: path[s] for s in g.classical_sources})
-        assert m is not None
-        op = lift_operator(m.operator(path[gid]), g.wires, c.space)
+    for _, g, m in _walk(c, lambda g, m, a: (path[g.gate_id],)):
+        if g is None:
+            break
+        if m is None or path[g.gate_id] not in m.outcomes:
+            raise ValueError(f"not a coherent path: {dict(path)}")
+        op = lift_operator(m.operator(path[g.gate_id]), g.wires, c.space)
         sigma = op @ sigma @ dagger(op)
     return _clamp_probability(float(sigma.trace().real) / t0), sigma
 
@@ -605,11 +614,9 @@ def sample_run(
     c.require_valid()
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     sigma = full_input(c, rho)
-    assignment: dict[str, str] = {}
-    for gid in flattened_gates(c):
-        g = c.gates[gid]
-        m = g.measurement_for({s: assignment[s] for s in g.classical_sources})
-        assert m is not None
+
+    def sample(g: Gate, m: Measurement, assignment: dict[str, str]) -> tuple[str]:
+        nonlocal sigma
         t = float(sigma.trace().real)
         if t <= TOL.zero:
             raise ArithmeticError("state trace vanished mid-run")
@@ -620,7 +627,9 @@ def sample_run(
         )
         probs = probs / probs.sum()
         label = labels[int(gen.choice(len(labels), p=probs))]
-        assignment[gid] = label
         L = lifted[label]
         sigma = L @ sigma @ dagger(L)
+        return (label,)
+
+    (assignment,) = [a for a, g, _ in _walk(c, sample) if g is None]
     return Path(assignment), sigma

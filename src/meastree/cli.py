@@ -26,6 +26,7 @@ from .circuits import (
     Circuit,
     InvalidCircuitError,
     Path,
+    _walk,
     enumerate_paths,
     flattened_gates,
     simulate_path,
@@ -41,11 +42,9 @@ from .independence import (
 from .linalg import (
     TOL,
     DensityOperator,
-    HilbertSpec,
     configure_tolerances,
+    embed_principal,
     partial_trace_matrix,
-    permute_ket,
-    permute_wires,
     projector,
 )
 from .reduction import linearize, reduce_circuit
@@ -115,26 +114,24 @@ def parse_path_spec(c: Circuit, text: str) -> Path:
             raise ValueError(f"path: gate {gid!r} pinned twice")
         given[gid] = label
 
-    assignment: dict[str, str] = {}
-    for gid in flattened_gates(c):
-        g = c.gates[gid]
-        m = g.measurement_for({s: assignment[s] for s in g.classical_sources})
-        if m is None:
-            raise ValueError(f"path: no measurement selected for gate {gid!r}")
-        if gid in given:
-            if given[gid] not in m.outcomes:
+    def pick(g, m, assignment) -> tuple[str, ...]:
+        if g.gate_id in given:
+            if given[g.gate_id] not in m.outcomes:
                 raise ValueError(
-                    f"path: gate {gid!r} has no outcome {given[gid]!r} here "
+                    f"path: gate {g.gate_id!r} has no outcome {given[g.gate_id]!r} here "
                     f"(options: {', '.join(m.labels)})"
                 )
-            assignment[gid] = given[gid]
-        elif len(m.labels) == 1:
-            assignment[gid] = m.labels[0]
-        else:
-            raise ValueError(
-                f"path: gate {gid!r} is ambiguous; pin one of: {', '.join(m.labels)}"
-            )
-    return Path(assignment)
+            return (given[g.gate_id],)
+        if len(m.labels) == 1:
+            return m.labels
+        raise ValueError(
+            f"path: gate {g.gate_id!r} is ambiguous; pin one of: {', '.join(m.labels)}"
+        )
+
+    for assignment, g, m in _walk(c, pick):
+        if g is not None and m is None:
+            raise ValueError(f"path: no measurement selected for gate {g.gate_id!r}")
+    return Path(assignment)  # one outcome per gate: the walk ends at the path
 
 
 def _path_json(c: Circuit, path: Path) -> dict[str, str]:
@@ -159,15 +156,8 @@ def _tree_input(t: MeasurementTree, kind: str, arr: np.ndarray) -> DensityOperat
     if t.has_roles():
         d_p = math.prod(t.space.dim_of(w) for w in t.principal_wires) if t.principal_wires else 1
         if n == d_p and d_p != t.space.dim:
-            src = HilbertSpec.of(
-                [(w, t.space.dim_of(w)) for w in t.principal_wires + t.ancilla_wires]
-            )
-            anc = t.ancilla_init.vector
-            if kind == "ket":
-                joint = permute_ket(np.kron(arr, anc), src, t.space.wires)
-                return DensityOperator.of(projector(joint), t.space)
-            big = np.kron(arr, projector(anc))
-            return DensityOperator.of(permute_wires(big, src, t.space.wires), t.space)
+            joint = embed_principal(t, arr)
+            return DensityOperator.of(projector(joint) if kind == "ket" else joint, t.space)
     if n != t.space.dim:
         raise ValueError(f"input dimension {n} matches neither the principal nor the full space")
     if kind == "ket":
@@ -548,14 +538,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    raw_tol = os.environ.get("MEASTREE_TOL")
-    if raw_tol:
-        try:
-            configure_tolerances(float(raw_tol))
-        except ValueError as exc:
-            print(f"error: MEASTREE_TOL: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
+    saved = dict(vars(TOL))
     try:
+        raw_tol = os.environ.get("MEASTREE_TOL")
+        if raw_tol:
+            try:
+                configure_tolerances(float(raw_tol))
+            except ValueError as exc:
+                print(f"error: MEASTREE_TOL: {exc}", file=sys.stderr)
+                return EXIT_MALFORMED
         return args.handler(args)
     except InvalidCircuitError as exc:
         for v in exc.violations:
@@ -564,6 +555,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    finally:
+        vars(TOL).update(saved)
 
 
 if __name__ == "__main__":

@@ -21,19 +21,19 @@ import numpy as np
 from .linalg import (
     TOL,
     DensityOperator,
-    HilbertSpec,
     basis_ket,
     bipartition_ket,
     dagger,
+    embed_principal,
     frob_norm,
     haar_ket,
     identity,
+    outcome_probability,
     partial_trace_matrix,
-    permute_ket,
     projector,
     proportional,
 )
-from .trees import Branch, MeasurementTree, branch_operator, branch_probability
+from .trees import Branch, MeasurementTree, branch_operator
 
 __all__ = [
     "BranchFactorization",
@@ -106,16 +106,8 @@ def _require_roles(t: MeasurementTree) -> None:
         raise ValueError("tree carries no principal/ancilla wire roles; analysis needs them")
 
 
-def _joint_ket(t: MeasurementTree, psi: np.ndarray) -> np.ndarray:
-    """psi on the principal wires tensored with the ancilla vector, in space order."""
-    src = HilbertSpec.of(
-        [(w, t.space.dim_of(w)) for w in t.principal_wires + t.ancilla_wires]
-    )
-    return permute_ket(np.kron(psi, t.ancilla_init.vector), src, t.space.wires)
-
-
 def _joint_state(t: MeasurementTree, psi: np.ndarray) -> DensityOperator:
-    k = _joint_ket(t, psi)
+    k = embed_principal(t, psi)
     return DensityOperator(np.outer(k, k.conj()), t.space)
 
 
@@ -158,7 +150,7 @@ def factor_branch(
     c = branch_operator(t, branch)
     d_in = math.prod(t.space.dim_of(w) for w in t.principal_wires) if t.principal_wires else 1
 
-    images = [c @ _joint_ket(t, e) for e in _basis_probes(d_in)]
+    images = [c @ embed_principal(t, e) for e in _basis_probes(d_in)]
     mats = [_output_matrix(t, v) for v in images]
 
     svals = [np.linalg.svd(m, compute_uv=False) for m in mats]
@@ -210,7 +202,7 @@ def factor_branch(
     probes += [haar_ket(d_in, rng) for _ in range(random_probes)]
     residual = 0.0
     for psi in probes:
-        got = _output_matrix(t, c @ _joint_ket(t, psi))
+        got = _output_matrix(t, c @ embed_principal(t, psi))
         want = np.outer(principal @ psi, b)
         residual = max(residual, frob_norm(got - want))
     if residual > EPS_FACT * max(scale, 1.0):
@@ -254,8 +246,9 @@ def check_independence(
     are additionally checked against the witness weight |b|^2.
     """
     _require_roles(t)
+    c = branch_operator(t, branch)
     values = [
-        branch_probability(t, branch, _joint_state(t, psi))
+        outcome_probability(c, _joint_state(t, psi))
         for psi in _probe_kets(t, probes, seed, extra_probes)
     ]
     lo, hi = min(values), max(values)
@@ -313,7 +306,7 @@ def check_computes(
         const = proportional(reduced, target, tol=1e-9)
         if const is None:
             return False, float("inf")
-        p = branch_probability(t, branch, joint)
+        p = outcome_probability(c, joint)
         if abs(const - p) > 1e-9:
             return False, abs(const - p)
         worst = max(worst, frob_norm(reduced - const * target))
@@ -349,10 +342,11 @@ def check_set_independence(
             )
         facts.append(f)
     constant = sum(f.probability for f in facts)
+    ops = [branch_operator(t, b) for b in branch_keys]
     sums = []
     for psi in _probe_kets(t, probes, seed, None):
         joint = _joint_state(t, psi)
-        sums.append(sum(branch_probability(t, b, joint) for b in branch_keys))
+        sums.append(sum(outcome_probability(c, joint) for c in ops))
     lo, hi = min(sums), max(sums)
     spread = max(hi - constant, constant - lo, 0.0)
     verdict = "independent" if spread <= 1e-9 else "dependent"
@@ -441,7 +435,7 @@ def check_isometry_scaling(
     for b in branches:
         c = branch_operator(t, b)
         d_in = u.shape[1]
-        cols = [_output_matrix(t, c @ _joint_ket(t, e)).reshape(-1) for e in _basis_probes(d_in)]
+        cols = [_output_matrix(t, c @ embed_principal(t, e)).reshape(-1) for e in _basis_probes(d_in)]
         lam = np.stack(cols, axis=1)
         try:
             bvec = constant_factor(lam, u, eps=max(eps, EPS_FACT))

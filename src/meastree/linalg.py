@@ -41,9 +41,9 @@ __all__ = [
     "lift_operator",
     "permute_wires",
     "permute_ket",
+    "embed_principal",
     "bipartition_ket",
     "proportional",
-    "is_pure",
     "measure_z",
     "ID2",
     "PAULI_X",
@@ -71,9 +71,9 @@ class Tolerances:
     zero: float = 1e-12
 
 
-# Global tolerance pack. `configure_tolerances` (the CLI wires the
-# MEASTREE_TOL environment variable to it) may adjust the validation
-# entries once at startup; nothing mutates the pack afterwards.
+# Global tolerance pack. `configure_tolerances` adjusts its validation
+# entries; the CLI applies the MEASTREE_TOL environment variable through
+# it for one invocation and restores the pack when the invocation ends.
 TOL = Tolerances()
 
 
@@ -232,6 +232,8 @@ class DensityOperator:
             space = HilbertSpec.of([("q0", m.shape[0])])
         if m.shape[0] != space.dim:
             raise ValueError(f"matrix has dimension {m.shape[0]}, space has {space.dim}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         scale = max(frob_norm(m), 1.0)
         if frob_norm(m - dagger(m)) > TOL.herm * scale:
             raise ValueError("matrix is not Hermitian within tolerance")
@@ -276,7 +278,7 @@ class Measurement:
                 raise ValueError(f"outcome {label!r} has shape {op.shape}, expected ({d}, {d})")
         m = cls(dict(zip(labels, ops)))
         defect = m.completeness_defect()
-        if defect > TOL.complete:
+        if not defect <= TOL.complete:
             raise ValueError(f"not complete: ||sum L^dag L - Id||_F = {defect:.3e}")
         return m
 
@@ -382,6 +384,22 @@ def permute_wires(mat: np.ndarray, space: HilbertSpec, new_order: Sequence[str])
     return t.reshape(space.dim, space.dim)
 
 
+def embed_principal(roles, x: np.ndarray) -> np.ndarray:
+    """The joint input ``x (x) ancilla`` with its factors in space order.
+
+    ``roles`` is a circuit or a tree with wire roles: its ``space``,
+    ``principal_wires``, ``ancilla_wires`` and ``ancilla_init``. ``x`` is
+    a principal ket (1-D), tensored with the ancilla vector, or a
+    principal operator (2-D), tensored with the ancilla projector.
+    """
+    space = roles.space
+    src = HilbertSpec.of([(w, space.dim_of(w)) for w in roles.principal_wires + roles.ancilla_wires])
+    anc = roles.ancilla_init.vector
+    if np.ndim(x) == 1:
+        return permute_ket(np.kron(x, anc), src, space.wires)
+    return permute_wires(np.kron(x, projector(anc)), src, space.wires)
+
+
 def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.ndarray:
     """Embed a local operator into the full space.
 
@@ -478,13 +496,6 @@ def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float | Non
     if frob_norm(a - c * b) <= tol * max(frob_norm(a), 1.0):
         return c
     return None
-
-
-def is_pure(rho: DensityOperator, tol: float = 1e-9) -> bool:
-    """Purity test for unnormalized states: Tr(rho^2) = Tr(rho)^2."""
-    t = rho.trace()
-    t2 = float(np.vdot(rho.matrix, rho.matrix).real)
-    return abs(t2 - t * t) <= tol * t * t
 
 
 def measure_z(dim: int = 2) -> Measurement:

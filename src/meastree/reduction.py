@@ -12,12 +12,14 @@ path's probability and output state exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .circuits import (
     Circuit,
     Gate,
     Path,
     Selection,
+    _walk,
     enumerate_paths,
     flattened_gates,
 )
@@ -48,12 +50,6 @@ class Bijection:
         return len(self.forward)
 
 
-def _layer_ids(c: Circuit) -> list[tuple[str, ...]]:
-    """Schedule layers with gates ordered by gate_order."""
-    pos = {gid: i for i, gid in enumerate(c.gate_order)}
-    return [tuple(sorted(layer, key=pos.__getitem__)) for layer in c.schedule]
-
-
 def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     """Merge each layer into a single gate; one gate per layer afterwards.
 
@@ -64,7 +60,8 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     bijection (old path -> new path).
     """
     c.require_valid()
-    layers = _layer_ids(c)
+    flat = iter(flattened_gates(c))
+    layers = [tuple(islice(flat, len(layer))) for layer in c.schedule]
     merged_ids = ["+".join(layer) for layer in layers]
     if len(set(merged_ids)) != len(merged_ids):
         merged_ids = [f"L{i}:{mid}" for i, mid in enumerate(merged_ids)]
@@ -145,31 +142,21 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
     branches.
     """
     c.require_valid()
-    seq = flattened_gates(c)
     if any(len(layer) != 1 for layer in c.schedule):
         raise ValueError("not a linear circuit: every layer must hold exactly one gate")
 
     nodes: dict[Branch, TreeNode] = {}
     pairs: list[tuple[Path, Branch]] = []
-
-    def grow(segment: Branch, assignment: dict[str, str]) -> None:
-        depth = len(segment)
-        if depth == len(seq):
+    for assignment, g, m in _walk(c):
+        segment = tuple(assignment.values())
+        if g is None:
             nodes[segment] = TreeNode(None, {})
             pairs.append((Path(assignment), segment))
-            return
-        g = c.gates[seq[depth]]
-        m = g.measurement_for({s: assignment[s] for s in g.classical_sources})
-        assert m is not None
+            continue
         lifted = Measurement(
             {label: lift_operator(op, g.wires, c.space) for label, op in m.outcomes.items()}
         )
-        children = {label: segment + (label,) for label in m.labels}
-        nodes[segment] = TreeNode(lifted, children)
-        for label in m.labels:
-            grow(segment + (label,), assignment | {g.gate_id: label})
-
-    grow((), {})
+        nodes[segment] = TreeNode(lifted, {label: segment + (label,) for label in m.labels})
     tree = MeasurementTree(
         space=c.space,
         root=(),

@@ -9,6 +9,7 @@ can be inspected for violations.
 
 from __future__ import annotations
 
+import cmath
 from typing import Any
 
 import numpy as np
@@ -53,7 +54,14 @@ def _complex_from_pair(obj: Any, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise ValueError(f"{where}: expected an [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+    try:
+        z = complex(obj[0], obj[1])
+        finite = cmath.isfinite(z)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where}: expected finite numbers, got {obj!r}")
+    return z
 
 
 def vector_from_json(obj: Any, where: str = "vector") -> np.ndarray:
@@ -389,22 +397,11 @@ def tree_to_dot(t: MeasurementTree) -> str:
     """A Graphviz digraph of the tree, edges labeled by outcomes."""
     ids = _tree_node_ids(t)
     lines = ["digraph meastree {", "  rankdir=TB;"]
-    order: list[Branch] = []
-
-    def walk(key: Branch) -> None:
-        order.append(key)
-        node = t.nodes[key]
-        if not node.is_leaf:
-            for label in node.measurement.labels:
-                walk(node.children[label])
-
-    walk(t.root)
-    for key in order:
-        node = t.nodes[key]
+    for key in ids:
         nid = ids[key].replace('"', '\\"')
-        shape = "box" if node.is_leaf else "ellipse"
+        shape = "box" if t.nodes[key].is_leaf else "ellipse"
         lines.append(f'  "{nid}" [shape={shape}];')
-    for key in order:
+    for key in ids:
         node = t.nodes[key]
         if node.is_leaf:
             continue

@@ -24,6 +24,7 @@ from .linalg import (
     _clamp_probability,
     dagger,
     identity,
+    outcome_probability,
 )
 
 __all__ = [
@@ -170,7 +171,7 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         if m.dim != t.space.dim:
             problems.append(f"node {key!r}: measurement dim {m.dim} != space dim {t.space.dim}")
         defect = m.completeness_defect()
-        if defect > TOL.complete:
+        if not defect <= TOL.complete:
             problems.append(f"node {key!r}: completeness defect {defect:.3e}")
         for label, child in node.children.items():
             if child not in t.nodes:
@@ -263,12 +264,7 @@ def branch_measurement(t: MeasurementTree) -> Measurement:
 
 def branch_probability(t: MeasurementTree, branch: Sequence[str], sigma: DensityOperator) -> float:
     """Closed-form branch probability Tr(C sigma C^dag) / Tr(sigma)."""
-    c = branch_operator(t, branch)
-    tr = sigma.trace()
-    if tr <= TOL.zero:
-        raise ValueError("input state has zero trace")
-    out = c @ sigma.matrix @ dagger(c)
-    return _clamp_probability(float(out.trace().real) / tr)
+    return outcome_probability(branch_operator(t, branch), sigma)
 
 
 def attainable(t: MeasurementTree, branch: Sequence[str], sigma: DensityOperator) -> bool:

@@ -322,6 +322,20 @@ def test_validate_ancilla_init():
     assert "ANCILLA_INIT" in codes(c)
 
 
+@pytest.mark.parametrize("n_gates, exploded", [(14, False), (15, True)])
+def test_validate_path_explosion_counts_prefixes_per_depth(n_gates, exploded):
+    # n sequential Z measurements on one wire leave 2^n prefixes after the
+    # last gate: 16,384 stays under the 20,000 cap, 32,768 does not, while
+    # the 14-gate circuit visits more than 20,000 prefixes in total.
+    space = HilbertSpec.of([("q", 2)])
+    gates = [measurement_gate(f"m{i}", ("q",), measure_z()) for i in range(n_gates)]
+    found = validate_circuit(Circuit.build(space, ["q"], gates))
+    if exploded:
+        assert [(v.code, v.where) for v in found] == [("PATH_EXPLOSION", f"m{n_gates - 1}")]
+    else:
+        assert found == []
+
+
 def test_flattened_gates_order():
     c = teleportation()
     seq = flattened_gates(c)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from meastree import linalg
 from meastree.circuits import enumerate_paths
 from meastree.cli import main, parse_path_spec
 from meastree.demos import teleportation
@@ -127,6 +128,31 @@ def test_simulate_single_path(demo_files, tmp_path, capsys):
     rows = json.loads(out)
     assert len(rows) == 1
     assert rows[0]["path"]["mz0"] == "0" and rows[0]["path"]["mz1"] == "1"
+
+
+def test_simulate_nan_circuit_is_exit_1(demo_files, tmp_path, capsys):
+    doc = json.loads(open(demo_files["teleportation"]).read())
+    doc["gates"][0]["measurements"][0]["outcomes"]["u"][0][0][0] = float("nan")
+    circuit = tmp_path / "nan.json"
+    circuit.write_text(json.dumps(doc))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": vector_to_json(np.array([1.0, 0.0]))}))
+    code, out, _ = run_cli(capsys, ["simulate", "--circuit", str(circuit), "--input", str(state)])
+    assert code == 1
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize(
+    "bad", ["NaN", "Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")]
+)
+def test_simulate_non_finite_input_is_exit_1(demo_files, tmp_path, capsys, bad):
+    state = tmp_path / "state.json"
+    state.write_text('{"vector": [[%s, 0], [0, 0]]}' % bad)
+    code, out, _ = run_cli(
+        capsys, ["simulate", "--circuit", demo_files["teleportation"], "--input", str(state)]
+    )
+    assert code == 1
+    assert "nan" not in out.lower()
 
 
 def test_simulate_invalid_circuit_is_exit_2(demo_files, tmp_path, capsys):
@@ -374,6 +400,14 @@ def test_tolerance_env_var_applies(demo_files, capsys, monkeypatch):
     monkeypatch.setenv("MEASTREE_TOL", "1e-3")
     code, _, _ = run_cli(capsys, ["validate", demo_files["teleportation"]])
     assert code == 0
+
+
+def test_tolerance_env_var_is_restored_after_main(demo_files, capsys, monkeypatch):
+    before = dict(vars(linalg.TOL))
+    monkeypatch.setenv("MEASTREE_TOL", "1e-3")
+    code, _, _ = run_cli(capsys, ["validate", demo_files["teleportation"]])
+    assert code == 0
+    assert vars(linalg.TOL) == before
 
 
 def test_parse_path_spec_autofills_single_outcome_gates():

@@ -91,6 +91,13 @@ def test_measurement_completeness_enforced():
         Measurement.of({"u": 1.0000005 * HADAMARD})
 
 
+def test_non_finite_measurement_and_state_rejected():
+    with pytest.raises(ValueError):
+        Measurement.of({"u": np.array([[np.nan, 0], [0, 1]])})
+    with pytest.raises(ValueError):
+        DensityOperator.of(np.array([[np.nan, 0], [0, 0]]))
+
+
 def test_measurement_accepts_zero_operator():
     p0 = projector(basis_ket(2, 0))
     p1 = projector(basis_ket(2, 1))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ def test_state_from_json_sniffs_kets_and_densities():
     assert kind == "density"
     with pytest.raises(ValueError):
         state_from_json({"neither": []})
+
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+
+def test_demo_data_files_match_the_demos():
+    assert sorted(p.stem for p in DEMO_DATA.glob("*.json")) == sorted(DEMOS)
+    for name, make in DEMOS.items():
+        assert json.loads((DEMO_DATA / f"{name}.json").read_text()) == circuit_to_json(make())
 
 
 def test_demo_circuits_round_trip_exactly():
