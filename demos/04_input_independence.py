@@ -4,9 +4,10 @@ A branch is input independent when its probability is the same for
 every input state. That happens exactly when the branch operator
 factors as C (psi x ancilla) = U psi x b for an isometry U and a fixed
 ancilla vector b, in which case the probability is |b|^2 on every
-input, pure or mixed. factor_branch searches for that witness
-numerically; check_independence probes probabilities directly and
-cross-checks the witness when one exists.
+input, pure or mixed. factor_branch finds that witness exactly, as a
+rank-1 split of the branch isometry; check_independence reports the
+exact probability range over all inputs. Seeded probe states only
+cross-check both.
 
 Run:  python3 demos/04_input_independence.py
 """
@@ -36,7 +37,7 @@ print("teleportation forwards the input unchanged on every branch,")
 print("and each branch fires with input-independent probability 1/4.")
 
 print()
-print("== probing probabilities directly ==")
+print("== exact probability ranges ==")
 for branch in t.branches():
     rep = check_independence(t, branch, probes=64, seed=7)
     print(

@@ -499,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "check-independence",
         parents=[fmt],
-        help="probe whether path probabilities depend on the input",
+        help="decide whether path probabilities depend on the input",
     )
     sp.add_argument("--circuit", required=True)
     grp = sp.add_mutually_exclusive_group()

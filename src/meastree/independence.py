@@ -1,13 +1,18 @@
 """Input-independence analysis of measurement-tree branches.
 
-A branch whose composed operator sends every joint input
-``psi (x) ancilla`` to ``U psi (x) b`` for an isometric U and a fixed
-vector b has input-independent probability ``|b|^2`` and applies U to
-the principal state. ``factor_branch`` searches for that witness,
-``check_independence`` measures probability spread over probe states,
-and ``check_isometry_scaling`` confirms that a family of branches all
-computing the same operator forces that operator to be an isometry up
-to one overall scale.
+Every verdict is exact and read off the branch isometry ``V_b = C_b E``,
+where ``C_b`` is the branch's composed operator and the columns of ``E``
+are the joint inputs ``e_i (x) ancilla``. A branch fires on a principal
+state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
+over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
+set of branches is input-independent iff the sum of those is ``p I``.
+The branch computes an isometry U, sending ``psi (x) ancilla`` to
+``U psi (x) b``, iff ``V_b`` reshaped to (output ancilla) x (output
+principal . input) has rank 1; then ``V_b^dag V_b = |b|^2 I``, which is
+the paper's principle. The converse fails: the copy map
+``|i> -> |i>|i>/sqrt(2)`` fires with probability 1/2 on every input yet
+computes no U. Seeded probe kets only cross-check the exact answers at
+the ket level and raise AssertionError on a disagreement.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .linalg import (
     TOL,
-    DensityOperator,
+    _clamp_probability,
     basis_ket,
     bipartition_ket,
     dagger,
@@ -28,10 +33,6 @@ from .linalg import (
     frob_norm,
     haar_ket,
     identity,
-    outcome_probability,
-    partial_trace_matrix,
-    projector,
-    proportional,
 )
 from .trees import Branch, MeasurementTree, branch_operator
 
@@ -48,10 +49,12 @@ __all__ = [
     "check_isometry_scaling",
 ]
 
-# Rank-1 and factorization-residual thresholds, relative to the largest
-# singular value seen on the branch.
+# Rank-1 and factorization-residual thresholds, relative to the scale of
+# the matrix being factored.
 EPS_RANK = 1e-8
 EPS_FACT = 1e-8
+# Slack of the probe cross-checks, which catch a wrong exact answer, not rounding.
+EPS_CHECK = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +94,6 @@ class SetIndependenceReport:
     min_sum: float
     max_sum: float
     max_deviation: float
-    failing_branch: Branch | None = None
 
 
 @dataclass(frozen=True)
@@ -101,33 +103,77 @@ class IsometryScalingReport:
     detail: str = ""
 
 
-def _require_roles(t: MeasurementTree) -> None:
+def _principal_dim(t: MeasurementTree) -> int:
     if not t.has_roles():
         raise ValueError("tree carries no principal/ancilla wire roles; analysis needs them")
+    if t.ancilla_init.norm() <= TOL.zero:
+        raise ValueError("state has zero trace")
+    return math.prod(t.space.dim_of(w) for w in t.principal_wires)
 
 
-def _joint_state(t: MeasurementTree, psi: np.ndarray) -> DensityOperator:
-    k = embed_principal(t, psi)
-    return DensityOperator(np.outer(k, k.conj()), t.space)
+def _branch_isometry(t: MeasurementTree, branch: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``C_b`` and ``V_b = C_b E`` (D x d_P), from one ``branch_operator`` call."""
+    d_in = _principal_dim(t)
+    c = branch_operator(t, branch) / t.ancilla_init.norm()  # probabilities per unit input norm
+    e = np.stack([embed_principal(t, basis_ket(d_in, i)) for i in range(d_in)], axis=1)
+    return c, c @ e
 
 
-def _output_matrix(t: MeasurementTree, v: np.ndarray) -> np.ndarray:
-    """Reshape a full-space vector into (output principal) x (output ancilla)."""
-    return bipartition_ket(v, t.space, t.output_principal)
+def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(U, b)`` with ``V = U (x) b`` and ``U^dag U = I``, or None.
+
+    The first nonzero entry of U, in column order, is real and positive.
+    """
+    blocks = np.stack([bipartition_ket(col, t.space, t.output_principal) for col in v.T])
+    d_in, d_out, d_anc = blocks.shape
+    m = blocks.transpose(2, 1, 0).reshape(d_anc, d_out * d_in)
+    left, s, right = np.linalg.svd(m, full_matrices=False)
+    if s[0] <= TOL.zero or frob_norm(s[1:]) > EPS_RANK * s[0]:
+        return None  # the branch annihilates every input, or entangles it with the ancilla
+    u = right[0].reshape(d_out, d_in) * math.sqrt(d_in)
+    if frob_norm(dagger(u) @ u - identity(d_in)) > EPS_FACT:
+        return None  # no isometric normalization: column norms or angles disagree
+    flat = u.T.reshape(-1)
+    lead = flat[int(np.argmax(np.abs(flat) > EPS_FACT))]
+    phase = lead.conjugate() / abs(lead)
+    # "+ 0.0" turns the -0.0 entries the SVD leaves into 0.0
+    return u * phase + 0.0, left[:, 0] * (s[0] / math.sqrt(d_in) / phase) + 0.0
 
 
-def _basis_probes(dim: int) -> list[np.ndarray]:
-    return [basis_ket(dim, i) for i in range(dim)]
+def _probability_range(gram: np.ndarray) -> tuple[float, float]:
+    lam = np.linalg.eigvalsh(gram)
+    return _clamp_probability(float(lam[0])), _clamp_probability(float(lam[-1]))
 
 
-def _pair_probes(dim: int) -> list[np.ndarray]:
-    probes = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e_i, e_j = basis_ket(dim, i), basis_ket(dim, j)
-            probes.append((e_i + e_j) / np.sqrt(2))
-            probes.append((e_i + 1j * e_j) / np.sqrt(2))
-    return probes
+def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> list[np.ndarray]:
+    """The basis kets, the caller's kets normalized, then seeded Haar kets."""
+    rng = np.random.default_rng(seed)
+    kets = [basis_ket(d_in, i) for i in range(d_in)]
+    for x in extra if extra is not None else ():
+        kets.append(np.asarray(x, dtype=complex).reshape(-1) / np.linalg.norm(x))
+    return kets + [haar_ket(d_in, rng) for _ in range(probes)]
+
+
+def _cross_check(t: MeasurementTree, ops, kets, *, span=None, witness=None) -> float:
+    """Test an exact answer on the probe inputs ``psi (x) ancilla``.
+
+    With ``span`` = (lo, hi) the summed ``|C psi_a|^2`` over ``ops`` must
+    lie in it; with ``witness`` = (U, b) the one op must send each probe to
+    ``U psi (x) b``, and the largest miss is returned. Raises
+    AssertionError on a disagreement.
+    """
+    residual = 0.0
+    for psi in kets:
+        images = [c @ embed_principal(t, psi) for c in ops]
+        p = sum(float(np.vdot(x, x).real) for x in images)
+        if span is not None and not span[0] - EPS_CHECK <= p <= span[1] + EPS_CHECK:
+            raise AssertionError(f"probe probability {p:.12f} lies outside the exact range {span}")
+        if witness is not None:
+            got = bipartition_ket(images[0], t.space, t.output_principal)
+            residual = max(residual, frob_norm(got - np.outer(witness[0] @ psi, witness[1])))
+    if witness is not None and residual > EPS_CHECK * max(frob_norm(witness[0]) * frob_norm(witness[1]), 1.0):
+        raise AssertionError(f"probe images miss the factorization by {residual:.3e}")
+    return residual
 
 
 def factor_branch(
@@ -139,95 +185,21 @@ def factor_branch(
 ) -> BranchFactorization | None:
     """Extract the product-form witness (U, b) of a branch, if one exists.
 
-    Probes the composed operator on principal basis vectors, demands each
-    image splits rank-1 across the output principal/ancilla cut with a
-    common ancilla factor, normalizes so that U is isometric and b holds
-    the branch weight, and verifies the factorization on pairwise
-    superpositions and a few seeded random probes. Returns None when any
-    step fails, including when no isometric normalization exists.
+    The branch factors iff its isometry ``V_b``, reshaped to (output
+    ancilla) x (output principal . input), has rank 1; U is normalized to
+    be isometric and b holds the branch weight. Returns None otherwise,
+    including when no isometric normalization exists. ``residual`` is the
+    witness's largest miss on the basis kets and ``random_probes`` seeded
+    Haar-random kets.
     """
-    _require_roles(t)
-    c = branch_operator(t, branch)
-    d_in = math.prod(t.space.dim_of(w) for w in t.principal_wires) if t.principal_wires else 1
-
-    images = [c @ embed_principal(t, e) for e in _basis_probes(d_in)]
-    mats = [_output_matrix(t, v) for v in images]
-
-    svals = [np.linalg.svd(m, compute_uv=False) for m in mats]
-    scale = max(float(s[0]) for s in svals)
-    if scale <= TOL.zero:
-        return None  # the branch annihilates every joint basis input
-    for s in svals:
-        if len(s) > 1 and float(s[1]) > EPS_RANK * scale:
-            return None  # some basis image does not split across the cut
-
-    first = next(i for i, s in enumerate(svals) if float(s[0]) > EPS_RANK * scale)
-    _, _, vh = np.linalg.svd(mats[first])
-    b_dir = vh[0].conj()
-    # Phase convention: largest entry of the ancilla direction real positive.
-    anchor = b_dir[int(np.argmax(np.abs(b_dir)))]
-    b_dir = b_dir * (anchor.conjugate() / abs(anchor))
-
-    cols = []
-    for m in mats:
-        u = m @ b_dir.conj()
-        if frob_norm(m - np.outer(u, b_dir)) > EPS_FACT * scale:
-            return None  # ancilla factor is not common to all basis images
-        cols.append(u)
-
-    weight = math.sqrt(sum(float(np.vdot(u, u).real) for u in cols) / d_in)
-    if weight <= TOL.zero:
+    c, v = _branch_isometry(t, branch)
+    fact = _factor(t, v)
+    if fact is None:
         return None
-    principal = np.stack(cols, axis=1) / weight
-    b = weight * b_dir
-
-    gram = dagger(principal) @ principal
-    if frob_norm(gram - identity(d_in)) > EPS_FACT:
-        return None  # no isometric normalization: column norms or angles disagree
-    d_out = principal.shape[0]
-    if d_out == d_in and frob_norm(principal @ dagger(principal) - identity(d_out)) <= EPS_FACT:
-        kind = "unitary"
-    else:
-        kind = "isometry-only"
-
-    # Move the global phase onto U's first nonzero column entry.
-    flat = principal.T.reshape(-1)
-    lead = flat[int(np.argmax(np.abs(flat) > EPS_FACT))]
-    phase = lead.conjugate() / abs(lead)
-    principal = principal * phase
-    b = b * phase.conjugate()
-
-    rng = np.random.default_rng(seed)
-    probes = _basis_probes(d_in) + _pair_probes(d_in)
-    probes += [haar_ket(d_in, rng) for _ in range(random_probes)]
-    residual = 0.0
-    for psi in probes:
-        got = _output_matrix(t, c @ embed_principal(t, psi))
-        want = np.outer(principal @ psi, b)
-        residual = max(residual, frob_norm(got - want))
-    if residual > EPS_FACT * max(scale, 1.0):
-        return None
-
-    return BranchFactorization(
-        branch=tuple(branch),
-        principal_operator=principal,
-        ancilla_vector=b,
-        residual=residual,
-        probability=float(np.vdot(b, b).real),
-        kind=kind,
-    )
-
-
-def _probe_kets(t: MeasurementTree, probes: int, seed: int, extra) -> list[np.ndarray]:
-    d_in = math.prod(t.space.dim_of(w) for w in t.principal_wires) if t.principal_wires else 1
-    rng = np.random.default_rng(seed)
-    kets = _basis_probes(d_in)
-    if extra is not None:
-        for x in extra:
-            x = np.asarray(x, dtype=complex).reshape(-1)
-            kets.append(x / np.linalg.norm(x))
-    kets += [haar_ket(d_in, rng) for _ in range(probes)]
-    return kets
+    u, b = fact
+    residual = _cross_check(t, [c], _probe_kets(u.shape[1], random_probes, seed), witness=fact)
+    kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
+    return BranchFactorization(tuple(branch), u, b, residual, float(np.vdot(b, b).real), kind)
 
 
 def check_independence(
@@ -237,44 +209,27 @@ def check_independence(
     seed: int = 0,
     extra_probes: Sequence[np.ndarray] | None = None,
 ) -> IndependenceReport:
-    """Measure how much a branch's probability varies across pure inputs.
+    """The exact range of a branch's probability over all inputs.
 
-    Probes are all principal basis states, optional caller-supplied kets,
-    and seeded Haar-random kets. Verdict "independent" needs the spread
-    within 1e-9, "dependent" means above 1e-6, anything between is
-    "inconclusive". When the branch factors, the observed probabilities
-    are additionally checked against the witness weight |b|^2.
+    The range is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``. Verdict
+    "independent" needs its width within 1e-9, "dependent" means above
+    1e-6, anything between is "inconclusive". The probe kets (all
+    principal basis states, optional caller-supplied kets and ``probes``
+    seeded Haar-random kets) cross-check that range.
     """
-    _require_roles(t)
-    c = branch_operator(t, branch)
-    values = [
-        outcome_probability(c, _joint_state(t, psi))
-        for psi in _probe_kets(t, probes, seed, extra_probes)
-    ]
-    lo, hi = min(values), max(values)
+    c, v = _branch_isometry(t, branch)
+    lo, hi = _probability_range(dagger(v) @ v)
+    kets = _probe_kets(v.shape[1], probes, seed, extra_probes)
+    _cross_check(t, [c], kets, span=(lo, hi))
     spread = hi - lo
-    if spread <= 1e-9:
-        verdict = "independent"
-    elif spread > 1e-6:
-        verdict = "dependent"
-    else:
-        verdict = "inconclusive"
+    verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
+    return IndependenceReport(tuple(branch), len(kets), lo, hi, spread, verdict)
 
-    fact = factor_branch(t, branch)
-    if fact is not None:
-        if spread > 1e-9 or any(abs(p - fact.probability) > 1e-9 for p in values):
-            raise AssertionError(
-                f"branch {tuple(branch)!r} factors with weight {fact.probability:.12f} "
-                f"but probabilities range over [{lo:.12f}, {hi:.12f}]"
-            )
-    return IndependenceReport(
-        branch=tuple(branch),
-        probe_count=len(values),
-        min_probability=lo,
-        max_probability=hi,
-        max_deviation=spread,
-        verdict=verdict,
-    )
+
+def _aligned(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``a`` times the phase that best aligns it with ``ref``."""
+    overlap = complex(np.vdot(a, ref))
+    return a * (overlap / abs(overlap)) if abs(overlap) > TOL.zero else a
 
 
 def check_computes(
@@ -288,29 +243,22 @@ def check_computes(
     to ``U rho U^dag`` on the output principal wires, with the
     proportionality constant equal to the branch probability?
 
-    Returns (holds, max residual over probes).
+    It does iff the branch factors and the supplied operator is an
+    isometry equal to the factor U up to phase. Returns (holds, the
+    witness's largest miss on the basis kets and ``probes`` seeded
+    Haar-random kets), or ``(False, inf)``.
     """
-    _require_roles(t)
     u = np.asarray(operator, dtype=complex)
-    c = branch_operator(t, branch)
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    d_in = math.prod(t.space.dim_of(w) for w in t.principal_wires) if t.principal_wires else 1
-    kets = _basis_probes(d_in) + _pair_probes(d_in)
-    kets += [haar_ket(d_in, rng) for _ in range(probes)]
-    for psi in kets:
-        joint = _joint_state(t, psi)
-        sigma = c @ joint.matrix @ dagger(c)
-        reduced = partial_trace_matrix(sigma, t.space, t.output_principal)
-        target = u @ projector(psi) @ dagger(u)
-        const = proportional(reduced, target, tol=1e-9)
-        if const is None:
-            return False, float("inf")
-        p = outcome_probability(c, joint)
-        if abs(const - p) > 1e-9:
-            return False, abs(const - p)
-        worst = max(worst, frob_norm(reduced - const * target))
-    return True, worst
+    c, v = _branch_isometry(t, branch)
+    d_out = math.prod(t.space.dim_of(w) for w in t.output_principal)
+    if u.ndim != 2 or u.shape[1] != v.shape[1]:
+        raise ValueError(f"operator of shape {u.shape} does not act on the principal input")
+    if u.shape[0] != d_out:
+        raise ValueError(f"shape mismatch {(d_out, d_out)} vs {(u.shape[0], u.shape[0])}")
+    fact = _factor(t, v)
+    if fact is None or frob_norm(_aligned(fact[0], u) - u) > 1e-9 * frob_norm(fact[0]):
+        return False, float("inf")
+    return True, _cross_check(t, [c], _probe_kets(u.shape[1], probes, seed), witness=fact)
 
 
 def check_set_independence(
@@ -321,43 +269,31 @@ def check_set_independence(
 ) -> SetIndependenceReport:
     """Check that a set of branches has input-independent total probability.
 
-    Every branch must factor; the claimed constant is the sum of the
-    witness weights, and the observed per-probe sums must stay within
-    1e-9 of it.
+    The exact range of the total is ``[lambda_min, lambda_max]`` of the
+    summed ``V_b^dag V_b``; the set is independent, with constant
+    ``trace / d_P``, when its width is within 1e-9, and dependent
+    otherwise. The branches need not factor. The basis kets and
+    ``probes`` seeded Haar-random kets cross-check the range.
     """
-    _require_roles(t)
     branch_keys = tuple(tuple(b) for b in branches)
-    facts = []
-    for b in branch_keys:
-        f = factor_branch(t, b)
-        if f is None:
-            return SetIndependenceReport(
-                branches=branch_keys,
-                verdict="inconclusive",
-                constant=None,
-                min_sum=float("nan"),
-                max_sum=float("nan"),
-                max_deviation=float("nan"),
-                failing_branch=b,
-            )
-        facts.append(f)
-    constant = sum(f.probability for f in facts)
-    ops = [branch_operator(t, b) for b in branch_keys]
-    sums = []
-    for psi in _probe_kets(t, probes, seed, None):
-        joint = _joint_state(t, psi)
-        sums.append(sum(outcome_probability(c, joint) for c in ops))
-    lo, hi = min(sums), max(sums)
-    spread = max(hi - constant, constant - lo, 0.0)
-    verdict = "independent" if spread <= 1e-9 else "dependent"
-    return SetIndependenceReport(
-        branches=branch_keys,
-        verdict=verdict,
-        constant=constant,
-        min_sum=lo,
-        max_sum=hi,
-        max_deviation=spread,
-    )
+    pairs = [_branch_isometry(t, b) for b in branch_keys]
+    d_in = _principal_dim(t)
+    gram = sum((dagger(v) @ v for _, v in pairs), np.zeros((d_in, d_in), dtype=complex))
+    lo, hi = _probability_range(gram)
+    _cross_check(t, [c for c, _ in pairs], _probe_kets(d_in, probes, seed), span=(lo, hi))
+    if hi - lo > 1e-9:
+        return SetIndependenceReport(branch_keys, "dependent", None, lo, hi, hi - lo)
+    return SetIndependenceReport(branch_keys, "independent", float(np.trace(gram).real) / d_in, lo, hi, hi - lo)
+
+
+def _pair_probes(dim: int) -> list[np.ndarray]:
+    probes = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e_i, e_j = basis_ket(dim, i), basis_ket(dim, j)
+            probes.append((e_i + e_j) / np.sqrt(2))
+            probes.append((e_i + 1j * e_j) / np.sqrt(2))
+    return probes
 
 
 def constant_factor(
@@ -390,7 +326,7 @@ def constant_factor(
     c = (lx.conj() @ w) / float(np.vdot(lx, lx).real)
 
     scale = max(frob_norm(lam), 1.0)
-    probes = _basis_probes(d1) + _pair_probes(d1) + [x]
+    probes = list(identity(d1)) + _pair_probes(d1) + [x]
     for y in probes:
         want = np.outer(lop @ y, c).reshape(-1)
         if frob_norm(lam @ y - want) > eps * scale:
@@ -407,52 +343,35 @@ def check_isometry_scaling(
     """If every branch computes the same given operator, confirm that the
     operator times ``t_scale = sqrt(sum of branch weights)`` is an isometry.
 
-    Each branch must factor on its own and must factor through the
-    supplied operator (which may differ from the canonical witness by an
-    overall scale); otherwise the report is inconclusive. For square
-    operators unitarity of the rescaled operator is checked too.
+    Each branch must factor on its own as ``U (x) b``, and the supplied
+    operator must be ``alpha U`` for one scalar alpha, which may differ
+    from the canonical witness by an overall scale; otherwise the report
+    is inconclusive. The branch weights are ``|b|^2 / |alpha|^2``. A
+    square rescaled operator that is an isometry is reported "unitary".
     """
-    _require_roles(t)
     u = np.asarray(operator, dtype=complex)
-    branches = t.branches()
-    canonical = []
-    for b in branches:
-        f = factor_branch(t, b)
-        if f is None:
+    factors = []
+    for b in t.branches():
+        fact = _factor(t, _branch_isometry(t, b)[1])
+        if fact is None:
             return IsometryScalingReport(None, "inconclusive", f"branch {b!r} does not factor")
-        canonical.append(f)
-    ref = canonical[0].principal_operator
-    for f in canonical[1:]:
-        other = f.principal_operator
-        overlap = complex(np.vdot(ref, other))
-        aligned = other * (overlap.conjugate() / abs(overlap)) if abs(overlap) > 0 else other
-        if frob_norm(aligned - ref) > EPS_FACT * max(frob_norm(ref), 1.0):
-            return IsometryScalingReport(
-                None, "inconclusive", "branches compute differing principal operators"
-            )
+        factors.append((b, *fact))
+    ref = factors[0][1]
+    if any(frob_norm(_aligned(w, ref) - ref) > EPS_FACT * max(frob_norm(ref), 1.0) for _, w, _ in factors):
+        return IsometryScalingReport(None, "inconclusive", "branches compute differing principal operators")
 
     weights = []
-    for b in branches:
-        c = branch_operator(t, b)
-        d_in = u.shape[1]
-        cols = [_output_matrix(t, c @ embed_principal(t, e)).reshape(-1) for e in _basis_probes(d_in)]
-        lam = np.stack(cols, axis=1)
-        try:
-            bvec = constant_factor(lam, u, eps=max(eps, EPS_FACT))
-        except ValueError as exc:
-            return IsometryScalingReport(None, "inconclusive", str(exc))
-        if bvec is None:
+    for b, w, vec in factors:
+        alpha = complex(np.vdot(w, u)) / w.shape[1] if u.shape == w.shape else 0.0
+        if abs(alpha) <= TOL.zero or frob_norm(u - alpha * w) > max(eps, EPS_FACT) * max(frob_norm(u), 1.0):
             return IsometryScalingReport(
                 None, "inconclusive", f"branch {b!r} does not factor through the supplied operator"
             )
-        weights.append(float(np.vdot(bvec, bvec).real))
+        weights.append(float(np.vdot(vec, vec).real) / abs(alpha) ** 2)
 
     t_scale = math.sqrt(sum(weights))
     scaled = t_scale * u
     if frob_norm(dagger(scaled) @ scaled - identity(u.shape[1])) > eps:
         return IsometryScalingReport(t_scale, "failed", "rescaled operator is not an isometry")
-    if u.shape[0] == u.shape[1]:
-        if frob_norm(scaled @ dagger(scaled) - identity(u.shape[0])) > eps:
-            return IsometryScalingReport(t_scale, "failed", "rescaled operator is not unitary")
-        return IsometryScalingReport(t_scale, "unitary", "")
-    return IsometryScalingReport(t_scale, "isometry", "")
+    # a square isometry is unitary: S^dag S and S S^dag share their spectrum
+    return IsometryScalingReport(t_scale, "unitary" if u.shape[0] == u.shape[1] else "isometry", "")

@@ -350,7 +350,7 @@ def outcome_probability(op: np.ndarray, rho: DensityOperator) -> float:
 
 
 def _clamp_probability(p: float, slack: float = 1e-9) -> float:
-    if -slack <= p < 0.0:
+    if -slack <= p <= 0.0:  # also turns -0.0 into 0.0
         return 0.0
     if 1.0 < p <= 1.0 + slack:
         return 1.0

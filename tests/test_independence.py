@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from meastree.linalg import (
     HilbertSpec,
     basis_ket,
     dagger,
+    embed_principal,
     haar_ket,
     projector,
     random_unitary,
@@ -111,8 +114,15 @@ def test_bare_z_measurement_depends_on_input():
         assert report.verdict == "dependent"
         assert report.max_deviation >= 0.3
     group = check_set_independence(t, t.branches()[:1], probes=8, seed=1)
-    assert group.verdict == "inconclusive"
-    assert group.failing_branch == t.branches()[0]
+    assert group.verdict == "dependent"
+
+
+def test_bare_z_measurement_full_set_is_independent():
+    # neither branch factors, yet their probabilities sum to 1 on every input
+    t = reduced(measure_discard)
+    full = check_set_independence(t, t.branches(), probes=8, seed=1)
+    assert full.verdict == "independent"
+    assert full.constant == pytest.approx(1.0, abs=1e-9)
 
 
 def test_coin_branches_carry_half_weight():
@@ -252,3 +262,111 @@ def test_feedforward_branches_have_constant_probability():
         assert report.verdict == "independent"
         assert report.max_deviation <= 1e-9
         assert report.min_probability == pytest.approx(0.5, abs=1e-9)
+
+
+def test_factor_branch_accepts_complex_ancilla_vector():
+    # a one-gate measurement on the ancilla sends e_i -> e_i (x) b with a
+    # complex b; U (x) b must reproduce the branch isometry V_b
+    from meastree.rand import random_circuit
+
+    rng = np.random.default_rng(7)
+    t, _ = reduce_circuit([random_circuit(rng) for _ in range(46)][45])
+    assert t.ancilla_wires == ("q1",)
+    for branch in t.branches():
+        fact = factor_branch(t, branch)
+        assert fact is not None
+        b = fact.ancilla_vector
+        assert np.max(np.abs(b.imag)) > 0.1
+        c = branch_operator(t, branch)
+        v = np.stack([c @ embed_principal(t, basis_ket(2, i)) for i in range(2)], axis=1)
+        assert np.max(np.abs(v - np.kron(fact.principal_operator, b[:, None]))) <= 1e-12
+        assert fact.probability == pytest.approx(float(np.vdot(b, b).real), abs=1e-12)
+
+
+def test_branch_operator_is_built_once_per_branch_and_call(tmp_path, monkeypatch):
+    from meastree import independence
+    from meastree.cli import main
+    from meastree.serialize import circuit_to_json, matrix_to_json
+
+    calls = []
+
+    def counting(t, branch):
+        calls.append(tuple(branch))
+        return branch_operator(t, branch)
+
+    monkeypatch.setattr(independence, "branch_operator", counting)
+    t = reduced(teleportation)
+    branches = t.branches()
+    assert len(branches) == 4
+    for branch in branches:
+        check_independence(t, branch, probes=4, seed=0)
+    assert sorted(calls) == sorted(branches)
+    calls.clear()
+    check_isometry_scaling(t, I2)
+    assert sorted(calls) == sorted(branches)
+    calls.clear()
+    circuit = tmp_path / "teleportation.json"
+    circuit.write_text(json.dumps(circuit_to_json(teleportation())))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(matrix_to_json(I2)))
+    argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
+    assert main(argv) == 0
+    assert sorted(calls) == sorted(branches * 2)
+
+
+def copy_map_tree():
+    """Two qubits p, a with a |0> ancilla and outcomes k, j, both CNOT/sqrt(2):
+    each branch sends |i> to |i>|i>/sqrt(2)."""
+    from meastree.linalg import CNOT, Ket, Measurement
+    from meastree.trees import build_tree
+
+    space = HilbertSpec.of([("p", 2), ("a", 2)])
+    half = CNOT / np.sqrt(2)
+    return build_tree(
+        space,
+        (Measurement.of({"k": half, "j": half}), {"k": None, "j": None}),
+        principal_wires=("p",),
+        ancilla_wires=("a",),
+        ancilla_init=Ket.of(basis_ket(2, 0)),
+    )
+
+
+def test_copy_map_is_independent_but_computes_no_operator():
+    # the converse of the principle fails: constant probability without a U
+    t = copy_map_tree()
+    report = check_independence(t, ("k",), probes=8, seed=0)
+    assert report.verdict == "independent"
+    assert report.min_probability == pytest.approx(0.5, abs=1e-12)
+    assert report.max_probability == pytest.approx(0.5, abs=1e-12)
+    single = check_set_independence(t, [("k",)], probes=8, seed=0)
+    assert single.verdict == "independent"
+    assert single.constant == pytest.approx(0.5, abs=1e-12)
+    full = check_set_independence(t, t.branches(), probes=8, seed=0)
+    assert full.verdict == "independent"
+    assert full.constant == pytest.approx(1.0, abs=1e-12)
+    assert factor_branch(t, ("k",)) is None
+    assert check_computes(t, ("k",), I2) == (False, float("inf"))
+
+
+def test_factoring_branches_have_scalar_gram_on_random_circuits():
+    # the paper's principle: a witness V_b = U (x) b forces
+    # V_b^dag V_b = |b|^2 I, so the probability is |b|^2 on every input
+    from meastree.rand import random_circuit
+
+    witnesses = 0
+    for seed in range(60):
+        t, _ = reduce_circuit(random_circuit(np.random.default_rng(seed)))
+        d = 2 ** len(t.principal_wires)
+        e = np.stack([embed_principal(t, basis_ket(d, i)) for i in range(d)], axis=1)
+        for branch in t.branches():
+            fact = factor_branch(t, branch)
+            if fact is None:
+                continue
+            witnesses += 1
+            v = branch_operator(t, branch) @ e
+            assert np.max(np.abs(dagger(v) @ v - fact.probability * np.eye(d))) <= 1e-9
+            report = check_independence(t, branch, probes=4, seed=seed)
+            assert report.verdict == "independent"
+            assert report.min_probability == pytest.approx(fact.probability, abs=1e-9)
+            assert report.max_probability == pytest.approx(fact.probability, abs=1e-9)
+    assert witnesses >= 9
