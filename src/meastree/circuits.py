@@ -25,10 +25,11 @@ from .linalg import (
     Ket,
     Measurement,
     _clamp_probability,
+    _input_isometry,
+    apply_local,
     basis_ket,
     dagger,
     embed_principal,
-    lift_operator,
     partial_trace_matrix,
 )
 
@@ -560,10 +561,9 @@ def is_coherent(c: Circuit, path: Mapping[str, str]) -> bool:
 
 def full_input(c: Circuit, rho: DensityOperator) -> np.ndarray:
     """Materialize the joint input: principal state tensored with the ancilla vector."""
-    if rho.matrix.shape[0] != c.principal_spec.dim:
-        raise ValueError(
-            f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {c.principal_spec.dim}"
-        )
+    d = c.principal_spec.dim
+    if rho.matrix.shape[0] != d:
+        raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
     return embed_principal(c, rho.matrix)
 
 
@@ -575,24 +575,38 @@ def embed_principal_ket(c: Circuit, psi: np.ndarray) -> np.ndarray:
     return embed_principal(c, psi)
 
 
+def _carry(c: Circuit, rho: DensityOperator, choose) -> tuple[dict[str, str], np.ndarray]:
+    """Carry ``V = C E`` down the path ``choose(gate, measurement, V)`` picks, gate by gate.
+
+    Returns the path and ``V rho V^dag``, its output ``C (rho (x) |a><a|) C^dag``:
+    column i of E is the joint input ``e_i (x) ancilla``.
+    """
+    c.require_valid()
+    d = c.principal_spec.dim
+    if rho.matrix.shape[0] != d:
+        raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
+    v = _input_isometry(c)
+
+    def follow(g: Gate, m: Measurement, assignment: dict[str, str]) -> tuple[str]:
+        nonlocal v
+        label = choose(g, m, v)
+        v = apply_local(m.operator(label), g.wires, v, c.space)
+        return (label,)
+
+    (assignment,) = [a for a, g, _ in _walk(c, follow) if g is None]
+    return assignment, v @ rho.matrix @ dagger(v)
+
+
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:
     """Probability and unnormalized output of one path on a principal input.
 
     The output matrix lives on the full space and is the zero matrix
     exactly when the path has probability zero; it is never renormalized.
     """
-    c.require_valid()
-    if set(path) != set(c.gates):
+    if not is_coherent(c, path):
         raise ValueError(f"not a coherent path: {dict(path)}")
-    sigma = full_input(c, rho)
-    t0 = float(sigma.trace().real)
-    for _, g, m in _walk(c, lambda g, m, a: (path[g.gate_id],)):
-        if g is None:
-            break
-        if m is None or path[g.gate_id] not in m.outcomes:
-            raise ValueError(f"not a coherent path: {dict(path)}")
-        op = lift_operator(m.operator(path[g.gate_id]), g.wires, c.space)
-        sigma = op @ sigma @ dagger(op)
+    _, sigma = _carry(c, rho, lambda g, m, v: path[g.gate_id])
+    t0 = float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
     return _clamp_probability(float(sigma.trace().real) / t0), sigma
 
 
@@ -611,25 +625,15 @@ def sample_run(
 
     Returns the realized path and the unnormalized post-run state.
     """
-    c.require_valid()
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    sigma = full_input(c, rho)
 
-    def sample(g: Gate, m: Measurement, assignment: dict[str, str]) -> tuple[str]:
-        nonlocal sigma
-        t = float(sigma.trace().real)
+    def sample(g: Gate, m: Measurement, v: np.ndarray) -> str:
+        t = float(np.vdot(v, v @ rho.matrix).real)
         if t <= TOL.zero:
             raise ArithmeticError("state trace vanished mid-run")
-        lifted = {label: lift_operator(op, g.wires, c.space) for label, op in m.outcomes.items()}
-        labels = list(lifted)
-        probs = np.array(
-            [max(float(np.trace(L @ sigma @ dagger(L)).real) / t, 0.0) for L in lifted.values()]
-        )
-        probs = probs / probs.sum()
-        label = labels[int(gen.choice(len(labels), p=probs))]
-        L = lifted[label]
-        sigma = L @ sigma @ dagger(L)
-        return (label,)
+        images = (apply_local(op, g.wires, v, c.space) for op in m.outcomes.values())
+        probs = np.array([max(float(np.vdot(x, x @ rho.matrix).real) / t, 0.0) for x in images])
+        return m.labels[int(gen.choice(len(probs), p=probs / probs.sum()))]
 
-    (assignment,) = [a for a, g, _ in _walk(c, sample) if g is None]
+    assignment, sigma = _carry(c, rho, sample)
     return Path(assignment), sigma

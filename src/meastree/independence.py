@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     TOL,
     _clamp_probability,
+    _input_isometry,
     basis_ket,
     bipartition_ket,
     dagger,
@@ -113,10 +114,9 @@ def _principal_dim(t: MeasurementTree) -> int:
 
 def _branch_isometry(t: MeasurementTree, branch: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """``C_b`` and ``V_b = C_b E`` (D x d_P), from one ``branch_operator`` call."""
-    d_in = _principal_dim(t)
+    _principal_dim(t)  # checks the wire roles and the ancilla norm
     c = branch_operator(t, branch) / t.ancilla_init.norm()  # probabilities per unit input norm
-    e = np.stack([embed_principal(t, basis_ket(d_in, i)) for i in range(d_in)], axis=1)
-    return c, c @ e
+    return c, c @ _input_isometry(t)
 
 
 def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

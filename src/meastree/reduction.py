@@ -3,8 +3,8 @@
 ``linearize`` merges each schedule layer into one gate whose measurements
 are tensor products of the constituents' measurements, re-keying the
 feedforward tables accordingly. ``tree_from_linear`` unfolds a linear
-circuit into the tree of coherent outcome prefixes, lifting every
-operator to the full space. Both return an explicit bijection between
+circuit into the tree of coherent outcome prefixes, whose nodes keep the
+gates' local measurements. Both return an explicit bijection between
 the old paths and the new paths (or branches), and both preserve every
 path's probability and output state exactly.
 """
@@ -23,7 +23,7 @@ from .circuits import (
     enumerate_paths,
     flattened_gates,
 )
-from .linalg import Measurement, lift_operator, tensor_measurements
+from .linalg import tensor_measurements
 from .trees import Branch, MeasurementTree, TreeNode
 
 __all__ = ["Bijection", "linearize", "tree_from_linear", "reduce_circuit"]
@@ -137,8 +137,8 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
     """Unfold a linear circuit into its tree of coherent outcome prefixes.
 
     Node at segment ``(o_1, ..., o_n)`` carries gate n+1's selected
-    measurement with every operator lifted to the full space; leaves sit
-    at depth len(gates). Returns the tree and the bijection from paths to
+    measurement and, as its ``wires``, the gate's wires; leaves sit at
+    depth len(gates). Returns the tree and the bijection from paths to
     branches.
     """
     c.require_valid()
@@ -153,10 +153,7 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
             nodes[segment] = TreeNode(None, {})
             pairs.append((Path(assignment), segment))
             continue
-        lifted = Measurement(
-            {label: lift_operator(op, g.wires, c.space) for label, op in m.outcomes.items()}
-        )
-        nodes[segment] = TreeNode(lifted, {label: segment + (label,) for label in m.labels})
+        nodes[segment] = TreeNode(m, {label: segment + (label,) for label in m.labels}, g.wires)
     tree = MeasurementTree(
         space=c.space,
         root=(),

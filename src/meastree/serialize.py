@@ -15,8 +15,8 @@ from typing import Any
 import numpy as np
 
 from .circuits import Circuit, Gate, Selection
-from .linalg import HilbertSpec, Ket, Measurement
-from .trees import Branch, MeasurementTree, TreeNode
+from .linalg import HilbertSpec, Ket, Measurement, lift_operator
+from .trees import Branch, MeasurementTree, TreeNode, _descend
 
 __all__ = [
     "matrix_to_json",
@@ -290,25 +290,13 @@ def _tree_node_ids(t: MeasurementTree) -> dict[Branch, str]:
     """Readable, unique node ids: the route joined with slashes."""
     ids: dict[Branch, str] = {}
     used: set[str] = set()
-
-    def claim(base: str) -> str:
-        name = base
+    for key, _, _ in _descend(t):
+        base = name = "/" + "/".join(key[len(t.root) :])
         k = 2
         while name in used:
-            name = f"{base}#{k}"
-            k += 1
+            name, k = f"{base}#{k}", k + 1
         used.add(name)
-        return name
-
-    def walk(key: Branch) -> None:
-        rel = key[len(t.root) :]
-        ids[key] = claim("/" + "/".join(rel) if rel else "/")
-        node = t.nodes[key]
-        if not node.is_leaf:
-            for label in node.measurement.labels:
-                walk(node.children[label])
-
-    walk(t.root)
+        ids[key] = name
     return ids
 
 
@@ -317,8 +305,11 @@ def tree_to_json(t: MeasurementTree) -> dict[str, Any]:
     nodes: dict[str, Any] = {}
     for key, nid in ids.items():
         node = t.nodes[key]
+        m = node.measurement
+        if node.wires is not None:  # a local measurement: written on the full space
+            m = Measurement({label: lift_operator(op, node.wires, t.space) for label, op in m.outcomes.items()})
         nodes[nid] = {
-            "measurement": None if node.is_leaf else measurement_to_json(node.measurement),
+            "measurement": None if node.is_leaf else measurement_to_json(m),
             "children": {} if node.is_leaf else {
                 label: ids[node.children[label]] for label in node.measurement.labels
             },
@@ -395,20 +386,14 @@ def tree_from_json(obj: Any) -> MeasurementTree:
 
 def tree_to_dot(t: MeasurementTree) -> str:
     """A Graphviz digraph of the tree, edges labeled by outcomes."""
-    ids = _tree_node_ids(t)
+    ids = {key: nid.replace('"', '\\"') for key, nid in _tree_node_ids(t).items()}
     lines = ["digraph meastree {", "  rankdir=TB;"]
-    for key in ids:
-        nid = ids[key].replace('"', '\\"')
-        shape = "box" if t.nodes[key].is_leaf else "ellipse"
-        lines.append(f'  "{nid}" [shape={shape}];')
-    for key in ids:
+    for key, nid in ids.items():
+        lines.append(f'  "{nid}" [shape={"box" if t.nodes[key].is_leaf else "ellipse"}];')
+    for key, nid in ids.items():
         node = t.nodes[key]
-        if node.is_leaf:
-            continue
-        for label in node.measurement.labels:
-            a = ids[key].replace('"', '\\"')
-            b = ids[node.children[label]].replace('"', '\\"')
+        for label in () if node.is_leaf else node.measurement.labels:
             lab = label.replace('"', '\\"')
-            lines.append(f'  "{a}" -> "{b}" [label="{lab}"];')
+            lines.append(f'  "{nid}" -> "{ids[node.children[label]]}" [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

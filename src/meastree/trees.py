@@ -1,5 +1,5 @@
-"""Measurement trees: rooted trees whose inner nodes carry full-space
-measurements and whose edges are labeled by outcome.
+"""Measurement trees: rooted trees whose inner nodes carry measurements,
+local to the wires each node names, and whose edges are labeled by outcome.
 
 A branch is the label sequence from the root down to a leaf. Following a
 branch multiplies the traversed outcome operators into one composed
@@ -22,7 +22,7 @@ from .linalg import (
     Ket,
     Measurement,
     _clamp_probability,
-    dagger,
+    apply_local,
     identity,
     outcome_probability,
 )
@@ -46,10 +46,11 @@ Branch = tuple[str, ...]
 
 @dataclass(frozen=True, eq=False)
 class TreeNode:
-    """Inner node (a measurement plus one child per outcome) or leaf (None)."""
+    """Inner node (a measurement on ``wires``, None for all, plus one child per outcome) or leaf."""
 
     measurement: Measurement | None
     children: dict[str, Branch]
+    wires: tuple[str, ...] | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -74,23 +75,13 @@ class MeasurementTree:
     ancilla_init: Ket | None = None
     output_principal_wires: tuple[str, ...] | None = None
 
-    def node(self, key: Branch) -> TreeNode:
-        return self.nodes[key]
+    def wires_of(self, node: TreeNode) -> tuple[str, ...]:
+        """The wires a node's measurement acts on, in operator order."""
+        return self.space.wires if node.wires is None else node.wires
 
     def branches(self) -> list[Branch]:
         """All leaf segments, depth first, children in declared outcome order."""
-        out: list[Branch] = []
-
-        def walk(key: Branch) -> None:
-            node = self.nodes[key]
-            if node.is_leaf:
-                out.append(key)
-                return
-            for label in node.measurement.labels:
-                walk(node.children[label])
-
-        walk(self.root)
-        return out
+        return [key for key, node, _ in _descend(self) if node.is_leaf]
 
     @property
     def output_principal(self) -> tuple[str, ...] | None:
@@ -130,11 +121,7 @@ def build_tree(
             raise ValueError(
                 f"children {sorted(subs)} do not match outcomes {sorted(measurement.labels)}"
             )
-        children = {}
-        for label in measurement.labels:
-            child = key + (label,)
-            children[label] = child
-        nodes[key] = TreeNode(measurement, children)
+        nodes[key] = TreeNode(measurement, {label: key + (label,) for label in measurement.labels})
         for label in measurement.labels:
             grow(key + (label,), subs[label])
 
@@ -152,6 +139,12 @@ def validate_tree(t: MeasurementTree) -> list[str]:
     problems: list[str] = []
     if t.root not in t.nodes:
         return [f"root {t.root!r} is not a node"]
+    init, ancilla = t.ancilla_init, t.ancilla_wires or ()
+    if init is not None:
+        if not set(ancilla) <= set(t.space.wires) or len(init.vector) != t.space.restrict(ancilla).dim:
+            problems.append("ancilla_init does not live on the ancilla wires")
+        elif not abs(init.norm() - 1.0) <= 1e-9:
+            problems.append(f"ancilla_init norm {init.norm():.6f} != 1")
     seen: set[Branch] = set()
 
     def walk(key: Branch) -> None:
@@ -168,8 +161,11 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         if set(node.children) != set(m.labels):
             problems.append(f"node {key!r}: edge labels do not match outcomes")
             return
-        if m.dim != t.space.dim:
-            problems.append(f"node {key!r}: measurement dim {m.dim} != space dim {t.space.dim}")
+        wires = t.wires_of(node)
+        if not set(wires) <= set(t.space.wires) or len(set(wires)) != len(wires):
+            problems.append(f"node {key!r}: wires {list(wires)} are unknown or repeated")
+        elif m.dim != (local := t.space.restrict(wires).dim):
+            problems.append(f"node {key!r}: measurement dim {m.dim} != dim {local} of its wires")
         defect = m.completeness_defect()
         if not defect <= TOL.complete:
             problems.append(f"node {key!r}: completeness defect {defect:.3e}")
@@ -186,17 +182,29 @@ def validate_tree(t: MeasurementTree) -> list[str]:
     return problems
 
 
-def _require_branch(t: MeasurementTree, branch: Sequence[str]) -> Branch:
-    key = t.root
-    for label in branch:
-        node = t.nodes.get(key)
-        if node is None or node.is_leaf or label not in node.children:
-            raise ValueError(f"{tuple(branch)!r} is not a branch of the tree")
-        key = node.children[label]
-    node = t.nodes.get(key)
-    if node is None or not node.is_leaf:
-        raise ValueError(f"{tuple(branch)!r} is not a branch of the tree")
-    return tuple(branch)
+def _descend(t: MeasurementTree, x=None, step=None, route: Sequence[str] | None = None):
+    """Depth first over the nodes of ``t``, carrying ``x`` down each edge.
+
+    Yields ``(key, node, x)`` in preorder, children in declared outcome
+    order. The edge of outcome operator L, on ``wires``, turns x into
+    ``step(L, wires, x)``, by default ``apply_local(L, wires, x, t.space)``.
+    ``route`` walks one branch only and raises ValueError if it is none.
+    """
+    stack = [(t.root, 0, x, None, None)]
+    while stack:
+        key, depth, x, op, wires = stack.pop()
+        if op is not None and x is not None:
+            x = step(op, wires, x) if step else apply_local(op, wires, x, t.space)
+        node = t.nodes[key] if route is None else t.nodes.get(key)
+        if route is None:
+            labels = () if node.is_leaf else node.measurement.labels
+        else:
+            labels = tuple(route[depth : depth + 1])
+            if node is None or node.is_leaf != (not labels) or not set(labels) <= set(node.children):
+                raise ValueError(f"{tuple(route)!r} is not a branch of the tree")
+        yield key, node, x
+        for label in reversed(labels):
+            stack.append((node.children[label], depth + 1, x, node.measurement.operator(label), t.wires_of(node)))
 
 
 def run_tree(
@@ -212,25 +220,17 @@ def run_tree(
         raise ValueError(f"input dim {sigma0.matrix.shape[0]} != tree space dim {t.space.dim}")
     if sigma0.trace() <= TOL.zero:
         raise ValueError("input state has zero trace")
-    results: dict[Branch, tuple[float, np.ndarray]] = {}
 
-    def walk(key: Branch, sigma: np.ndarray, prob: float) -> None:
-        node = t.nodes[key]
-        if node.is_leaf:
-            results[key] = (_clamp_probability(prob), sigma)
-            return
+    def step(op: np.ndarray, wires: tuple[str, ...], carried: tuple[np.ndarray, float]):
+        sigma, prob = carried
         t_here = float(sigma.trace().real)
-        for label in node.measurement.labels:
-            op = node.measurement.operator(label)
-            child_sigma = op @ sigma @ dagger(op)
-            if t_here <= TOL.zero:
-                step = 0.0
-            else:
-                step = max(float(child_sigma.trace().real) / t_here, 0.0)
-            walk(node.children[label], child_sigma, prob * step)
+        left = apply_local(op, wires, sigma, t.space)
+        child = apply_local(op.conj(), wires, left.T, t.space).T  # L sigma L^dag
+        ratio = 0.0 if t_here <= TOL.zero else max(float(child.trace().real) / t_here, 0.0)
+        return child, prob * ratio
 
-    walk(t.root, np.asarray(sigma0.matrix, dtype=complex), 1.0)
-    return results
+    walk = _descend(t, (np.asarray(sigma0.matrix, dtype=complex), 1.0), step)
+    return {key: (_clamp_probability(prob), sigma) for key, node, (sigma, prob) in walk if node.is_leaf}
 
 
 def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
@@ -238,13 +238,7 @@ def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
 
     The empty branch of a single-node tree gives the identity.
     """
-    _require_branch(t, branch)
-    op = identity(t.space.dim)
-    key = t.root
-    for label in branch:
-        node = t.nodes[key]
-        op = node.measurement.operator(label) @ op
-        key = node.children[label]
+    *_, (_, _, op) = _descend(t, identity(t.space.dim), route=tuple(branch))
     return op
 
 
@@ -259,7 +253,8 @@ def branch_measurement(t: MeasurementTree) -> Measurement:
     Labels are serialized branch routes. Individual operators may be zero
     (orthogonal compositions); the family as a whole is complete.
     """
-    return Measurement.of({route_label(b): branch_operator(t, b) for b in t.branches()})
+    walk = _descend(t, identity(t.space.dim))
+    return Measurement.of({route_label(key): op for key, node, op in walk if node.is_leaf})
 
 
 def branch_probability(t: MeasurementTree, branch: Sequence[str], sigma: DensityOperator) -> float:

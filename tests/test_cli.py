@@ -192,6 +192,31 @@ def test_reduce_and_tree_round_trip(demo_files, tmp_path, capsys):
     assert out.startswith("digraph meastree {")
 
 
+def test_tree_with_unnormalized_ancilla_is_exit_2(tmp_path, capsys):
+    z = {"0": matrix_to_json(np.diag([1, 0, 1, 0])), "1": matrix_to_json(np.diag([0, 1, 0, 1]))}
+    doc = {
+        "root": "/",
+        "nodes": {"/": {"measurement": {"outcomes": z}, "children": {"0": "/0", "1": "/1"}},
+                  "/0": {"measurement": None}, "/1": {"measurement": None}},
+        "wires": [{"id": "p", "dim": 2, "role": "principal"}, {"id": "a", "dim": 2, "role": "ancilla"}],
+        "ancilla_init": vector_to_json(np.array([2, 0])),
+    }
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, ["validate", str(tree)])
+    assert code == 2
+    assert json.loads(out) == {"kind": "tree", "valid": False, "problems": ["ancilla_init norm 2.000000 != 1"]}
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    code, _, err = run_cli(capsys, ["simulate", "--tree", str(tree), "--input", str(state)])
+    assert code == 2
+    assert "ancilla_init norm" in err
+    doc["ancilla_init"] = vector_to_json(np.array([1, 0]))
+    tree.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, ["validate", str(tree)])
+    assert code == 0
+
+
 def test_check_independence_teleportation(demo_files, capsys):
     code, out, _ = run_cli(
         capsys,

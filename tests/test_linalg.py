@@ -13,6 +13,7 @@ from meastree.linalg import (
     Ket,
     Measurement,
     apply_kraus,
+    apply_local,
     basis_ket,
     bipartition_ket,
     dagger,
@@ -203,6 +204,24 @@ def test_lift_operator_adjacent_and_reversed():
         lift_operator(CNOT, ("q0", "q0"), space)
     with pytest.raises(ValueError):
         lift_operator(CNOT, ("q0",), space)
+
+
+def test_apply_local_matches_the_lifted_product():
+    rng = np.random.default_rng(17)
+    space = HilbertSpec.of([("a", 2), ("b", 3), ("c", 2)])
+    cases = [("b",), ("a", "b"), ("b", "a"), ("c", "a"), ("a", "c"), ("c", "b", "a"), ("a", "b", "c"), ("b", "c", "a")]
+    for on in cases:
+        d_on = int(np.prod([space.dim_of(w) for w in on]))
+        op = rng.normal(size=(d_on, d_on)) + 1j * rng.normal(size=(d_on, d_on))
+        lifted = lift_operator(op, on, space)
+        ket = haar_ket(space.dim, rng)
+        block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+        for x in (ket, block, identity(space.dim)):
+            got = apply_local(op, on, x, space)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - lifted @ x)) <= 1e-12
+    with pytest.raises(ValueError):
+        apply_local(CNOT, ("a",), haar_ket(space.dim, rng), space)
 
 
 def test_lift_operator_acts_only_on_named_wires():

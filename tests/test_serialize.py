@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meastree.circuits import enumerate_paths, simulate_path, validate_circuit
+from meastree.circuits import enumerate_paths, full_input, simulate_path, validate_circuit
 from meastree.demos import DEMOS, teleportation
 from meastree.linalg import DensityOperator, HilbertSpec, Measurement, haar_ket, projector
 from meastree.rand import random_circuit, random_density, random_measurement, random_tree
@@ -23,7 +23,7 @@ from meastree.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from meastree.trees import branch_operator, run_tree, validate_tree
+from meastree.trees import branch_measurement, branch_operator, run_tree, validate_tree
 
 
 def test_matrix_round_trip_preserves_complex_entries():
@@ -185,6 +185,34 @@ def test_tree_round_trip_preserves_run_results():
     probs_old = sorted(p for p, _ in out_old.values())
     probs_new = sorted(p for p, _ in out_new.values())
     assert probs_old == pytest.approx(probs_new, abs=1e-12)
+
+
+def test_local_and_full_space_nodes_agree():
+    """A reduced tree keeps local measurements and its JSON copy holds them
+    lifted to the full space; both must behave and serialize the same."""
+    rng = np.random.default_rng(67)
+    circuits = [make() for make in DEMOS.values()]
+    circuits += [random_circuit(np.random.default_rng(seed)) for seed in range(20)]
+    for c in circuits:
+        t, _ = reduce_circuit(c)
+        doc = tree_to_json(t)
+        t2 = tree_from_json(doc)
+        assert all(node.wires is not None for node in t.nodes.values() if not node.is_leaf)
+        assert all(node.wires is None for node in t2.nodes.values())
+        assert tree_to_json(t2) == doc
+        assert t2.branches() == t.branches()
+        for b in t.branches():
+            assert np.max(np.abs(branch_operator(t2, b) - branch_operator(t, b))) <= 1e-12
+        m, m2 = branch_measurement(t), branch_measurement(t2)
+        assert m2.labels == m.labels
+        for label in m.labels:
+            assert np.max(np.abs(m2.operator(label) - m.operator(label))) <= 1e-12
+        sigma0 = DensityOperator.of(full_input(c, random_density(c.principal_spec, rng)), t.space)
+        out, out2 = run_tree(t, sigma0), run_tree(t2, sigma0)
+        assert list(out2) == list(out)
+        for b, (p, sigma) in out.items():
+            assert abs(out2[b][0] - p) <= 1e-12
+            assert np.max(np.abs(out2[b][1] - sigma)) <= 1e-12
 
 
 def test_random_tree_round_trip():

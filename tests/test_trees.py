@@ -15,6 +15,8 @@ from meastree.linalg import (
 )
 from meastree.rand import random_density, random_measurement, random_tree
 from meastree.trees import (
+    MeasurementTree,
+    TreeNode,
     attainable,
     branch_measurement,
     branch_operator,
@@ -245,6 +247,45 @@ def test_has_roles():
     assert validate_tree(t2) == []
     assert t2.output_principal == ("p",)
     assert t2.output_ancilla == ("a",)
+
+
+def two_wire_tree(ancilla, wires=None, measurement=None):
+    """A Z readout of ``p`` next to the ancilla wire ``a``."""
+    space = HilbertSpec.of([("p", 2), ("a", 2)])
+    m = z_measurement() if measurement is None else measurement
+    node = TreeNode(m, {label: (label,) for label in m.labels}, ("p",) if wires is None else wires)
+    nodes = {(): node, **{(label,): TreeNode(None, {}) for label in m.labels}}
+    return MeasurementTree(
+        space, (), nodes, principal_wires=("p",), ancilla_wires=("a",), ancilla_init=Ket.of(ancilla)
+    )
+
+
+def test_validate_tree_checks_the_ancilla_vector():
+    assert validate_tree(two_wire_tree(basis_ket(2, 0))) == []
+    assert validate_tree(two_wire_tree(2 * basis_ket(2, 0))) == ["ancilla_init norm 2.000000 != 1"]
+    assert validate_tree(two_wire_tree(basis_ket(3, 0))) == ["ancilla_init does not live on the ancilla wires"]
+
+
+def test_validate_tree_checks_local_wires():
+    assert validate_tree(two_wire_tree(basis_ket(2, 0), ("a",))) == []
+    assert validate_tree(two_wire_tree(basis_ket(2, 0), ("x",))) == ["node (): wires ['x'] are unknown or repeated"]
+    assert validate_tree(two_wire_tree(basis_ket(2, 0), ("p", "p"))) == [
+        "node (): wires ['p', 'p'] are unknown or repeated"
+    ]
+    assert validate_tree(two_wire_tree(basis_ket(2, 0), ("p", "a"))) == [
+        "node (): measurement dim 2 != dim 4 of its wires"
+    ]
+
+
+def test_local_node_acts_on_its_wires_only():
+    t = two_wire_tree(basis_ket(2, 0), ("a",), Measurement.of({"x": PAULI_X}))
+    assert np.allclose(branch_operator(t, ("x",)), np.kron(np.eye(2), PAULI_X))
+    with pytest.raises(ValueError):
+        branch_operator(t, ())
+    with pytest.raises(ValueError):
+        branch_operator(t, ("x", "x"))
+    with pytest.raises(ValueError):
+        branch_operator(t, ("y",))
 
 
 def test_random_unitary_tree_output_is_rotated_input():
