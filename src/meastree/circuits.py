@@ -481,7 +481,7 @@ def validate_circuit(c: Circuit) -> list[Violation]:
         counts = [0] * (len(seq) + 1)
         holes: set[str] = set()
         exploded_at = None
-        for assignment, g, m in _walk(c):
+        for assignment, g, m, _ in _walk(c):
             depth = len(assignment)
             counts[depth] += 1
             if counts[depth] > _MAX_WALK_STATES:
@@ -507,27 +507,30 @@ def flattened_gates(c: Circuit) -> list[str]:
     return out
 
 
-def _walk(c: Circuit, follow=None):
-    """Depth first over the coherent outcome prefixes of ``c``.
+def _walk(c: Circuit, follow=None, x=None):
+    """Depth first over the coherent outcome prefixes of ``c``, carrying ``x``.
 
     Gates come in execution order and outcomes in declared order. Yields
-    ``(assignment, gate, measurement)`` at each prefix, ``gate`` being the
-    next gate to fire and ``measurement`` the one its sources select (None
-    at a selection hole, which ends the prefix), and
-    ``(assignment, None, None)`` at each complete path. Once a prefix has
-    been yielded, ``follow(gate, measurement, assignment)`` names the
-    outcomes to descend into; by default all of them. Consumers must not
-    mutate the yielded assignments.
+    ``(assignment, gate, measurement, x)`` at each prefix, ``gate`` being
+    the next gate to fire and ``measurement`` the one its sources select
+    (None at a selection hole, which ends the prefix), and
+    ``(assignment, None, None, x)`` at each complete path. A ket or D x k
+    block ``x`` is carried down each edge, lazily, as the edge's outcome
+    operator times x. Once a prefix has been yielded, ``follow(gate,
+    measurement, x)`` names the outcomes to descend into; by default all of
+    them. Consumers must not mutate the yielded assignments or blocks.
     """
     seq = [c.gates[gid] for gid in flattened_gates(c)]
     # per gate: source outcomes -> selected measurement, looked up once each
     selected: list[dict] = [{} for _ in seq]
-    stack: list[dict[str, str]] = [{}]
+    stack: list[tuple] = [({}, x, None)]
     while stack:
-        assignment = stack.pop()
+        assignment, x, edge = stack.pop()
+        if edge is not None:
+            x = apply_local(*edge, x, c.space)
         depth = len(assignment)
         if depth == len(seq):
-            yield assignment, None, None
+            yield assignment, None, None, x
             continue
         g = seq[depth]
         sources = {s: assignment[s] for s in g.classical_sources}
@@ -535,28 +538,27 @@ def _walk(c: Circuit, follow=None):
         if key not in selected[depth]:
             selected[depth][key] = g.measurement_for(sources)
         m = selected[depth][key]
-        yield assignment, g, m
+        yield assignment, g, m, x
         if m is not None:
-            for label in reversed(m.labels if follow is None else follow(g, m, assignment)):
-                stack.append({**assignment, g.gate_id: label})
+            for label in reversed(m.labels if follow is None else follow(g, m, x)):
+                stack.append(({**assignment, g.gate_id: label}, x, None if x is None else (m.operator(label), g.wires)))
 
 
 def enumerate_paths(c: Circuit) -> list[Path]:
     """All coherent paths, in schedule order with declared outcome order."""
     c.require_valid()
-    return [Path(a) for a, g, _ in _walk(c) if g is None]
+    return [Path(a) for a, g, _, _ in _walk(c) if g is None]
+
+
+def _pinned(path: Mapping[str, str]):
+    """Follow of the one outcome ``path`` names at each gate; stops where it is incoherent."""
+    return lambda g, m, x: (path[g.gate_id],) if path.get(g.gate_id) in m.outcomes else ()
 
 
 def is_coherent(c: Circuit, path: Mapping[str, str]) -> bool:
     """Does the assignment pick, gate by gate, an outcome of the selected measurement?"""
     c.require_valid()
-    if set(path) != set(c.gates):
-        return False
-    return all(
-        m is not None and path[g.gate_id] in m.outcomes
-        for _, g, m in _walk(c, lambda g, m, a: (path[g.gate_id],))
-        if g is not None
-    )
+    return set(path) == set(c.gates) and any(g is None for _, g, _, _ in _walk(c, _pinned(path)))
 
 
 def full_input(c: Circuit, rho: DensityOperator) -> np.ndarray:
@@ -575,26 +577,21 @@ def embed_principal_ket(c: Circuit, psi: np.ndarray) -> np.ndarray:
     return embed_principal(c, psi)
 
 
-def _carry(c: Circuit, rho: DensityOperator, choose) -> tuple[dict[str, str], np.ndarray]:
-    """Carry ``V = C E`` down the path ``choose(gate, measurement, V)`` picks, gate by gate.
+def _simulate(c: Circuit, rho: DensityOperator, follow=None):
+    """Yield ``(assignment, probability, V rho V^dag)`` at each complete path the walk reaches.
 
-    Returns the path and ``V rho V^dag``, its output ``C (rho (x) |a><a|) C^dag``:
-    column i of E is the joint input ``e_i (x) ancilla``.
+    The walk carries ``V = C E``, so ``V rho V^dag`` is the path's output
+    ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``.
     """
     c.require_valid()
     d = c.principal_spec.dim
     if rho.matrix.shape[0] != d:
         raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
-    v = _input_isometry(c)
-
-    def follow(g: Gate, m: Measurement, assignment: dict[str, str]) -> tuple[str]:
-        nonlocal v
-        label = choose(g, m, v)
-        v = apply_local(m.operator(label), g.wires, v, c.space)
-        return (label,)
-
-    (assignment,) = [a for a, g, _ in _walk(c, follow) if g is None]
-    return assignment, v @ rho.matrix @ dagger(v)
+    t0 = float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
+    for assignment, g, _, v in _walk(c, follow, _input_isometry(c)):
+        if g is None:
+            sigma = v @ rho.matrix @ dagger(v)
+            yield assignment, _clamp_probability(float(sigma.trace().real) / t0), sigma
 
 
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:
@@ -603,11 +600,10 @@ def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> 
     The output matrix lives on the full space and is the zero matrix
     exactly when the path has probability zero; it is never renormalized.
     """
-    if not is_coherent(c, path):
-        raise ValueError(f"not a coherent path: {dict(path)}")
-    _, sigma = _carry(c, rho, lambda g, m, v: path[g.gate_id])
-    t0 = float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
-    return _clamp_probability(float(sigma.trace().real) / t0), sigma
+    if set(path) == set(c.gates):
+        for _, prob, sigma in _simulate(c, rho, _pinned(path)):
+            return prob, sigma
+    raise ValueError(f"not a coherent path: {dict(path)}")
 
 
 def principal_output(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> np.ndarray:
@@ -627,13 +623,13 @@ def sample_run(
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    def sample(g: Gate, m: Measurement, v: np.ndarray) -> str:
+    def sample(g: Gate, m: Measurement, v: np.ndarray) -> tuple[str]:
         t = float(np.vdot(v, v @ rho.matrix).real)
         if t <= TOL.zero:
             raise ArithmeticError("state trace vanished mid-run")
         images = (apply_local(op, g.wires, v, c.space) for op in m.outcomes.values())
         probs = np.array([max(float(np.vdot(x, x @ rho.matrix).real) / t, 0.0) for x in images])
-        return m.labels[int(gen.choice(len(probs), p=probs / probs.sum()))]
+        return (m.labels[int(gen.choice(len(probs), p=probs / probs.sum()))],)
 
-    assignment, sigma = _carry(c, rho, sample)
+    ((assignment, _, sigma),) = _simulate(c, rho, sample)
     return Path(assignment), sigma

@@ -26,10 +26,10 @@ from .circuits import (
     Circuit,
     InvalidCircuitError,
     Path,
+    _simulate,
     _walk,
     enumerate_paths,
     flattened_gates,
-    simulate_path,
     validate_circuit,
 )
 from .demos import DEMOS
@@ -89,7 +89,8 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
 
 
 def _matrix_lines(m: np.ndarray, indent: str = "    ") -> list[str]:
-    text = np.array2string(np.round(m, 9), precision=6, suppress_small=True)
+    # + 0.0 turns the -0.0 that rounding leaves of tiny noise into 0.0
+    text = np.array2string(np.round(m, 9) + 0.0, precision=6, suppress_small=True)
     return [indent + line for line in text.splitlines()]
 
 
@@ -100,6 +101,14 @@ def parse_path_spec(c: Circuit, text: str) -> Path:
     measurement selected for them has a single outcome; a gate with a
     real choice must be pinned explicitly.
     """
+    for assignment, g, m, _ in _walk(c, _path_follow(c, text)):
+        if g is not None and m is None:
+            raise ValueError(f"path: no measurement selected for gate {g.gate_id!r}")
+    return Path(assignment)  # one outcome per gate: the walk ends at the path
+
+
+def _path_follow(c: Circuit, text: str):
+    """The ``_walk`` follow of the one path that ``text`` specifies."""
     given: dict[str, str] = {}
     for part in text.split(","):
         part = part.strip()
@@ -114,7 +123,7 @@ def parse_path_spec(c: Circuit, text: str) -> Path:
             raise ValueError(f"path: gate {gid!r} pinned twice")
         given[gid] = label
 
-    def pick(g, m, assignment) -> tuple[str, ...]:
+    def pick(g, m, x) -> tuple[str, ...]:
         if g.gate_id in given:
             if given[g.gate_id] not in m.outcomes:
                 raise ValueError(
@@ -128,10 +137,7 @@ def parse_path_spec(c: Circuit, text: str) -> Path:
             f"path: gate {g.gate_id!r} is ambiguous; pin one of: {', '.join(m.labels)}"
         )
 
-    for assignment, g, m in _walk(c, pick):
-        if g is not None and m is None:
-            raise ValueError(f"path: no measurement selected for gate {g.gate_id!r}")
-    return Path(assignment)  # one outcome per gate: the walk ends at the path
+    return pick
 
 
 def _path_json(c: Circuit, path: Path) -> dict[str, str]:
@@ -229,9 +235,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.circuit:
         c = _load_valid_circuit(args.circuit)
         rho = _principal_density(c, kind, arr)
-        paths = [parse_path_spec(c, args.path)] if args.path else enumerate_paths(c)
-        for p in paths:
-            prob, sigma = simulate_path(c, p, rho)
+        follow = _path_follow(c, args.path) if args.path else None
+        for p, prob, sigma in _simulate(c, rho, follow):
             reduced = partial_trace_matrix(sigma, c.space, c.output_principal)
             rows.append(
                 {

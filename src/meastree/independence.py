@@ -147,6 +147,8 @@ def _probability_range(gram: np.ndarray) -> tuple[float, float]:
 
 def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> list[np.ndarray]:
     """The basis kets, the caller's kets normalized, then seeded Haar kets."""
+    if probes < 0:
+        raise ValueError(f"probe count must be >= 0, got {probes}")
     rng = np.random.default_rng(seed)
     kets = [basis_ket(d_in, i) for i in range(d_in)]
     for x in extra if extra is not None else ():
@@ -193,11 +195,12 @@ def factor_branch(
     Haar-random kets.
     """
     c, v = _branch_isometry(t, branch)
+    kets = _probe_kets(v.shape[1], random_probes, seed)
     fact = _factor(t, v)
     if fact is None:
         return None
     u, b = fact
-    residual = _cross_check(t, [c], _probe_kets(u.shape[1], random_probes, seed), witness=fact)
+    residual = _cross_check(t, [c], kets, witness=fact)
     kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
     return BranchFactorization(tuple(branch), u, b, residual, float(np.vdot(b, b).real), kind)
 
@@ -255,10 +258,11 @@ def check_computes(
         raise ValueError(f"operator of shape {u.shape} does not act on the principal input")
     if u.shape[0] != d_out:
         raise ValueError(f"shape mismatch {(d_out, d_out)} vs {(u.shape[0], u.shape[0])}")
+    kets = _probe_kets(u.shape[1], probes, seed)
     fact = _factor(t, v)
     if fact is None or frob_norm(_aligned(fact[0], u) - u) > 1e-9 * frob_norm(fact[0]):
         return False, float("inf")
-    return True, _cross_check(t, [c], _probe_kets(u.shape[1], probes, seed), witness=fact)
+    return True, _cross_check(t, [c], kets, witness=fact)
 
 
 def check_set_independence(

@@ -147,7 +147,7 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
 
     nodes: dict[Branch, TreeNode] = {}
     pairs: list[tuple[Path, Branch]] = []
-    for assignment, g, m in _walk(c):
+    for assignment, g, m, _ in _walk(c):
         segment = tuple(assignment.values())
         if g is None:
             nodes[segment] = TreeNode(None, {})

@@ -329,6 +329,8 @@ def tree_from_json(obj: Any) -> MeasurementTree:
     raw_nodes = _require(obj, "nodes", "tree")
     if not isinstance(raw_nodes, dict):
         raise ValueError("tree.nodes: expected an object")
+    if not isinstance(root_id, str):
+        raise ValueError("tree.root: expected a node id string")
     if root_id not in raw_nodes:
         raise ValueError(f"tree: root {root_id!r} is not a node id")
 
@@ -359,7 +361,7 @@ def tree_from_json(obj: Any) -> MeasurementTree:
             walk(str(raw_children[label]), child_key, seen | {nid})
         nodes[key] = TreeNode(m, children)
 
-    walk(str(root_id), (), frozenset())
+    walk(root_id, (), frozenset())
 
     if "wires" in obj:
         space, principal, output_principal = _wires_from_json(obj["wires"], "tree.wires")

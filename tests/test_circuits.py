@@ -141,6 +141,14 @@ def test_incoherent_path_rejected():
     rho = DensityOperator.of(np.eye(2) / 2, c.principal_spec)
     with pytest.raises(ValueError):
         simulate_path(c, bad, rho)
+    for bad in (
+        {"spread": "u", "read": "0"},  # a gate is missing
+        {"spread": "u", "read": "0", "corr": "keep", "extra": "0"},  # a key names no gate
+        {"spread": "u", "read": "2", "corr": "keep"},  # "2" is no outcome of read
+    ):
+        assert not is_coherent(c, bad)
+        with pytest.raises(ValueError):
+            simulate_path(c, bad, rho)
 
 
 def test_path_mapping_behaves_like_a_dict():

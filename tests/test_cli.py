@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from meastree import linalg
-from meastree.circuits import enumerate_paths
-from meastree.cli import main, parse_path_spec
-from meastree.demos import teleportation
-from meastree.linalg import configure_tolerances
-from meastree.serialize import circuit_from_json, matrix_to_json, vector_to_json
+from meastree import circuits, linalg
+from meastree.circuits import _walk, enumerate_paths, simulate_path
+from meastree.cli import _matrix_lines, main, parse_path_spec
+from meastree.demos import DEMOS, teleportation
+from meastree.linalg import configure_tolerances, partial_trace_matrix
+from meastree.rand import random_circuit, random_density
+from meastree.serialize import circuit_from_json, circuit_to_json, matrix_to_json, vector_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -455,3 +456,91 @@ def test_parse_path_spec_errors():
         parse_path_spec(c, "mz0=2,mz1=0")  # unknown outcome
     with pytest.raises(ValueError):
         parse_path_spec(c, "nope=1,mz0=0,mz1=0")  # unknown gate
+
+
+def _circuit_and_state(tmp_path, name, c, rng):
+    circuit = tmp_path / f"{name}.json"
+    circuit.write_text(json.dumps(circuit_to_json(c)))
+    rho = random_density(c.principal_spec, rng)
+    state = tmp_path / f"{name}_state.json"
+    state.write_text(json.dumps({"matrix": matrix_to_json(rho.matrix)}))
+    return str(circuit), str(state), rho
+
+
+def test_simulate_circuit_rows_equal_simulate_path(tmp_path, capsys):
+    rng = np.random.default_rng(91)
+    cases = [(name, make()) for name, make in sorted(DEMOS.items())]
+    cases += [(f"random{s}", random_circuit(np.random.default_rng(s))) for s in range(10)]
+    for name, c in cases:
+        circuit, state, rho = _circuit_and_state(tmp_path, name, c, rng)
+        code, out, _ = run_cli(capsys, ["simulate", "--circuit", circuit, "--input", state])
+        assert code == 0
+        rows = json.loads(out)
+        paths = enumerate_paths(c)
+        assert len(rows) == len(paths)
+        for row, p in zip(rows, paths):
+            prob, sigma = simulate_path(c, p, rho)
+            reduced = partial_trace_matrix(sigma, c.space, c.output_principal)
+            assert row == {
+                "path": dict(p),
+                "probability": prob,
+                "output_trace": float(sigma.trace().real),
+                "principal_output": matrix_to_json(reduced),
+            }
+
+
+def test_simulate_circuit_shares_prefixes(tmp_path, capsys, monkeypatch):
+    """One walk serves every path: one gate application per non-root prefix."""
+    calls = []
+    kernel = circuits.apply_local
+    monkeypatch.setattr(circuits, "apply_local", lambda *a: calls.append(1) or kernel(*a))
+    rng = np.random.default_rng(92)
+    for name, c in [("teleportation", teleportation()), ("random18", random_circuit(np.random.default_rng(18)))]:
+        circuit, state, _ = _circuit_and_state(tmp_path, name, c, rng)
+        calls.clear()
+        code, _, _ = run_cli(capsys, ["simulate", "--circuit", circuit, "--input", state])
+        assert code == 0
+        assert len(calls) == sum(1 for _ in _walk(c)) - 1
+
+
+@pytest.mark.parametrize("root", [[[1, 0]], {"a": 1}])
+def test_tree_root_that_is_not_a_string_is_exit_1(demo_files, tmp_path, capsys, root):
+    tree = tmp_path / "tree.json"
+    assert main(["tree", "--circuit", demo_files["coin"], "-o", str(tree)]) == 0
+    doc = json.loads(tree.read_text())
+    doc["root"] = root
+    tree.write_text(json.dumps(doc))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    capsys.readouterr()
+    for argv in (
+        ["validate", str(tree)],
+        ["simulate", "--tree", str(tree), "--input", str(state)],
+        ["tree", "--tree", str(tree)],
+    ):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+def test_negative_probe_count_is_exit_1(demo_files, tmp_path, capsys):
+    identity, x = tmp_path / "i.json", tmp_path / "x.json"
+    identity.write_text(json.dumps(matrix_to_json(np.eye(2))))
+    x.write_text(json.dumps(matrix_to_json(np.array([[0, 1], [1, 0]]))))
+    tele = demo_files["teleportation"]
+    for argv in (
+        ["check-independence", "--circuit", tele, "--probes", "-3", "--seed", "0"],
+        ["check-unitary", "--circuit", tele, "--operator", str(identity), "--probes", "-3", "--seed", "0"],
+        ["check-unitary", "--circuit", tele, "--operator", str(x), "--probes", "-3", "--seed", "0"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "probe" in err
+
+
+def test_matrix_lines_print_no_sign_of_rounding_noise():
+    m = np.array([[0.5 + 1e-20j, -1e-20 - 1e-20j], [1e-20 - 1e-20j, 0.5 - 1e-20j]])
+    assert _matrix_lines(m) == _matrix_lines(np.diag([0.5, 0.5]).astype(complex))
+    assert "-0." not in "\n".join(_matrix_lines(m))

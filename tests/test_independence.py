@@ -370,3 +370,19 @@ def test_factoring_branches_have_scalar_gram_on_random_circuits():
             assert report.min_probability == pytest.approx(fact.probability, abs=1e-9)
             assert report.max_probability == pytest.approx(fact.probability, abs=1e-9)
     assert witnesses >= 9
+
+
+def test_negative_probe_count_is_rejected():
+    t = reduced(teleportation)
+    b = t.branches()[0]
+    discard = reduced(measure_discard)
+    for check in (
+        lambda: check_independence(t, b, probes=-1),
+        lambda: check_set_independence(t, t.branches(), probes=-1),
+        lambda: check_computes(t, b, I2, probes=-1),
+        lambda: check_computes(t, b, PAULI_X, probes=-1),  # a branch that does not compute X
+        lambda: factor_branch(t, b, random_probes=-1),
+        lambda: factor_branch(discard, discard.branches()[0], random_probes=-1),  # does not factor
+    ):
+        with pytest.raises(ValueError, match="probe count"):
+            check()

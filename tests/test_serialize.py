@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meastree.circuits import enumerate_paths, full_input, simulate_path, validate_circuit
 from meastree.demos import DEMOS, teleportation
@@ -275,3 +277,48 @@ def test_measurement_labels_preserved_verbatim():
                         "1|0": np.eye(2, dtype=complex) / np.sqrt(2)})
     back = measurement_from_json(measurement_to_json(m))
     assert back.labels == ("0|1", "1|0")
+
+
+_POOL = (None, True, 0, -1, 1.5, "", "x", [], {}, [[1, 0]], {"a": 1})
+
+
+def _fuzz_documents():
+    docs = []
+    for name in sorted(DEMOS):
+        c = DEMOS[name]()
+        docs.append(("circuit", circuit_to_json(c)))
+        docs.append(("tree", tree_to_json(reduce_circuit(c)[0])))
+        d = c.principal_spec.dim
+        docs.append(("state", {"vector": vector_to_json(haar_ket(d, np.random.default_rng(d)))}))
+        docs.append(("state", {"matrix": matrix_to_json(np.eye(d) / d)}))
+    return docs
+
+
+_FUZZ_DOCS = _fuzz_documents()
+
+
+def _load(kind, obj):
+    if kind == "circuit":
+        validate_circuit(circuit_from_json(obj))
+    elif kind == "tree":
+        validate_tree(tree_from_json(obj))
+    else:
+        state_from_json(obj)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_json_loaders_raise_only_value_error_on_one_replaced_value(data):
+    kind, doc = data.draw(st.sampled_from(_FUZZ_DOCS))
+    doc = json.loads(json.dumps(doc))
+    parent, node = None, doc
+    # descend at least one level, then stop at any depth, so that shallow
+    # keys such as a tree's "root" come up as often as deep matrix entries do
+    while isinstance(node, (dict, list)) and node and (parent is None or data.draw(st.booleans())):
+        parent, key = node, data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    parent[key] = data.draw(st.sampled_from(_POOL))
+    try:
+        _load(kind, doc)
+    except ValueError:
+        pass
