@@ -114,9 +114,6 @@ class Gate:
             return None
         return self.measurements[idx]
 
-    def outcome_labels(self) -> set[str]:
-        return {label for m in self.measurements for label in m.labels}
-
 
 def unitary_gate(gate_id: str, wires: Sequence[str], matrix: np.ndarray, label: str = "u") -> Gate:
     """Single-outcome gate; completeness of {matrix} is exactly unitarity."""
@@ -329,18 +326,26 @@ def _has_cycle(nodes: Iterable[str], edges: set[tuple[str, str]]) -> bool:
     for f, g in edges:
         if f in adj:
             adj[f].append(g)
-    state: dict[str, int] = {}
-
-    def visit(n: str) -> bool:
-        state[n] = 1
-        for m in adj.get(n, ()):
-            s = state.get(m, 0)
-            if s == 1 or (s == 0 and visit(m)):
-                return True
-        state[n] = 2
-        return False
-
-    return any(state.get(n, 0) == 0 and visit(n) for n in adj)
+    state: dict[str, int] = {}  # 1 while on the depth-first stack, 2 when finished
+    for root in adj:
+        if state.get(root, 0):
+            continue
+        state[root] = 1
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            n, succ = stack[-1]
+            for m in succ:
+                s = state.get(m, 0)
+                if s == 1:
+                    return True
+                if s == 0:
+                    state[m] = 1
+                    stack.append((m, iter(adj.get(m, ()))))
+                    break
+            else:
+                state[n] = 2
+                stack.pop()
+    return False
 
 
 # Violations whose presence makes the selection-totality walk meaningless.

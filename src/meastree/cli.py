@@ -72,7 +72,10 @@ __all__ = ["main", "parse_path_spec"]
 
 def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _print_json(payload: Any) -> None:

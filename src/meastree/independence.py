@@ -2,7 +2,9 @@
 
 Every verdict is exact and read off the branch isometry ``V_b = C_b E``,
 where ``C_b`` is the branch's composed operator and the columns of ``E``
-are the joint inputs ``e_i (x) ancilla``. A branch fires on a principal
+are the joint inputs ``e_i (x) ancilla``. The D x d_P matrix ``V_b`` is
+built by carrying ``E`` down the branch one outcome operator at a time,
+so the D x D operator ``C_b`` is never formed. A branch fires on a principal
 state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
 over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
 set of branches is input-independent iff the sum of those is ``p I``.
@@ -30,12 +32,11 @@ from .linalg import (
     basis_ket,
     bipartition_ket,
     dagger,
-    embed_principal,
     frob_norm,
     haar_ket,
     identity,
 )
-from .trees import Branch, MeasurementTree, branch_operator
+from .trees import Branch, MeasurementTree, _descend
 
 __all__ = [
     "BranchFactorization",
@@ -112,11 +113,11 @@ def _principal_dim(t: MeasurementTree) -> int:
     return math.prod(t.space.dim_of(w) for w in t.principal_wires)
 
 
-def _branch_isometry(t: MeasurementTree, branch: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``C_b`` and ``V_b = C_b E`` (D x d_P), from one ``branch_operator`` call."""
+def _branch_isometry(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
+    """``V_b = C_b E`` (D x d_P), carried down the branch from E without forming ``C_b``."""
     _principal_dim(t)  # checks the wire roles and the ancilla norm
-    c = branch_operator(t, branch) / t.ancilla_init.norm()  # probabilities per unit input norm
-    return c, c @ _input_isometry(t)
+    *_, (_, _, v) = _descend(t, _input_isometry(t), route=tuple(branch))
+    return v / t.ancilla_init.norm()  # probabilities per unit input norm
 
 
 def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -156,17 +157,17 @@ def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> list[np.ndarra
     return kets + [haar_ket(d_in, rng) for _ in range(probes)]
 
 
-def _cross_check(t: MeasurementTree, ops, kets, *, span=None, witness=None) -> float:
-    """Test an exact answer on the probe inputs ``psi (x) ancilla``.
+def _cross_check(t: MeasurementTree, isos, kets, *, span=None, witness=None) -> float:
+    """Test an exact answer on the probe inputs ``psi``, whose images are ``V_b psi``.
 
-    With ``span`` = (lo, hi) the summed ``|C psi_a|^2`` over ``ops`` must
-    lie in it; with ``witness`` = (U, b) the one op must send each probe to
-    ``U psi (x) b``, and the largest miss is returned. Raises
+    With ``span`` = (lo, hi) the summed ``|V_b psi|^2`` over ``isos`` must
+    lie in it; with ``witness`` = (U, b) the one isometry must send each
+    probe to ``U psi (x) b``, and the largest miss is returned. Raises
     AssertionError on a disagreement.
     """
     residual = 0.0
     for psi in kets:
-        images = [c @ embed_principal(t, psi) for c in ops]
+        images = [v @ psi for v in isos]
         p = sum(float(np.vdot(x, x).real) for x in images)
         if span is not None and not span[0] - EPS_CHECK <= p <= span[1] + EPS_CHECK:
             raise AssertionError(f"probe probability {p:.12f} lies outside the exact range {span}")
@@ -194,13 +195,13 @@ def factor_branch(
     witness's largest miss on the basis kets and ``random_probes`` seeded
     Haar-random kets.
     """
-    c, v = _branch_isometry(t, branch)
+    v = _branch_isometry(t, branch)
     kets = _probe_kets(v.shape[1], random_probes, seed)
     fact = _factor(t, v)
     if fact is None:
         return None
     u, b = fact
-    residual = _cross_check(t, [c], kets, witness=fact)
+    residual = _cross_check(t, [v], kets, witness=fact)
     kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
     return BranchFactorization(tuple(branch), u, b, residual, float(np.vdot(b, b).real), kind)
 
@@ -220,10 +221,10 @@ def check_independence(
     principal basis states, optional caller-supplied kets and ``probes``
     seeded Haar-random kets) cross-check that range.
     """
-    c, v = _branch_isometry(t, branch)
+    v = _branch_isometry(t, branch)
     lo, hi = _probability_range(dagger(v) @ v)
     kets = _probe_kets(v.shape[1], probes, seed, extra_probes)
-    _cross_check(t, [c], kets, span=(lo, hi))
+    _cross_check(t, [v], kets, span=(lo, hi))
     spread = hi - lo
     verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
     return IndependenceReport(tuple(branch), len(kets), lo, hi, spread, verdict)
@@ -252,7 +253,7 @@ def check_computes(
     Haar-random kets), or ``(False, inf)``.
     """
     u = np.asarray(operator, dtype=complex)
-    c, v = _branch_isometry(t, branch)
+    v = _branch_isometry(t, branch)
     d_out = math.prod(t.space.dim_of(w) for w in t.output_principal)
     if u.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ValueError(f"operator of shape {u.shape} does not act on the principal input")
@@ -262,7 +263,7 @@ def check_computes(
     fact = _factor(t, v)
     if fact is None or frob_norm(_aligned(fact[0], u) - u) > 1e-9 * frob_norm(fact[0]):
         return False, float("inf")
-    return True, _cross_check(t, [c], kets, witness=fact)
+    return True, _cross_check(t, [v], kets, witness=fact)
 
 
 def check_set_independence(
@@ -280,24 +281,14 @@ def check_set_independence(
     ``probes`` seeded Haar-random kets cross-check the range.
     """
     branch_keys = tuple(tuple(b) for b in branches)
-    pairs = [_branch_isometry(t, b) for b in branch_keys]
+    isos = [_branch_isometry(t, b) for b in branch_keys]
     d_in = _principal_dim(t)
-    gram = sum((dagger(v) @ v for _, v in pairs), np.zeros((d_in, d_in), dtype=complex))
+    gram = sum((dagger(v) @ v for v in isos), np.zeros((d_in, d_in), dtype=complex))
     lo, hi = _probability_range(gram)
-    _cross_check(t, [c for c, _ in pairs], _probe_kets(d_in, probes, seed), span=(lo, hi))
+    _cross_check(t, isos, _probe_kets(d_in, probes, seed), span=(lo, hi))
     if hi - lo > 1e-9:
         return SetIndependenceReport(branch_keys, "dependent", None, lo, hi, hi - lo)
     return SetIndependenceReport(branch_keys, "independent", float(np.trace(gram).real) / d_in, lo, hi, hi - lo)
-
-
-def _pair_probes(dim: int) -> list[np.ndarray]:
-    probes = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e_i, e_j = basis_ket(dim, i), basis_ket(dim, j)
-            probes.append((e_i + e_j) / np.sqrt(2))
-            probes.append((e_i + 1j * e_j) / np.sqrt(2))
-    return probes
 
 
 def constant_factor(
@@ -310,31 +301,21 @@ def constant_factor(
 
     ``joint_map`` sends V1 into V2 (x) V3 (rows ordered with the V2 index
     major); ``base_map`` sends V1 into V2 and must have rank >= 2, which
-    is what makes the factor unique when it exists. The candidate is read
-    off one well-conditioned probe and then verified on a spanning set.
+    is what makes the factor unique when it exists. The candidate is the
+    least-squares fit, accepted when the whole map's residual is within
+    ``eps`` relative to ``max(|joint_map|_F, 1)``.
     """
     lam = np.asarray(joint_map, dtype=complex)
     lop = np.asarray(base_map, dtype=complex)
     d2, d1 = lop.shape
     if lam.shape[1] != d1 or lam.shape[0] % d2 != 0:
         raise ValueError(f"shape mismatch: joint {lam.shape}, base {lop.shape}")
-    d3 = lam.shape[0] // d2
     svals = np.linalg.svd(lop, compute_uv=False)
     if len(svals) < 2 or svals[1] <= EPS_RANK * max(float(svals[0]), 1.0):
         raise ValueError("base map must have rank >= 2")
-
-    _, _, vh = np.linalg.svd(lop)
-    x = vh[0].conj()
-    lx = lop @ x
-    w = (lam @ x).reshape(d2, d3)
-    c = (lx.conj() @ w) / float(np.vdot(lx, lx).real)
-
-    scale = max(frob_norm(lam), 1.0)
-    probes = list(identity(d1)) + _pair_probes(d1) + [x]
-    for y in probes:
-        want = np.outer(lop @ y, c).reshape(-1)
-        if frob_norm(lam @ y - want) > eps * scale:
-            return None
+    c = np.einsum("ab,acb->c", lop.conj(), lam.reshape(d2, -1, d1)) / frob_norm(lop) ** 2
+    if frob_norm(lam - np.kron(lop, c[:, None])) > eps * max(frob_norm(lam), 1.0):
+        return None
     return c
 
 
@@ -356,7 +337,7 @@ def check_isometry_scaling(
     u = np.asarray(operator, dtype=complex)
     factors = []
     for b in t.branches():
-        fact = _factor(t, _branch_isometry(t, b)[1])
+        fact = _factor(t, _branch_isometry(t, b))
         if fact is None:
             return IsometryScalingReport(None, "inconclusive", f"branch {b!r} does not factor")
         factors.append((b, *fact))
@@ -364,16 +345,16 @@ def check_isometry_scaling(
     if any(frob_norm(_aligned(w, ref) - ref) > EPS_FACT * max(frob_norm(ref), 1.0) for _, w, _ in factors):
         return IsometryScalingReport(None, "inconclusive", "branches compute differing principal operators")
 
-    weights = []
+    ratios = []  # |b| / |alpha|, whose squares are the branch weights
     for b, w, vec in factors:
         alpha = complex(np.vdot(w, u)) / w.shape[1] if u.shape == w.shape else 0.0
         if abs(alpha) <= TOL.zero or frob_norm(u - alpha * w) > max(eps, EPS_FACT) * max(frob_norm(u), 1.0):
             return IsometryScalingReport(
                 None, "inconclusive", f"branch {b!r} does not factor through the supplied operator"
             )
-        weights.append(float(np.vdot(vec, vec).real) / abs(alpha) ** 2)
+        ratios.append(frob_norm(vec) / abs(alpha))
 
-    t_scale = math.sqrt(sum(weights))
+    t_scale = math.hypot(*ratios)  # never squares |alpha|, which overflows on a large operator
     scaled = t_scale * u
     if frob_norm(dagger(scaled) @ scaled - identity(u.shape[1])) > eps:
         return IsometryScalingReport(t_scale, "failed", "rescaled operator is not an isometry")

@@ -381,18 +381,16 @@ def embed_principal(roles, x: np.ndarray) -> np.ndarray:
     ``roles`` is a circuit or a tree with wire roles: its ``space``,
     ``principal_wires``, ``ancilla_wires`` and ``ancilla_init``. ``x`` is
     a principal ket (1-D), tensored with the ancilla vector, or a
-    principal operator (2-D), tensored with the ancilla projector.
+    principal operator (2-D), tensored with the ancilla projector: ``E x``
+    or ``E x E^dag`` for the input isometry E.
     """
-    space = roles.space
-    src = HilbertSpec.of([(w, space.dim_of(w)) for w in roles.principal_wires + roles.ancilla_wires])
-    anc = roles.ancilla_init.vector
-    if np.ndim(x) == 1:
-        return permute_ket(np.kron(x, anc), src, space.wires)
-    return permute_wires(np.kron(x, projector(anc)), src, space.wires)
+    e = _input_isometry(roles)
+    return e @ x if np.ndim(x) == 1 else e @ x @ dagger(e)
 
 
 def _input_isometry(roles) -> np.ndarray:
-    """``E`` (D x d_P), whose column i is ``embed_principal(roles, e_i)``."""
+    """``E`` (D x d_P), whose column i is ``e_i (x) ancilla`` with its factors
+    in space order: the one place a principal input meets the ancilla."""
     space = roles.space
     src = HilbertSpec.of([(w, space.dim_of(w)) for w in roles.principal_wires + roles.ancilla_wires])
     anc = roles.ancilla_init.vector

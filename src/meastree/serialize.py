@@ -337,8 +337,11 @@ def tree_from_json(obj: Any) -> MeasurementTree:
     nodes: dict[Branch, TreeNode] = {}
     dims: list[int] = []
 
-    def walk(nid: str, key: Branch, seen: frozenset[str]) -> None:
-        if nid in seen:
+    on_path: set[str] = set()  # node ids of the open frames: meeting one again is a cycle
+
+    def enter(nid: str, key: Branch):
+        """Read one node; an inner node gives a frame whose children are still to visit."""
+        if nid in on_path:
             raise ValueError(f"tree: node {nid!r} reached twice (cycle)")
         raw = raw_nodes.get(nid)
         if not isinstance(raw, dict):
@@ -349,19 +352,27 @@ def tree_from_json(obj: Any) -> MeasurementTree:
             raise ValueError(f"tree.nodes[{nid!r}].children: expected an object")
         if raw_m is None:
             nodes[key] = TreeNode(None, {})
-            return
+            return None
         m = measurement_from_json(raw_m, f"tree.nodes[{nid!r}].measurement")
         dims.append(m.dim)
-        children: dict[str, Branch] = {}
-        for label in m.labels:
-            if label not in raw_children:
-                raise ValueError(f"tree.nodes[{nid!r}]: no child for outcome {label!r}")
-            child_key = key + (label,)
-            children[label] = child_key
-            walk(str(raw_children[label]), child_key, seen | {nid})
-        nodes[key] = TreeNode(m, children)
+        on_path.add(nid)
+        return nid, key, m, raw_children, iter(m.labels), {}
 
-    walk(root_id, (), frozenset())
+    # depth first with an explicit stack; a node is stored once its children are
+    stack = [frame] if (frame := enter(root_id, ())) else []
+    while stack:
+        nid, key, m, raw_children, labels, children = stack[-1]
+        label = next(labels, None)
+        if label is None:
+            stack.pop()
+            on_path.discard(nid)
+            nodes[key] = TreeNode(m, children)
+            continue
+        if label not in raw_children:
+            raise ValueError(f"tree.nodes[{nid!r}]: no child for outcome {label!r}")
+        children[label] = key + (label,)
+        if frame := enter(str(raw_children[label]), key + (label,)):
+            stack.append(frame)
 
     if "wires" in obj:
         space, principal, output_principal = _wires_from_json(obj["wires"], "tree.wires")

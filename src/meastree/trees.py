@@ -146,21 +146,25 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         elif not abs(init.norm() - 1.0) <= 1e-9:
             problems.append(f"ancilla_init norm {init.norm():.6f} != 1")
     seen: set[Branch] = set()
-
-    def walk(key: Branch) -> None:
+    stack: list[tuple[Branch, Branch | None]] = [(t.root, None)]  # (node, its parent), preorder
+    while stack:
+        key, parent = stack.pop()
+        if key not in t.nodes:
+            problems.append(f"node {parent!r}: missing child {key!r}")
+            continue
         if key in seen:
             problems.append(f"node {key!r} reached twice")
-            return
+            continue
         seen.add(key)
         node = t.nodes[key]
         if node.is_leaf:
             if node.children:
                 problems.append(f"leaf {key!r} has children")
-            return
+            continue
         m = node.measurement
         if set(node.children) != set(m.labels):
             problems.append(f"node {key!r}: edge labels do not match outcomes")
-            return
+            continue
         wires = t.wires_of(node)
         if not set(wires) <= set(t.space.wires) or len(set(wires)) != len(wires):
             problems.append(f"node {key!r}: wires {list(wires)} are unknown or repeated")
@@ -169,13 +173,8 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         defect = m.completeness_defect()
         if not defect <= TOL.complete:
             problems.append(f"node {key!r}: completeness defect {defect:.3e}")
-        for label, child in node.children.items():
-            if child not in t.nodes:
-                problems.append(f"node {key!r}: missing child {child!r}")
-                continue
-            walk(child)
+        stack.extend((child, key) for child in reversed(node.children.values()))
 
-    walk(t.root)
     unreachable = set(t.nodes) - seen
     if unreachable and not problems:
         problems.append(f"{len(unreachable)} nodes unreachable from the root")

@@ -180,7 +180,6 @@ def test_gate_measurement_for():
     )
     assert g.measurement_for({"src": "1"}).labels == ("b",)
     assert g.measurement_for({"src": "?"}) is None
-    assert g.outcome_labels() == {"a", "b"}
 
 
 # ----------------------------------------------------------- validation

@@ -544,3 +544,71 @@ def test_matrix_lines_print_no_sign_of_rounding_noise():
     m = np.array([[0.5 + 1e-20j, -1e-20 - 1e-20j], [1e-20 - 1e-20j, 0.5 - 1e-20j]])
     assert _matrix_lines(m) == _matrix_lines(np.diag([0.5, 0.5]).astype(complex))
     assert "-0." not in "\n".join(_matrix_lines(m))
+
+
+def _deep_inputs(tmp_path, depth):
+    """A chain circuit of ``depth`` gates, each on its own dim-1 ancilla wire
+    and sourced from the gate before it; a chain tree of ``depth``
+    single-outcome identity nodes; and a JSON array nested ``depth`` deep."""
+    from meastree.circuits import Circuit, selected_gate, unitary_gate
+    from meastree.linalg import HilbertSpec, Measurement
+    from meastree.serialize import measurement_to_json
+
+    one = Measurement.of({"u": np.eye(1)})
+    gates = [unitary_gate("g0", ("a0",), np.eye(1))]
+    for i in range(1, depth):
+        gates.append(selected_gate(f"g{i}", (f"a{i}",), [f"g{i - 1}"], [one], [({f"g{i - 1}": "u"}, 0)]))
+    space = HilbertSpec.of([("p", 2)] + [(f"a{i}", 1) for i in range(depth)])
+    circuit = tmp_path / "chain.json"
+    circuit.write_text(json.dumps(circuit_to_json(Circuit.build(space, ["p"], gates))))
+    eye = measurement_to_json(Measurement.of({"u": np.eye(2)}))
+    nodes = {f"n{i}": {"measurement": eye, "children": {"u": f"n{i + 1}"}} for i in range(depth)}
+    nodes[f"n{depth}"] = {"measurement": None, "children": {}}
+    tree = tmp_path / "chain_tree.json"
+    tree.write_text(json.dumps({"root": "n0", "nodes": nodes}))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * depth + "]" * depth)
+    return str(circuit), str(tree), str(nested)
+
+
+def test_inputs_deeper_than_the_recursion_limit(tmp_path, capsys):
+    import sys
+
+    from meastree.serialize import tree_from_json
+
+    depth = sys.getrecursionlimit() + 100
+    circuit, tree, nested = _deep_inputs(tmp_path, depth)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    simulate = ["simulate", "--tree", tree, "--input", str(state)]
+    for argv in (["validate", circuit], ["validate", tree], simulate):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+    assert json.loads(out)[0]["probability"] == pytest.approx(1.0)
+
+    code, out, _ = run_cli(capsys, ["tree", "--tree", tree])
+    assert code == 0
+    again = tmp_path / "again.json"
+    again.write_text(out)
+    assert run_cli(capsys, ["tree", "--tree", str(again)]) == (0, out, "")
+    assert tree_from_json(json.loads(out)).branches() == [("u",) * depth]
+
+    for argv in (["validate", nested], ["paths", "--circuit", nested], ["tree", "--tree", nested]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_check_unitary_accepts_an_operator_of_large_scale(demo_files, tmp_path, capsys, scale):
+    op = tmp_path / "big.json"
+    op.write_text(json.dumps(matrix_to_json(scale * np.eye(2))))
+    argv = ["check-unitary", "--circuit", demo_files["teleportation"], "--operator", str(op), "--seed", "0"]
+    with np.errstate(over="ignore"):  # the operator's Frobenius norm may overflow to inf
+        code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "unitary"
+    assert doc["t_scale"] == pytest.approx(1 / scale, rel=1e-9)
+    assert "Traceback" not in err

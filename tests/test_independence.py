@@ -283,18 +283,20 @@ def test_factor_branch_accepts_complex_ancilla_vector():
         assert fact.probability == pytest.approx(float(np.vdot(b, b).real), abs=1e-12)
 
 
-def test_branch_operator_is_built_once_per_branch_and_call(tmp_path, monkeypatch):
+def test_branch_isometry_is_built_once_per_branch_and_call(tmp_path, monkeypatch):
     from meastree import independence
     from meastree.cli import main
     from meastree.serialize import circuit_to_json, matrix_to_json
 
     calls = []
+    descend = independence._descend
 
-    def counting(t, branch):
-        calls.append(tuple(branch))
-        return branch_operator(t, branch)
+    def counting(t, *args, route=None, **kwargs):
+        if route is not None:
+            calls.append(tuple(route))
+        return descend(t, *args, route=route, **kwargs)
 
-    monkeypatch.setattr(independence, "branch_operator", counting)
+    monkeypatch.setattr(independence, "_descend", counting)
     t = reduced(teleportation)
     branches = t.branches()
     assert len(branches) == 4
@@ -312,6 +314,22 @@ def test_branch_operator_is_built_once_per_branch_and_call(tmp_path, monkeypatch
     argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
     assert main(argv) == 0
     assert sorted(calls) == sorted(branches * 2)
+
+
+def test_carried_branch_isometry_equals_the_branch_operator_route():
+    # V_b carried down the branch from E equals C_b E / |a| with C_b built in full
+    from meastree.independence import _branch_isometry
+    from meastree.linalg import _input_isometry
+    from meastree.rand import random_circuit
+
+    circuits = [demo() for demo in (teleportation, measure_discard, feedforward_x, coin, code_embedding)]
+    circuits += [random_circuit(np.random.default_rng(seed)) for seed in range(20)]
+    for c in circuits:
+        t, _ = reduce_circuit(c)
+        e = _input_isometry(t)
+        for branch in t.branches():
+            want = branch_operator(t, branch) @ e / t.ancilla_init.norm()
+            assert np.max(np.abs(_branch_isometry(t, branch) - want)) <= 1e-12
 
 
 def copy_map_tree():

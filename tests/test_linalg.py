@@ -281,3 +281,33 @@ def test_constants_are_consistent():
     m = measure_z(3)
     assert m.labels == ("0", "1", "2")
     assert m.completeness_defect() <= 1e-12
+
+
+def test_input_isometry_and_embedding_on_interleaved_wires():
+    # principal wires p0, p1 interleaved with ancillas a0 (dim 2) and a1
+    # (dim 3) in a complex, non-basis unit ancilla vector; the reference
+    # tensors the factors with einsum over the space order (a0, p0, a1, p1)
+    from meastree.circuits import Circuit, unitary_gate
+    from meastree.linalg import _input_isometry, embed_principal
+
+    rng = np.random.default_rng(41)
+    space = HilbertSpec.of([("a0", 2), ("p0", 2), ("a1", 3), ("p1", 2)])
+    anc = haar_ket(6, rng)
+    c = Circuit.build(space, ["p0", "p1"], [unitary_gate("h", ("p0",), HADAMARD)], ancilla_init=anc)
+    assert c.principal_wires == ("p0", "p1") and c.ancilla_wires == ("a0", "a1")
+    a = anc.reshape(2, 3)
+
+    psi = haar_ket(4, rng)
+    want = np.einsum("xy,pq->xpyq", a, psi.reshape(2, 2)).reshape(-1)
+    assert np.max(np.abs(embed_principal(c, psi) - want)) <= 1e-12
+
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ dagger(g)
+    want = np.einsum("xy,pqPQ,XY->xpyqXPYQ", a, rho.reshape(2, 2, 2, 2), a.conj()).reshape(24, 24)
+    assert np.max(np.abs(embed_principal(c, rho) - want)) <= 1e-12
+
+    e = _input_isometry(c)
+    assert e.shape == (24, 4)
+    for i in range(4):
+        want = np.einsum("xy,pq->xpyq", a, basis_ket(4, i).reshape(2, 2)).reshape(-1)
+        assert np.max(np.abs(e[:, i] - want)) <= 1e-12
