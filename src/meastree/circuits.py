@@ -522,8 +522,9 @@ def _walk(c: Circuit, follow=None, x=None):
     ``(assignment, None, None, x)`` at each complete path. A ket or D x k
     block ``x`` is carried down each edge, lazily, as the edge's outcome
     operator times x. Once a prefix has been yielded, ``follow(gate,
-    measurement, x)`` names the outcomes to descend into; by default all of
-    them. Consumers must not mutate the yielded assignments or blocks.
+    measurement, x)`` names the outcomes to descend into, by default all of
+    them, or maps them to images of x it has computed already. Consumers
+    must not mutate the yielded assignments or blocks.
     """
     seq = [c.gates[gid] for gid in flattened_gates(c)]
     # per gate: source outcomes -> selected measurement, looked up once each
@@ -545,8 +546,11 @@ def _walk(c: Circuit, follow=None, x=None):
         m = selected[depth][key]
         yield assignment, g, m, x
         if m is not None:
-            for label in reversed(m.labels if follow is None else follow(g, m, x)):
-                stack.append(({**assignment, g.gate_id: label}, x, None if x is None else (m.operator(label), g.wires)))
+            chosen = m.labels if follow is None else follow(g, m, x)
+            images = chosen if isinstance(chosen, dict) else {}
+            for label in reversed(chosen):
+                edge = None if x is None or label in images else (m.operator(label), g.wires)
+                stack.append(({**assignment, g.gate_id: label}, images.get(label, x), edge))
 
 
 def enumerate_paths(c: Circuit) -> list[Path]:
@@ -628,13 +632,14 @@ def sample_run(
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    def sample(g: Gate, m: Measurement, v: np.ndarray) -> tuple[str]:
+    def sample(g: Gate, m: Measurement, v: np.ndarray) -> dict[str, np.ndarray]:
         t = float(np.vdot(v, v @ rho.matrix).real)
         if t <= TOL.zero:
             raise ArithmeticError("state trace vanished mid-run")
-        images = (apply_local(op, g.wires, v, c.space) for op in m.outcomes.values())
+        images = [apply_local(op, g.wires, v, c.space) for op in m.outcomes.values()]
         probs = np.array([max(float(np.vdot(x, x @ rho.matrix).real) / t, 0.0) for x in images])
-        return (m.labels[int(gen.choice(len(probs), p=probs / probs.sum()))],)
+        i = int(gen.choice(len(probs), p=probs / probs.sum()))
+        return {m.labels[i]: images[i]}
 
     ((assignment, _, sigma),) = _simulate(c, rho, sample)
     return Path(assignment), sigma

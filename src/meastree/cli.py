@@ -316,10 +316,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 def _cmd_check_independence(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     t, bij = reduce_circuit(c)
-    if args.path:
-        paths = [parse_path_spec(c, args.path)]
-    else:
-        paths = enumerate_paths(c)
+    paths = [parse_path_spec(c, args.path)] if args.path else list(bij.forward)
     reports = []
     for p in paths:
         rep = check_independence(t, bij.forward[p], probes=args.probes, seed=args.seed)

@@ -348,11 +348,13 @@ def check_isometry_scaling(
     ratios = []  # |b| / |alpha|, whose squares are the branch weights
     for b, w, vec in factors:
         alpha = complex(np.vdot(w, u)) / w.shape[1] if u.shape == w.shape else 0.0
-        if abs(alpha) <= TOL.zero or frob_norm(u - alpha * w) > max(eps, EPS_FACT) * max(frob_norm(u), 1.0):
+        a = abs(alpha)
+        # u / |alpha| against (alpha / |alpha|) w: a norm at u's own scale overflows past about 1e154
+        if a <= TOL.zero or frob_norm(u / a - alpha / a * w) > max(eps, EPS_FACT) * max(frob_norm(u / a), 1 / a):
             return IsometryScalingReport(
                 None, "inconclusive", f"branch {b!r} does not factor through the supplied operator"
             )
-        ratios.append(frob_norm(vec) / abs(alpha))
+        ratios.append(frob_norm(vec) / a)
 
     t_scale = math.hypot(*ratios)  # never squares |alpha|, which overflows on a large operator
     scaled = t_scale * u

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .circuits import Circuit, Gate, Selection, enumerate_paths
+from .circuits import Circuit, Gate, Selection
 from .linalg import (
     DensityOperator,
     HilbertSpec,
@@ -127,7 +127,7 @@ def random_circuit(
 
     Layers group gates on disjoint wires; later gates may condition on
     measurement outcomes of earlier gates through random selection
-    tables. A running path-count estimate keeps enumeration tractable by
+    tables. A running path count keeps enumeration tractable by
     forcing single-outcome measurements once ``max_paths`` is reached.
     """
     while True:
@@ -247,10 +247,12 @@ def _try_random_circuit(
         return None
     if require_classical_channel and not made_classical:
         return None
-    if not gates:
+    # path_count is exact: every measurement of a gate has n_out outcomes and
+    # every selection table is total, so each coherent prefix branches n_out
+    # ways at each gate.
+    if not gates or path_count > 4 * max_paths:
         return None
-
-    c = Circuit.build(
+    return Circuit.build(
         space,
         principal,
         list(gates.values()),
@@ -258,6 +260,3 @@ def _try_random_circuit(
         schedule=schedule,
         ancilla_init=init,
     )
-    if len(enumerate_paths(c)) > 4 * max_paths:
-        return None
-    return c

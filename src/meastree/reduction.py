@@ -12,7 +12,7 @@ path's probability and output state exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 
 from .circuits import (
     Circuit,
@@ -20,7 +20,6 @@ from .circuits import (
     Path,
     Selection,
     _walk,
-    enumerate_paths,
     flattened_gates,
 )
 from .linalg import tensor_measurements
@@ -60,37 +59,40 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     bijection (old path -> new path).
     """
     c.require_valid()
-    flat = iter(flattened_gates(c))
-    layers = [tuple(islice(flat, len(layer))) for layer in c.schedule]
+    flat = flattened_gates(c)
+    bounds = list(accumulate((len(layer) for layer in c.schedule), initial=0))
+    layers = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
     merged_ids = ["+".join(layer) for layer in layers]
     if len(set(merged_ids)) != len(merged_ids):
         merged_ids = [f"L{i}:{mid}" for i, mid in enumerate(merged_ids)]
     layer_of_gate = {gid: i for i, layer in enumerate(layers) for gid in layer}
+    layer_at = {start: n for n, start in enumerate(bounds)}  # prefix length -> layer it starts
 
     source_layers: list[list[int]] = []
     for layer in layers:
         srcs = sorted({layer_of_gate[s] for gid in layer for s in c.gates[gid].classical_sources})
         source_layers.append(srcs)
 
-    paths = enumerate_paths(c)
-
-    def joined(path: Path, layer: tuple[str, ...]) -> str:
-        return "|".join(path[gid] for gid in layer)
-
     # Per layer: which measurement-index choice fires under which merged
-    # source assignment, discovered across all coherent paths.
+    # source assignment, read at every coherent prefix that starts the layer.
     choice_of: list[dict[tuple[tuple[str, str], ...], tuple[int, ...]]] = [{} for _ in layers]
-    for path in paths:
-        for n, layer in enumerate(layers):
-            when = tuple(
-                (merged_ids[i], joined(path, layers[i])) for i in source_layers[n]
-            )
-            choice = tuple(
-                c.gates[gid].selection.select(path.restrict(c.gates[gid].classical_sources))
-                for gid in layer
-            )
-            prev = choice_of[n].setdefault(when, choice)
-            assert prev == choice  # selection is a function of its sources
+    pairs = []
+    for assignment, g, _, _ in _walk(c):
+        n = layer_at.get(len(assignment))
+        if n is None:
+            continue
+        labels = list(assignment.values())  # execution order: layer i is labels[bounds[i]:bounds[i + 1]]
+        joined = ["|".join(labels[a:b]) for a, b in zip(bounds, bounds[1 : n + 1])]
+        if g is None:
+            pairs.append((Path(assignment), Path(dict(zip(merged_ids, joined)))))
+            continue
+        when = tuple((merged_ids[i], joined[i]) for i in source_layers[n])
+        choice = tuple(
+            c.gates[gid].selection.select({s: assignment[s] for s in c.gates[gid].classical_sources})
+            for gid in layers[n]
+        )
+        prev = choice_of[n].setdefault(when, choice)
+        assert prev == choice  # selection is a function of its sources
     new_gates: list[Gate] = []
     for n, layer in enumerate(layers):
         choices = sorted(set(choice_of[n].values()))
@@ -125,11 +127,6 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
         output_principal_wires=c.output_principal_wires,
     )
     linear.require_valid()
-
-    pairs = []
-    for path in paths:
-        new_path = Path({merged_ids[n]: joined(path, layers[n]) for n in range(len(layers))})
-        pairs.append((path, new_path))
     return linear, Bijection.from_pairs(pairs)
 
 
@@ -169,7 +166,8 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
 def reduce_circuit(c: Circuit) -> tuple[MeasurementTree, Bijection]:
     """Full reduction: linearize, then unfold into a measurement tree.
 
-    The returned bijection maps each original path directly to its branch.
+    The returned bijection maps each original path directly to its branch
+    and lists the paths in ``enumerate_paths`` order.
     """
     linear, path_map = linearize(c)
     tree, branch_map = tree_from_linear(linear)

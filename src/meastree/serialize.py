@@ -336,13 +336,15 @@ def tree_from_json(obj: Any) -> MeasurementTree:
 
     nodes: dict[Branch, TreeNode] = {}
     dims: list[int] = []
-
-    on_path: set[str] = set()  # node ids of the open frames: meeting one again is a cycle
-
-    def enter(nid: str, key: Branch):
-        """Read one node; an inner node gives a frame whose children are still to visit."""
-        if nid in on_path:
-            raise ValueError(f"tree: node {nid!r} reached twice (cycle)")
+    seen: set[str] = set()  # tree_to_json writes each id once: meeting one again is a cycle or a shared node
+    stack: list[tuple] = [(root_id, (), None)]  # (node id, route, parent id), popped in preorder
+    while stack:
+        nid, key, parent = stack.pop()
+        if nid is None:  # a missing child, reported when the walk reaches it
+            raise ValueError(f"tree.nodes[{parent!r}]: no child for outcome {key[-1]!r}")
+        if nid in seen:
+            raise ValueError(f"tree: node {nid!r} reached twice")
+        seen.add(nid)
         raw = raw_nodes.get(nid)
         if not isinstance(raw, dict):
             raise ValueError(f"tree.nodes[{nid!r}]: expected an object")
@@ -352,27 +354,12 @@ def tree_from_json(obj: Any) -> MeasurementTree:
             raise ValueError(f"tree.nodes[{nid!r}].children: expected an object")
         if raw_m is None:
             nodes[key] = TreeNode(None, {})
-            return None
+            continue
         m = measurement_from_json(raw_m, f"tree.nodes[{nid!r}].measurement")
         dims.append(m.dim)
-        on_path.add(nid)
-        return nid, key, m, raw_children, iter(m.labels), {}
-
-    # depth first with an explicit stack; a node is stored once its children are
-    stack = [frame] if (frame := enter(root_id, ())) else []
-    while stack:
-        nid, key, m, raw_children, labels, children = stack[-1]
-        label = next(labels, None)
-        if label is None:
-            stack.pop()
-            on_path.discard(nid)
-            nodes[key] = TreeNode(m, children)
-            continue
-        if label not in raw_children:
-            raise ValueError(f"tree.nodes[{nid!r}]: no child for outcome {label!r}")
-        children[label] = key + (label,)
-        if frame := enter(str(raw_children[label]), key + (label,)):
-            stack.append(frame)
+        nodes[key] = TreeNode(m, {label: key + (label,) for label in m.labels})
+        for label in reversed(m.labels):
+            stack.append((str(raw_children[label]) if label in raw_children else None, key + (label,), nid))
 
     if "wires" in obj:
         space, principal, output_principal = _wires_from_json(obj["wires"], "tree.wires")

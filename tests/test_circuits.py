@@ -36,6 +36,7 @@ from meastree.linalg import (
     measure_z,
     projector,
 )
+from meastree.rand import random_circuit
 
 I2 = np.eye(2, dtype=complex)
 P = [projector(basis_ket(2, 0)), projector(basis_ket(2, 1))]
@@ -404,3 +405,27 @@ def test_sample_run_matches_path_probabilities_chi_square():
     chi2 = sum((obs - expected) ** 2 / expected for obs in counts.values())
     # 3 degrees of freedom, alpha = 0.001
     assert chi2 < 16.27
+
+
+def test_random_circuit_rejects_draws_over_four_times_max_paths():
+    """With 5 or 6 outcomes a gate can take the running count from below
+    max_paths to above 4 * max_paths; such draws are rejected and redrawn."""
+    for max_outcomes in (5, 6):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            c = random_circuit(rng, max_outcomes=max_outcomes, max_paths=10)
+            assert len(enumerate_paths(c)) <= 40
+
+
+def test_sample_run_applies_each_outcome_operator_once(monkeypatch):
+    """The Born weights need every outcome's image; the walk takes the chosen one from them."""
+    from meastree import circuits
+
+    calls = []
+    kernel = circuits.apply_local
+    monkeypatch.setattr(circuits, "apply_local", lambda *a: calls.append(1) or kernel(*a))
+    c = teleportation()
+    rho = DensityOperator.of(projector(haar_ket(2, np.random.default_rng(1))), c.principal_spec)
+    path, sigma = sample_run(c, rho, 0)
+    assert len(calls) == 11
+    assert np.array_equal(sigma, simulate_path(c, path, rho)[1])

@@ -524,6 +524,33 @@ def test_tree_root_that_is_not_a_string_is_exit_1(demo_files, tmp_path, capsys, 
         assert "Traceback" not in err
 
 
+def test_tree_with_shared_node_ids_is_exit_1(tmp_path, capsys):
+    """Node i's two outcomes both name node i+1: expanding the shared ids
+    would build 2^16 branches from 17 ids."""
+    import time
+
+    from meastree.linalg import measure_z
+    from meastree.serialize import measurement_to_json
+
+    z = measurement_to_json(measure_z())
+    nodes = {f"n{i}": {"measurement": z, "children": {"0": f"n{i + 1}", "1": f"n{i + 1}"}} for i in range(16)}
+    nodes["n16"] = {"measurement": None, "children": {}}
+    tree = tmp_path / "shared.json"
+    tree.write_text(json.dumps({"root": "n0", "nodes": nodes}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    for argv in (
+        ["validate", str(tree)],
+        ["simulate", "--tree", str(tree), "--input", str(state)],
+        ["tree", "--tree", str(tree)],
+    ):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err == "error: tree: node 'n16' reached twice\n"
+
+
 def test_negative_probe_count_is_exit_1(demo_files, tmp_path, capsys):
     identity, x = tmp_path / "i.json", tmp_path / "x.json"
     identity.write_text(json.dumps(matrix_to_json(np.eye(2))))
@@ -612,3 +639,19 @@ def test_check_unitary_accepts_an_operator_of_large_scale(demo_files, tmp_path, 
     assert doc["verdict"] == "unitary"
     assert doc["t_scale"] == pytest.approx(1 / scale, rel=1e-9)
     assert "Traceback" not in err
+
+
+def test_check_unitary_rejects_a_wrong_operator_at_any_scale(demo_files, tmp_path, capsys):
+    theta = 0.3
+    rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    docs = []
+    for scale in (1.0, 1e100, 1e160):
+        op = tmp_path / "rotation.json"
+        op.write_text(json.dumps(matrix_to_json(scale * rotation)))
+        argv = ["check-unitary", "--circuit", demo_files["teleportation"], "--operator", str(op), "--seed", "0"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 3
+        docs.append(json.loads(out))
+    assert all(doc["verdict"] == "inconclusive" and doc["t_scale"] is None for doc in docs)
+    assert docs[0]["detail"].endswith("does not factor through the supplied operator")
+    assert docs[1]["detail"] == docs[0]["detail"] == docs[2]["detail"]

@@ -9,7 +9,7 @@ from meastree.circuits import (
     simulate_path,
     unitary_gate,
 )
-from meastree.demos import feedforward_x, teleportation
+from meastree.demos import DEMOS, feedforward_x, teleportation
 from meastree.linalg import (
     DensityOperator,
     HilbertSpec,
@@ -101,6 +101,13 @@ def test_reduced_tree_shape_matches_paths_and_layers():
     assert set(bij.forward[p] for p in paths) == set(branches)
     for p in paths:
         assert bij.backward[bij.forward[p]] == p
+
+
+def test_reduction_lists_paths_in_enumeration_order():
+    cases = [make() for _, make in sorted(DEMOS.items())]
+    cases += [random_circuit(np.random.default_rng(s)) for s in range(20)]
+    for c in cases:
+        assert list(reduce_circuit(c)[1].forward) == enumerate_paths(c)
 
 
 def test_reduction_preserves_dynamics_on_teleportation():
