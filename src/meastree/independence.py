@@ -29,11 +29,9 @@ from .linalg import (
     TOL,
     _clamp_probability,
     _input_isometry,
-    basis_ket,
     bipartition_ket,
     dagger,
     frob_norm,
-    haar_ket,
     identity,
 )
 from .trees import Branch, MeasurementTree, _descend
@@ -113,11 +111,13 @@ def _principal_dim(t: MeasurementTree) -> int:
     return math.prod(t.space.dim_of(w) for w in t.principal_wires)
 
 
-def _branch_isometry(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
-    """``V_b = C_b E`` (D x d_P), carried down the branch from E without forming ``C_b``."""
+def _isometries(t: MeasurementTree, branches: Sequence[Sequence[str]]):
+    """Yield ``V_b = C_b E`` (D x d_P) per branch, carried down it from E without forming ``C_b``."""
     _principal_dim(t)  # checks the wire roles and the ancilla norm
-    *_, (_, _, v) = _descend(t, _input_isometry(t), route=tuple(branch))
-    return v / t.ancilla_init.norm()  # probabilities per unit input norm
+    e, norm = _input_isometry(t), t.ancilla_init.norm()
+    for branch in branches:
+        *_, (_, _, v) = _descend(t, e, route=tuple(branch))
+        yield v / norm  # probabilities per unit input norm
 
 
 def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -125,9 +125,9 @@ def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
 
     The first nonzero entry of U, in column order, is real and positive.
     """
-    blocks = np.stack([bipartition_ket(col, t.space, t.output_principal) for col in v.T])
-    d_in, d_out, d_anc = blocks.shape
-    m = blocks.transpose(2, 1, 0).reshape(d_anc, d_out * d_in)
+    blocks = bipartition_ket(v, t.space, t.output_principal)
+    d_out, d_anc, d_in = blocks.shape
+    m = blocks.transpose(1, 0, 2).reshape(d_anc, d_out * d_in)
     left, s, right = np.linalg.svd(m, full_matrices=False)
     if s[0] <= TOL.zero or frob_norm(s[1:]) > EPS_RANK * s[0]:
         return None  # the branch annihilates every input, or entangles it with the ancilla
@@ -141,42 +141,49 @@ def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     return u * phase + 0.0, left[:, 0] * (s[0] / math.sqrt(d_in) / phase) + 0.0
 
 
-def _probability_range(gram: np.ndarray) -> tuple[float, float]:
-    lam = np.linalg.eigvalsh(gram)
-    return _clamp_probability(float(lam[0])), _clamp_probability(float(lam[-1]))
+def _scalar(u: np.ndarray, w: np.ndarray, eps: float) -> complex | None:
+    """alpha with ``u = alpha w`` for an isometry w, or None. ``u / |alpha|`` must match
+    ``(alpha / |alpha|) w`` within ``eps``: a norm at u's own scale overflows past about 1e154."""
+    alpha = complex(np.vdot(w, u)) / w.shape[1] if u.shape == w.shape else 0.0
+    a = abs(alpha)
+    if a <= TOL.zero or frob_norm(u / a - alpha / a * w) > eps * max(frob_norm(u / a), 1 / a):
+        return None
+    return alpha
 
 
-def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> list[np.ndarray]:
-    """The basis kets, the caller's kets normalized, then seeded Haar kets."""
+def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> np.ndarray:
+    """The d_P x n probe columns: the basis kets, the caller's kets normalized, then seeded
+    Haar kets, drawn from the stream that ``probes`` successive ``haar_ket`` calls consume."""
     if probes < 0:
         raise ValueError(f"probe count must be >= 0, got {probes}")
-    rng = np.random.default_rng(seed)
-    kets = [basis_ket(d_in, i) for i in range(d_in)]
-    for x in extra if extra is not None else ():
-        kets.append(np.asarray(x, dtype=complex).reshape(-1) / np.linalg.norm(x))
-    return kets + [haar_ket(d_in, rng) for _ in range(probes)]
+    g = np.random.default_rng(seed).normal(size=(probes, 2, d_in))
+    haar = (g[:, 0] + 1j * g[:, 1]).T
+    given = [] if extra is None else [np.asarray(x, dtype=complex).reshape(-1, 1) / np.linalg.norm(x) for x in extra]
+    return np.hstack([identity(d_in), *given, haar / np.linalg.norm(haar, axis=0)])
 
 
-def _cross_check(t: MeasurementTree, isos, kets, *, span=None, witness=None) -> float:
-    """Test an exact answer on the probe inputs ``psi``, whose images are ``V_b psi``.
+def _range(isos, kets: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """``lo, hi, gram``: the extreme eigenvalues of ``gram``, the summed ``V_b^dag V_b`` over ``isos``.
+    Each probe column psi of ``kets`` must give a summed ``|V_b psi|^2`` in ``[lo, hi]``, else AssertionError."""
+    gram = np.zeros((len(kets), len(kets)), dtype=complex)
+    p = np.zeros(kets.shape[1])
+    for v in isos:
+        gram += dagger(v) @ v
+        p += np.sum(np.abs(v @ kets) ** 2, axis=0)
+    lam = np.linalg.eigvalsh(gram)
+    lo, hi = _clamp_probability(float(lam[0])), _clamp_probability(float(lam[-1]))
+    if np.any((p < lo - EPS_CHECK) | (p > hi + EPS_CHECK)):
+        raise AssertionError(f"probe probabilities {p.min():.12f}-{p.max():.12f} leave the exact range {(lo, hi)}")
+    return lo, hi, gram
 
-    With ``span`` = (lo, hi) the summed ``|V_b psi|^2`` over ``isos`` must
-    lie in it; with ``witness`` = (U, b) the one isometry must send each
-    probe to ``U psi (x) b``, and the largest miss is returned. Raises
-    AssertionError on a disagreement.
-    """
-    residual = 0.0
-    for psi in kets:
-        images = [v @ psi for v in isos]
-        p = sum(float(np.vdot(x, x).real) for x in images)
-        if span is not None and not span[0] - EPS_CHECK <= p <= span[1] + EPS_CHECK:
-            raise AssertionError(f"probe probability {p:.12f} lies outside the exact range {span}")
-        if witness is not None:
-            got = bipartition_ket(images[0], t.space, t.output_principal)
-            residual = max(residual, frob_norm(got - np.outer(witness[0] @ psi, witness[1])))
-    if witness is not None and residual > EPS_CHECK * max(frob_norm(witness[0]) * frob_norm(witness[1]), 1.0):
-        raise AssertionError(f"probe images miss the factorization by {residual:.3e}")
-    return residual
+
+def _witness_miss(t: MeasurementTree, v: np.ndarray, kets: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
+    """The largest miss of the probe images ``V_b psi`` against ``U psi (x) b``; AssertionError past the slack."""
+    got = bipartition_ket(v @ kets, t.space, t.output_principal)
+    miss = float(np.max(np.linalg.norm(got - (u @ kets)[:, None, :] * b[None, :, None], axis=(0, 1))))
+    if miss > EPS_CHECK * max(frob_norm(u) * frob_norm(b), 1.0):
+        raise AssertionError(f"probe images miss the factorization by {miss:.3e}")
+    return miss
 
 
 def factor_branch(
@@ -195,13 +202,13 @@ def factor_branch(
     witness's largest miss on the basis kets and ``random_probes`` seeded
     Haar-random kets.
     """
-    v = _branch_isometry(t, branch)
+    (v,) = _isometries(t, [branch])
     kets = _probe_kets(v.shape[1], random_probes, seed)
     fact = _factor(t, v)
     if fact is None:
         return None
     u, b = fact
-    residual = _cross_check(t, [v], kets, witness=fact)
+    residual = _witness_miss(t, v, kets, u, b)
     kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
     return BranchFactorization(tuple(branch), u, b, residual, float(np.vdot(b, b).real), kind)
 
@@ -221,19 +228,11 @@ def check_independence(
     principal basis states, optional caller-supplied kets and ``probes``
     seeded Haar-random kets) cross-check that range.
     """
-    v = _branch_isometry(t, branch)
-    lo, hi = _probability_range(dagger(v) @ v)
-    kets = _probe_kets(v.shape[1], probes, seed, extra_probes)
-    _cross_check(t, [v], kets, span=(lo, hi))
+    kets = _probe_kets(_principal_dim(t), probes, seed, extra_probes)
+    lo, hi, _ = _range(_isometries(t, [branch]), kets)
     spread = hi - lo
     verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
-    return IndependenceReport(tuple(branch), len(kets), lo, hi, spread, verdict)
-
-
-def _aligned(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """``a`` times the phase that best aligns it with ``ref``."""
-    overlap = complex(np.vdot(a, ref))
-    return a * (overlap / abs(overlap)) if abs(overlap) > TOL.zero else a
+    return IndependenceReport(tuple(branch), kets.shape[1], lo, hi, spread, verdict)
 
 
 def check_computes(
@@ -253,7 +252,7 @@ def check_computes(
     Haar-random kets), or ``(False, inf)``.
     """
     u = np.asarray(operator, dtype=complex)
-    v = _branch_isometry(t, branch)
+    (v,) = _isometries(t, [branch])
     d_out = math.prod(t.space.dim_of(w) for w in t.output_principal)
     if u.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ValueError(f"operator of shape {u.shape} does not act on the principal input")
@@ -261,9 +260,10 @@ def check_computes(
         raise ValueError(f"shape mismatch {(d_out, d_out)} vs {(u.shape[0], u.shape[0])}")
     kets = _probe_kets(u.shape[1], probes, seed)
     fact = _factor(t, v)
-    if fact is None or frob_norm(_aligned(fact[0], u) - u) > 1e-9 * frob_norm(fact[0]):
+    alpha = None if fact is None else _scalar(u, fact[0], 1e-9)
+    if alpha is None or abs(abs(alpha) - 1.0) > 1e-9:
         return False, float("inf")
-    return True, _cross_check(t, [v], kets, witness=fact)
+    return True, _witness_miss(t, v, kets, *fact)
 
 
 def check_set_independence(
@@ -281,11 +281,8 @@ def check_set_independence(
     ``probes`` seeded Haar-random kets cross-check the range.
     """
     branch_keys = tuple(tuple(b) for b in branches)
-    isos = [_branch_isometry(t, b) for b in branch_keys]
     d_in = _principal_dim(t)
-    gram = sum((dagger(v) @ v for v in isos), np.zeros((d_in, d_in), dtype=complex))
-    lo, hi = _probability_range(gram)
-    _cross_check(t, isos, _probe_kets(d_in, probes, seed), span=(lo, hi))
+    lo, hi, gram = _range(_isometries(t, branch_keys), _probe_kets(d_in, probes, seed))
     if hi - lo > 1e-9:
         return SetIndependenceReport(branch_keys, "dependent", None, lo, hi, hi - lo)
     return SetIndependenceReport(branch_keys, "independent", float(np.trace(gram).real) / d_in, lo, hi, hi - lo)
@@ -336,25 +333,23 @@ def check_isometry_scaling(
     """
     u = np.asarray(operator, dtype=complex)
     factors = []
-    for b in t.branches():
-        fact = _factor(t, _branch_isometry(t, b))
+    branches = t.branches()
+    for b, v in zip(branches, _isometries(t, branches)):
+        fact = _factor(t, v)
         if fact is None:
             return IsometryScalingReport(None, "inconclusive", f"branch {b!r} does not factor")
         factors.append((b, *fact))
     ref = factors[0][1]
-    if any(frob_norm(_aligned(w, ref) - ref) > EPS_FACT * max(frob_norm(ref), 1.0) for _, w, _ in factors):
+    if any(_scalar(w, ref, EPS_FACT) is None for _, w, _ in factors):
         return IsometryScalingReport(None, "inconclusive", "branches compute differing principal operators")
 
     ratios = []  # |b| / |alpha|, whose squares are the branch weights
     for b, w, vec in factors:
-        alpha = complex(np.vdot(w, u)) / w.shape[1] if u.shape == w.shape else 0.0
-        a = abs(alpha)
-        # u / |alpha| against (alpha / |alpha|) w: a norm at u's own scale overflows past about 1e154
-        if a <= TOL.zero or frob_norm(u / a - alpha / a * w) > max(eps, EPS_FACT) * max(frob_norm(u / a), 1 / a):
-            return IsometryScalingReport(
-                None, "inconclusive", f"branch {b!r} does not factor through the supplied operator"
-            )
-        ratios.append(frob_norm(vec) / a)
+        alpha = _scalar(u, w, max(eps, EPS_FACT))
+        if alpha is None:
+            detail = f"branch {b!r} does not factor through the supplied operator"
+            return IsometryScalingReport(None, "inconclusive", detail)
+        ratios.append(frob_norm(vec) / abs(alpha))
 
     t_scale = math.hypot(*ratios)  # never squares |alpha|, which overflows on a large operator
     scaled = t_scale * u

@@ -482,14 +482,13 @@ def bipartition_ket(vec: np.ndarray, space: HilbertSpec, front: Sequence[str]) -
 
     The front index runs over the listed wires in the given order, the
     rest index over the remaining wires in ``space`` order. Either side
-    may be empty, giving a single row or column.
+    may be empty, giving a single row or column. A D x k block of
+    columns gives front x rest x k.
     """
     front = [str(w) for w in front]
-    rest = [w for w in space.wires if w not in set(front)]
-    v = permute_ket(vec, space, front + rest)
-    d_front = math.prod(space.dim_of(w) for w in front) if front else 1
-    d_rest = math.prod(space.dim_of(w) for w in rest) if rest else 1
-    return v.reshape(d_front, d_rest)
+    v = permute_ket(vec, space, front + [w for w in space.wires if w not in set(front)])
+    d_front = math.prod(space.dim_of(w) for w in front)
+    return v.reshape((d_front, space.dim // d_front) + v.shape[1:])
 
 
 def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float | None:

@@ -211,25 +211,21 @@ def run_tree(
 ) -> dict[Branch, tuple[float, np.ndarray]]:
     """Per-branch probability and unnormalized output state.
 
-    Probabilities multiply the stepwise trace ratios down each branch;
-    once a running state hits zero the rest of that subtree is reported
-    with probability zero and zero outputs.
+    A branch's probability is its output's trace over the input's trace,
+    so it does not depend on the input's scale; below a running state
+    that hits zero, outputs and probabilities are zero.
     """
     if sigma0.matrix.shape[0] != t.space.dim:
         raise ValueError(f"input dim {sigma0.matrix.shape[0]} != tree space dim {t.space.dim}")
-    if sigma0.trace() <= TOL.zero:
+    if (t0 := sigma0.trace()) <= TOL.zero:
         raise ValueError("input state has zero trace")
 
-    def step(op: np.ndarray, wires: tuple[str, ...], carried: tuple[np.ndarray, float]):
-        sigma, prob = carried
-        t_here = float(sigma.trace().real)
+    def step(op: np.ndarray, wires: tuple[str, ...], sigma: np.ndarray) -> np.ndarray:
         left = apply_local(op, wires, sigma, t.space)
-        child = apply_local(op.conj(), wires, left.T, t.space).T  # L sigma L^dag
-        ratio = 0.0 if t_here <= TOL.zero else max(float(child.trace().real) / t_here, 0.0)
-        return child, prob * ratio
+        return apply_local(op.conj(), wires, left.T, t.space).T  # L sigma L^dag
 
-    walk = _descend(t, (np.asarray(sigma0.matrix, dtype=complex), 1.0), step)
-    return {key: (_clamp_probability(prob), sigma) for key, node, (sigma, prob) in walk if node.is_leaf}
+    walk = _descend(t, np.asarray(sigma0.matrix, dtype=complex), step)
+    return {key: (_clamp_probability(float(s.trace().real) / t0), s) for key, node, s in walk if node.is_leaf}
 
 
 def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:

@@ -110,6 +110,20 @@ def test_simulate_circuit_reports_quarter_probabilities(demo_files, tmp_path, ca
         assert row["probability"] == pytest.approx(0.25, abs=1e-9)
 
 
+def test_simulate_tree_probabilities_do_not_depend_on_the_input_trace(demo_files, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    assert main(["tree", "--circuit", demo_files["teleportation"], "-o", str(tree)]) == 0
+    rho = np.array([[0.6, 0.2], [0.2, 0.4]])
+    for verb in ("--tree", "--circuit"):
+        source = str(tree) if verb == "--tree" else demo_files["teleportation"]
+        for scale in (1.0, 3e-12, 1.5e-12):
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps({"matrix": matrix_to_json(scale * rho)}))
+            code, out, _ = run_cli(capsys, ["simulate", verb, source, "--input", str(state)])
+            assert code == 0
+            probs = [row["probability"] for row in json.loads(out)]
+            assert probs == pytest.approx([0.25] * 4, abs=1e-12)
+
 def test_simulate_single_path(demo_files, tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"vector": vector_to_json(np.array([1.0, 0.0]))}))

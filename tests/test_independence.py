@@ -318,7 +318,7 @@ def test_branch_isometry_is_built_once_per_branch_and_call(tmp_path, monkeypatch
 
 def test_carried_branch_isometry_equals_the_branch_operator_route():
     # V_b carried down the branch from E equals C_b E / |a| with C_b built in full
-    from meastree.independence import _branch_isometry
+    from meastree.independence import _isometries
     from meastree.linalg import _input_isometry
     from meastree.rand import random_circuit
 
@@ -329,7 +329,7 @@ def test_carried_branch_isometry_equals_the_branch_operator_route():
         e = _input_isometry(t)
         for branch in t.branches():
             want = branch_operator(t, branch) @ e / t.ancilla_init.norm()
-            assert np.max(np.abs(_branch_isometry(t, branch) - want)) <= 1e-12
+            assert np.max(np.abs(next(_isometries(t, [branch])) - want)) <= 1e-12
 
 
 def copy_map_tree():
@@ -404,3 +404,68 @@ def test_negative_probe_count_is_rejected():
     ):
         with pytest.raises(ValueError, match="probe count"):
             check()
+
+
+def test_empty_branch_set_is_independent_with_constant_zero():
+    t = reduced(teleportation)
+    report = check_set_independence(t, [], probes=4, seed=0)
+    assert report.branches == ()
+    assert report.verdict == "independent"
+    assert report.constant == 0.0
+    assert report.min_sum == report.max_sum == report.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 32])
+def test_probe_matrix_is_basis_then_extras_then_successive_haar_kets(d):
+    from meastree.independence import _probe_kets
+
+    rng = np.random.default_rng(3)
+    extras = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2)]
+    kets = _probe_kets(d, 5, seed=11, extra=extras)
+    haar = np.random.default_rng(11)
+    want = [basis_ket(d, i) for i in range(d)] + [x / np.linalg.norm(x) for x in extras]
+    want += [haar_ket(d, haar) for _ in range(5)]
+    assert kets.shape == (d, d + 7)
+    assert np.max(np.abs(kets - np.stack(want, axis=1))) <= 1e-15
+    assert _probe_kets(d, 0, seed=11).shape == (d, d)
+
+
+def test_input_isometry_is_built_once_per_call(monkeypatch):
+    from meastree import independence
+
+    calls = []
+    build = independence._input_isometry
+
+    def counting(t):
+        calls.append(t)
+        return build(t)
+
+    monkeypatch.setattr(independence, "_input_isometry", counting)
+    t = reduced(teleportation)
+    assert len(t.branches()) == 4
+    check_set_independence(t, t.branches(), probes=4, seed=0)
+    assert len(calls) == 1
+    calls.clear()
+    check_isometry_scaling(t, I2)
+    assert len(calls) == 1
+
+
+def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():
+    from meastree.independence import _factor, _isometries, _probe_kets, _range, _witness_miss
+    from meastree.linalg import bipartition_ket
+
+    t = reduced(teleportation)
+    kets = _probe_kets(2, 8, seed=3)
+    for v in _isometries(t, t.branches()):
+        u, b = _factor(t, v)
+        images = [v @ psi for psi in kets.T]
+        misses = [np.linalg.norm(bipartition_ket(x, t.space, t.output_principal) - np.outer(u @ psi, b))
+                  for x, psi in zip(images, kets.T)]
+        assert _witness_miss(t, v, kets, u, b) == pytest.approx(max(misses), abs=1e-15)
+        lo, hi, _ = _range([v], kets)
+        probs = [np.vdot(x, x).real for x in images]
+        assert lo - 1e-12 <= min(probs) <= max(probs) <= hi + 1e-12
+        with pytest.raises(AssertionError, match="exact range"):
+            _range([v], 2 * kets)
+        with pytest.raises(AssertionError, match="miss the factorization"):
+            _witness_miss(t, v, kets, PAULI_X @ u, b)

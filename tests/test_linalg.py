@@ -253,6 +253,16 @@ def test_bipartition_ket_of_product_state():
     assert np.allclose(mat, np.outer(psi, phi), atol=1e-12)
 
 
+def test_bipartition_ket_of_a_block_stacks_the_columns():
+    rng = np.random.default_rng(8)
+    space = HilbertSpec.of([("a0", 2), ("p0", 2), ("a1", 3), ("p1", 2)])
+    block = rng.normal(size=(space.dim, 5)) + 1j * rng.normal(size=(space.dim, 5))
+    got = bipartition_ket(block, space, ("p1", "p0"))
+    assert got.shape == (4, 6, 5)
+    want = np.stack([bipartition_ket(col, space, ("p1", "p0")) for col in block.T], axis=-1)
+    assert np.array_equal(got, want)
+    assert bipartition_ket(block, space, ()).shape == (1, space.dim, 5)
+
 def test_proportional_recovers_constant():
     rng = np.random.default_rng(7)
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

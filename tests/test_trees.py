@@ -184,6 +184,17 @@ def test_completeness_of_branch_measurement_random():
         assert defect <= 1e-9
 
 
+def test_run_tree_probabilities_do_not_depend_on_the_input_trace():
+    from meastree.cli import _tree_input
+    from meastree.demos import teleportation
+    from meastree.reduction import reduce_circuit
+
+    t, _ = reduce_circuit(teleportation())
+    rho = np.array([[0.6, 0.2], [0.2, 0.4]])
+    for scale in (1.0, 3e-12, 1.5e-12):
+        out = run_tree(t, _tree_input(t, "density", scale * rho))
+        assert [out[b][0] for b in t.branches()] == pytest.approx([0.25] * 4, abs=1e-12)
+
 def test_run_tree_rejects_zero_trace_input():
     t = h_then_z_tree()
     zero = DensityOperator(np.zeros((2, 2), dtype=complex), Q)
