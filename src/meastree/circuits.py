@@ -296,6 +296,18 @@ class Circuit:
     def violations(self) -> list[Violation]:
         return validate_circuit(self)
 
+    @cached_property
+    def _steps(self) -> list[tuple[Gate, tuple[str, ...], dict]]:
+        """Per gate in execution order: the gate, its classical sources, and the
+        walks' memo from their outcomes to the measurement they select."""
+        gates = [self.gates[gid] for gid in flattened_gates(self)]
+        return [(g, tuple(g.classical_sources), {}) for g in gates]
+
+    @cached_property
+    def _isometry(self) -> np.ndarray:
+        """The input isometry ``E``, read-only, built on first use."""
+        return _input_isometry(self)
+
     def require_valid(self) -> None:
         if self.violations:
             raise InvalidCircuitError(self.violations)
@@ -526,24 +538,21 @@ def _walk(c: Circuit, follow=None, x=None):
     them, or maps them to images of x it has computed already. Consumers
     must not mutate the yielded assignments or blocks.
     """
-    seq = [c.gates[gid] for gid in flattened_gates(c)]
-    # per gate: source outcomes -> selected measurement, looked up once each
-    selected: list[dict] = [{} for _ in seq]
+    steps = c._steps
     stack: list[tuple] = [({}, x, None)]
     while stack:
         assignment, x, edge = stack.pop()
         if edge is not None:
             x = apply_local(*edge, x, c.space)
         depth = len(assignment)
-        if depth == len(seq):
+        if depth == len(steps):
             yield assignment, None, None, x
             continue
-        g = seq[depth]
-        sources = {s: assignment[s] for s in g.classical_sources}
-        key = tuple(sources.items())
-        if key not in selected[depth]:
-            selected[depth][key] = g.measurement_for(sources)
-        m = selected[depth][key]
+        g, sources, selected = steps[depth]
+        key = tuple(assignment[s] for s in sources)
+        if key not in selected:
+            selected[key] = g.measurement_for(dict(zip(sources, key)))
+        m = selected[key]
         yield assignment, g, m, x
         if m is not None:
             chosen = m.labels if follow is None else follow(g, m, x)
@@ -561,6 +570,7 @@ def enumerate_paths(c: Circuit) -> list[Path]:
 
 def _pinned(path: Mapping[str, str]):
     """Follow of the one outcome ``path`` names at each gate; stops where it is incoherent."""
+    path = dict(path)
     return lambda g, m, x: (path[g.gate_id],) if path.get(g.gate_id) in m.outcomes else ()
 
 
@@ -593,11 +603,11 @@ def _simulate(c: Circuit, rho: DensityOperator, follow=None):
     ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``.
     """
     c.require_valid()
-    d = c.principal_spec.dim
-    if rho.matrix.shape[0] != d:
-        raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
+    e = c._isometry
+    if rho.matrix.shape[0] != e.shape[1]:
+        raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {e.shape[1]}")
     t0 = float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
-    for assignment, g, _, v in _walk(c, follow, _input_isometry(c)):
+    for assignment, g, _, v in _walk(c, follow, e):
         if g is None:
             sigma = v @ rho.matrix @ dagger(v)
             yield assignment, _clamp_probability(float(sigma.trace().real) / t0), sigma
@@ -631,10 +641,11 @@ def sample_run(
     Returns the realized path and the unnormalized post-run state.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    t0 = rho.trace()
 
     def sample(g: Gate, m: Measurement, v: np.ndarray) -> dict[str, np.ndarray]:
         t = float(np.vdot(v, v @ rho.matrix).real)
-        if t <= TOL.zero:
+        if t <= TOL.zero * t0:
             raise ArithmeticError("state trace vanished mid-run")
         images = [apply_local(op, g.wires, v, c.space) for op in m.outcomes.values()]
         probs = np.array([max(float(np.vdot(x, x @ rho.matrix).real) / t, 0.0) for x in images])

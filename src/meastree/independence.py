@@ -28,7 +28,6 @@ import numpy as np
 from .linalg import (
     TOL,
     _clamp_probability,
-    _input_isometry,
     bipartition_ket,
     dagger,
     frob_norm,
@@ -114,7 +113,7 @@ def _principal_dim(t: MeasurementTree) -> int:
 def _isometries(t: MeasurementTree, branches: Sequence[Sequence[str]]):
     """Yield ``V_b = C_b E`` (D x d_P) per branch, carried down it from E without forming ``C_b``."""
     _principal_dim(t)  # checks the wire roles and the ancilla norm
-    e, norm = _input_isometry(t), t.ancilla_init.norm()
+    e, norm = t._isometry, t.ancilla_init.norm()
     for branch in branches:
         *_, (_, _, v) = _descend(t, e, route=tuple(branch))
         yield v / norm  # probabilities per unit input norm

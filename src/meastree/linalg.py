@@ -14,6 +14,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -151,11 +152,11 @@ class HilbertSpec:
                 raise ValueError(f"wire {w!r} has dimension {d} < 1")
         return cls(fs)
 
-    @property
+    @cached_property
     def wires(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.factors)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
 
@@ -336,7 +337,7 @@ def apply_kraus(op: np.ndarray, rho: DensityOperator) -> DensityOperator | None:
     probability zero on this state.
     """
     out = op @ rho.matrix @ dagger(op)
-    if frob_norm(out) <= TOL.zero * max(frob_norm(rho.matrix), 1.0):
+    if frob_norm(out) <= TOL.zero * frob_norm(rho.matrix):
         return None
     return DensityOperator(out, rho.space)
 
@@ -394,7 +395,9 @@ def _input_isometry(roles) -> np.ndarray:
     space = roles.space
     src = HilbertSpec.of([(w, space.dim_of(w)) for w in roles.principal_wires + roles.ancilla_wires])
     anc = roles.ancilla_init.vector
-    return permute_ket(np.kron(identity(src.dim // len(anc)), anc[:, None]), src, space.wires)
+    e = permute_ket(np.kron(identity(src.dim // len(anc)), anc[:, None]), src, space.wires)
+    e.flags.writeable = False  # callers cache E and share it across walks
+    return e
 
 
 def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.ndarray:
@@ -418,23 +421,33 @@ def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.n
     return permute_wires(big, src, space.wires)
 
 
+@lru_cache(maxsize=1024)
+def _local_plan(space: HilbertSpec, on: tuple[str, ...], ndim: int):
+    """``apply_local``'s index plan for ``on`` and an ``ndim``-D block: ``(d_on, lead, perm, inverse)``,
+    ``lead`` sizing the factors before ``on`` if they are adjacent, else ``perm`` bringing them to the front."""
+    dims = space.dims
+    axes = [space.index(w) for w in on]
+    d_on = math.prod(dims[a] for a in axes)
+    start = axes[0] if axes else 0
+    if axes == list(range(start, start + len(axes))):
+        return d_on, math.prod(dims[:start]), None, None
+    perm = axes + [i for i in range(len(dims) + ndim - 1) if i not in axes]
+    return d_on, None, tuple(perm), tuple(np.argsort(perm).tolist())
+
+
 def apply_local(op: np.ndarray, on: Sequence[str], x: np.ndarray, space: HilbertSpec) -> np.ndarray:
     """``lift_operator(op, on, space) @ x`` for a ket or a D x k block ``x``,
     in ``O(d_local * D * k)``, without building the lift.
     """
     x = np.asarray(x, dtype=complex)
-    dims = space.dims
-    axes = [space.index(w) for w in on]
-    d_on = math.prod(dims[a] for a in axes)
+    d_on, lead, perm, inverse = _local_plan(space, tuple(on), x.ndim)
     if op.shape != (d_on, d_on):
         raise ValueError(f"operator shape {op.shape} does not match wire dims (local dim {d_on})")
-    start = axes[0] if axes else 0
-    if axes == list(range(start, start + len(axes))):  # adjacent wires in space order
-        return np.matmul(op, x.reshape(math.prod(dims[:start]), d_on, -1)).reshape(x.shape)
-    perm = axes + [i for i in range(len(dims) + x.ndim - 1) if i not in axes]
-    t = x.reshape(dims + x.shape[1:]).transpose(perm)
+    if perm is None:
+        return np.matmul(op, x.reshape(lead, d_on, -1)).reshape(x.shape)
+    t = x.reshape(space.dims + x.shape[1:]).transpose(perm)
     t = (op @ t.reshape(d_on, -1)).reshape(t.shape)
-    return t.transpose(np.argsort(perm)).reshape(x.shape)
+    return t.transpose(inverse).reshape(x.shape)
 
 
 def partial_trace_matrix(mat: np.ndarray, space: HilbertSpec, keep: Iterable[str]) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .linalg import (
     Ket,
     Measurement,
     _clamp_probability,
+    _input_isometry,
     apply_local,
     identity,
     outcome_probability,
@@ -98,6 +100,11 @@ class MeasurementTree:
 
     def has_roles(self) -> bool:
         return self.principal_wires is not None and self.ancilla_init is not None
+
+    @cached_property
+    def _isometry(self) -> np.ndarray:
+        """The input isometry ``E`` of a tree with roles, read-only, built on first use."""
+        return _input_isometry(self)
 
 
 def build_tree(

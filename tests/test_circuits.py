@@ -429,3 +429,45 @@ def test_sample_run_applies_each_outcome_operator_once(monkeypatch):
     path, sigma = sample_run(c, rho, 0)
     assert len(calls) == 11
     assert np.array_equal(sigma, simulate_path(c, path, rho)[1])
+
+
+def test_sample_run_is_scale_free():
+    """The vanished-trace test is relative to the input's trace, which halves at each measurement."""
+    c = teleportation()
+    rho = np.array([[0.6, 0.2], [0.2, 0.4]])
+    for seed in range(10):
+        runs = []
+        for t0 in (1.0, 3e-12, 1.5e-12):
+            path, sigma = sample_run(c, DensityOperator.of(rho * t0, c.principal_spec), seed)
+            runs.append((path, sigma.trace().real / t0))
+        assert all(path == runs[0][0] for path, _ in runs)
+        assert all(t == pytest.approx(runs[0][1], rel=1e-9) for _, t in runs)
+
+
+def test_input_isometry_is_built_once_per_circuit(monkeypatch):
+    from meastree import circuits
+
+    calls = []
+    build = circuits._input_isometry
+    monkeypatch.setattr(circuits, "_input_isometry", lambda c: calls.append(c) or build(c))
+    c = teleportation()
+    rho = DensityOperator.of(projector(haar_ket(2, np.random.default_rng(2))), c.principal_spec)
+    paths = enumerate_paths(c)
+    assert len(paths) == 4
+    for p in paths:
+        simulate_path(c, p, rho)
+    assert calls == [c]
+    for seed in range(3):
+        sample_run(c, rho, seed)
+    assert calls == [c]
+    assert not c._isometry.flags.writeable
+    with pytest.raises(ValueError):
+        c._isometry[0, 0] = 1.0
+
+
+def test_circuits_differing_only_in_ancilla_init_keep_their_own_isometry():
+    rho = DensityOperator.of(np.eye(2) / 2)
+    for k in (0, 1, 0):
+        c = Circuit.build(two_wire_space(), ["q0"], [measurement_gate("m", ("q1",), measure_z())], ancilla_init=basis_ket(2, k))
+        probs = {p["m"]: simulate_path(c, p, rho)[0] for p in enumerate_paths(c)}
+        assert probs == {str(k): 1.0, str(1 - k): 0.0}

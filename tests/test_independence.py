@@ -431,23 +431,24 @@ def test_probe_matrix_is_basis_then_extras_then_successive_haar_kets(d):
 
 
 def test_input_isometry_is_built_once_per_call(monkeypatch):
-    from meastree import independence
+    """E is built once per tree and shared by every later analysis of it."""
+    from meastree import trees
 
     calls = []
-    build = independence._input_isometry
+    build = trees._input_isometry
 
     def counting(t):
         calls.append(t)
         return build(t)
 
-    monkeypatch.setattr(independence, "_input_isometry", counting)
+    monkeypatch.setattr(trees, "_input_isometry", counting)
     t = reduced(teleportation)
     assert len(t.branches()) == 4
     check_set_independence(t, t.branches(), probes=4, seed=0)
     assert len(calls) == 1
-    calls.clear()
     check_isometry_scaling(t, I2)
     assert len(calls) == 1
+    assert not t._isometry.flags.writeable
 
 
 def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():

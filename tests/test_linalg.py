@@ -153,6 +153,16 @@ def test_apply_kraus_and_zero_outcome():
     assert apply_kraus(p0, zero_in) is None
 
 
+@pytest.mark.parametrize("scale", [1.5e-12, 1.0, 1e6])
+def test_apply_kraus_zero_test_is_relative_to_the_input(scale):
+    p0 = projector(basis_ket(2, 0))
+    rho = DensityOperator.of(np.array([[0.6, 0.2], [0.2, 0.4]]) * scale)
+    assert outcome_probability(p0, rho) == pytest.approx(0.6)
+    out = apply_kraus(p0, rho)
+    assert out is not None and out.trace() == pytest.approx(0.6 * scale)
+    assert apply_kraus(p0, DensityOperator.of(projector(basis_ket(2, 1)) * scale)) is None
+
+
 def test_outcome_probability_on_plus_state():
     plus = (basis_ket(2, 0) + basis_ket(2, 1)) / np.sqrt(2)
     rho = DensityOperator.of(projector(plus))
@@ -207,19 +217,21 @@ def test_lift_operator_adjacent_and_reversed():
 
 
 def test_apply_local_matches_the_lifted_product():
+    """Each (space, wires, ndim) has its own index plan: the two spaces share
+    wire names but not dims, and a ket and blocks reuse the wires of each."""
     rng = np.random.default_rng(17)
-    space = HilbertSpec.of([("a", 2), ("b", 3), ("c", 2)])
     cases = [("b",), ("a", "b"), ("b", "a"), ("c", "a"), ("a", "c"), ("c", "b", "a"), ("a", "b", "c"), ("b", "c", "a")]
-    for on in cases:
-        d_on = int(np.prod([space.dim_of(w) for w in on]))
-        op = rng.normal(size=(d_on, d_on)) + 1j * rng.normal(size=(d_on, d_on))
-        lifted = lift_operator(op, on, space)
-        ket = haar_ket(space.dim, rng)
-        block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
-        for x in (ket, block, identity(space.dim)):
-            got = apply_local(op, on, x, space)
-            assert got.shape == x.shape
-            assert np.max(np.abs(got - lifted @ x)) <= 1e-12
+    for space in (HilbertSpec.of([("a", 2), ("b", 3), ("c", 2)]), HilbertSpec.of([("a", 3), ("b", 2), ("c", 2)])):
+        for on in cases:
+            d_on = int(np.prod([space.dim_of(w) for w in on]))
+            op = rng.normal(size=(d_on, d_on)) + 1j * rng.normal(size=(d_on, d_on))
+            lifted = lift_operator(op, on, space)
+            ket = haar_ket(space.dim, rng)
+            block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+            for x in (ket, block, identity(space.dim)):
+                got = apply_local(op, on, x, space)
+                assert got.shape == x.shape
+                assert np.max(np.abs(got - lifted @ x)) <= 1e-12
     with pytest.raises(ValueError):
         apply_local(CNOT, ("a",), haar_ket(space.dim, rng), space)
 
