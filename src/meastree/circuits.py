@@ -24,11 +24,10 @@ from .linalg import (
     HilbertSpec,
     Ket,
     Measurement,
-    _clamp_probability,
+    _branch_output,
     _input_isometry,
     apply_local,
     basis_ket,
-    dagger,
     embed_principal,
     partial_trace_matrix,
 )
@@ -609,8 +608,7 @@ def _simulate(c: Circuit, rho: DensityOperator, follow=None):
     t0 = float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
     for assignment, g, _, v in _walk(c, follow, e):
         if g is None:
-            sigma = v @ rho.matrix @ dagger(v)
-            yield assignment, _clamp_probability(float(sigma.trace().real) / t0), sigma
+            yield assignment, *_branch_output(v, rho.matrix, t0)
 
 
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:

@@ -4,7 +4,9 @@ Verbs: validate, paths, simulate, reduce, tree, check-independence,
 check-unitary, factor, demo. Machine output is JSON on stdout
 (``--format table`` switches the report verbs to aligned text);
 diagnostics go to stderr. Exit codes: 0 success, 1 malformed input,
-2 validation violations, 3 a requested check failed.
+2 validation violations, 3 a requested check failed. A verb whose
+stdout is closed early (piped into ``head``, say) stops quietly with
+141, the status of a process ended by SIGPIPE.
 
 The environment variable MEASTREE_TOL, when set to a float, overrides
 the validation tolerances (completeness, hermiticity, positivity) for
@@ -66,6 +68,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INVALID = 2
 EXIT_CHECK_FAILED = 3
+EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
 __all__ = ["main", "parse_path_spec"]
 
@@ -160,13 +163,17 @@ def _principal_density(c: Circuit, kind: str, arr: np.ndarray) -> DensityOperato
 
 
 def _tree_input(t: MeasurementTree, kind: str, arr: np.ndarray) -> DensityOperator:
-    """Accept a principal-space state (when the tree has roles) or a full one."""
+    """Accept a principal-space state (when the tree has roles) or a full one.
+
+    A principal state is checked at its own size: E is an isometry up to
+    ``|a|^2``, so ``E rho E^dag`` is a valid state exactly when rho is.
+    """
     n = arr.shape[0]
     if t.has_roles():
-        d_p = math.prod(t.space.dim_of(w) for w in t.principal_wires) if t.principal_wires else 1
-        if n == d_p and d_p != t.space.dim:
-            joint = embed_principal(t, arr)
-            return DensityOperator.of(projector(joint) if kind == "ket" else joint, t.space)
+        principal = t.space.restrict(t.principal_wires)
+        if n == principal.dim != t.space.dim:
+            rho = DensityOperator.of(projector(arr) if kind == "ket" else arr, principal)
+            return DensityOperator(embed_principal(t, rho.matrix), t.space)
     if n != t.space.dim:
         raise ValueError(f"input dimension {n} matches neither the principal nor the full space")
     if kind == "ket":
@@ -552,7 +559,14 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 print(f"error: MEASTREE_TOL: {exc}", file=sys.stderr)
                 return EXIT_MALFORMED
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the flush at exit does not fail again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except InvalidCircuitError as exc:
         for v in exc.violations:
             print(str(v), file=sys.stderr)

@@ -236,7 +236,7 @@ class DensityOperator:
             raise ValueError(f"matrix has dimension {m.shape[0]}, space has {space.dim}")
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
-        scale = max(frob_norm(m), 1.0)
+        scale = frob_norm(m)
         if frob_norm(m - dagger(m)) > TOL.herm * scale:
             raise ValueError("matrix is not Hermitian within tolerance")
         eigs = np.linalg.eigvalsh((m + dagger(m)) / 2)
@@ -349,6 +349,13 @@ def outcome_probability(op: np.ndarray, rho: DensityOperator) -> float:
         raise ValueError("state has zero trace")
     p = float(np.trace(op @ rho.matrix @ dagger(op)).real) / t
     return _clamp_probability(p)
+
+
+def _branch_output(v: np.ndarray, rho: np.ndarray, t0: float) -> tuple[float, np.ndarray]:
+    """A branch's probability and output from its carried block ``V = C E``:
+    the output is ``V rho V^dag`` and the probability its trace over ``t0``."""
+    sigma = v @ rho @ dagger(v)
+    return _clamp_probability(float(sigma.trace().real) / t0), sigma
 
 
 def _clamp_probability(p: float, slack: float = 1e-9) -> float:

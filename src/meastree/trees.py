@@ -5,7 +5,10 @@ A branch is the label sequence from the root down to a leaf. Following a
 branch multiplies the traversed outcome operators into one composed
 operator, so the set of all branches behaves like a single measurement
 over branch labels. Running a tree carries unnormalized states downward
-and never renormalizes.
+and never renormalizes. On a principal input ``E rho E^dag`` of a tree
+with a small principal space it carries ``V = C E`` (``D x d_P``), as
+the circuit simulator does, and forms the ``D x D`` output only at the
+leaves; any other input carries the ``D x D`` state itself.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from .linalg import (
     HilbertSpec,
     Ket,
     Measurement,
+    _branch_output,
     _clamp_probability,
     _input_isometry,
     apply_local,
+    dagger,
+    frob_norm,
     identity,
     outcome_probability,
 )
@@ -221,18 +227,48 @@ def run_tree(
     A branch's probability is its output's trace over the input's trace,
     so it does not depend on the input's scale; below a running state
     that hits zero, outputs and probabilities are zero.
+
+    A principal input ``sigma0 = E rho E^dag`` on a tree whose principal
+    space is at most an eighth of the whole carries the ``D x d_P`` block
+    ``V = C E`` down each edge and gives ``V rho V^dag`` at each leaf, as
+    the circuit simulator does. Any other input carries the ``D x D``
+    state and applies each edge on both sides.
     """
     if sigma0.matrix.shape[0] != t.space.dim:
         raise ValueError(f"input dim {sigma0.matrix.shape[0]} != tree space dim {t.space.dim}")
     if (t0 := sigma0.trace()) <= TOL.zero:
         raise ValueError("input state has zero trace")
+    sigma = np.asarray(sigma0.matrix, dtype=complex)
+    if (rho := _principal_part(t, sigma)) is not None:
+        walk = _descend(t, t._isometry)
+        return {key: _branch_output(v, rho, t0) for key, node, v in walk if node.is_leaf}
 
     def step(op: np.ndarray, wires: tuple[str, ...], sigma: np.ndarray) -> np.ndarray:
         left = apply_local(op, wires, sigma, t.space)
         return apply_local(op.conj(), wires, left.T, t.space).T  # L sigma L^dag
 
-    walk = _descend(t, np.asarray(sigma0.matrix, dtype=complex), step)
+    walk = _descend(t, sigma, step)
     return {key: (_clamp_probability(float(s.trace().real) / t0), s) for key, node, s in walk if node.is_leaf}
+
+
+def _principal_part(t: MeasurementTree, sigma: np.ndarray) -> np.ndarray | None:
+    """``rho`` with ``sigma = E rho E^dag`` up to rounding, or None.
+
+    Only a tree with roles and ``8 d_P <= D`` is tested: where d_P is
+    larger, the leaf products ``V rho V^dag`` cost more than carrying
+    ``sigma`` saves. ``E^dag E = |a|^2 Id`` for the ancilla vector a,
+    so ``rho = E^dag sigma E / |a|^4``, and sigma is accepted when
+    ``E rho E^dag`` gives it back within 64 machine epsilons of its norm.
+    """
+    if not t.has_roles() or 8 * t.space.restrict(t.principal_wires).dim > t.space.dim:
+        return None
+    e = t._isometry
+    rho = dagger(e) @ sigma @ e / t.ancilla_init.norm() ** 4
+    residual = e @ rho @ dagger(e)
+    residual -= sigma
+    if frob_norm(residual) > 64 * np.finfo(float).eps * frob_norm(sigma):
+        return None
+    return rho
 
 
 def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:

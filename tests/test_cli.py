@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,3 +673,84 @@ def test_check_unitary_rejects_a_wrong_operator_at_any_scale(demo_files, tmp_pat
     assert all(doc["verdict"] == "inconclusive" and doc["t_scale"] is None for doc in docs)
     assert docs[0]["detail"].endswith("does not factor through the supplied operator")
     assert docs[1]["detail"] == docs[0]["detail"] == docs[2]["detail"]
+
+
+NOT_PSD = np.diag([0.9, -0.3])
+NOT_HERMITIAN = np.array([[0.6, 0.2 + 0.3j], [0.2, 0.4]])
+VALID = np.array([[0.6, 0.2], [0.2, 0.4]])
+
+
+@pytest.mark.parametrize("verb", ["--circuit", "--tree"])
+@pytest.mark.parametrize("scale", [1.0, 3e-12, 1.5e-12])
+def test_state_checks_are_relative_to_the_state_scale(demo_files, tmp_path, capsys, verb, scale):
+    if verb == "--circuit":
+        source = demo_files["measure_discard"]
+    else:
+        source = str(tmp_path / "tree.json")
+        assert main(["tree", "--circuit", demo_files["teleportation"], "-o", source]) == 0
+        capsys.readouterr()
+    state = tmp_path / "state.json"
+    for matrix, expected in ((NOT_PSD, 1), (NOT_HERMITIAN, 1), (VALID, 0)):
+        state.write_text(json.dumps({"matrix": matrix_to_json(scale * matrix)}))
+        code, out, err = run_cli(capsys, ["simulate", verb, source, "--input", str(state), "--format", "table"])
+        assert (code, bool(out), bool(err)) == (expected, expected == 0, expected == 1)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        '{"matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        '{"vector": [[Infinity, 0], [0, 0]]}',
+        json.dumps({"matrix": matrix_to_json(NOT_HERMITIAN)}),
+        json.dumps({"matrix": matrix_to_json(NOT_PSD)}),
+        json.dumps({"matrix": matrix_to_json(np.zeros((2, 2)))}),
+        json.dumps({"vector": vector_to_json(np.zeros(2))}),
+    ],
+    ids=["nan", "infinite-ket", "not-hermitian", "not-psd", "zero-trace", "zero-ket"],
+)
+def test_a_malformed_principal_tree_input_is_exit_1(demo_files, tmp_path, capsys, monkeypatch, state):
+    tree = tmp_path / "tree.json"
+    assert main(["tree", "--circuit", demo_files["teleportation"], "-o", str(tree)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    sizes = []
+
+    def eigvalsh(m, *args, **kw):
+        sizes.append(m.shape[0])
+        return numpy_eigvalsh(m, *args, **kw)
+
+    numpy_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    code, out, err = run_cli(capsys, ["simulate", "--tree", str(tree), "--input", str(path)])
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert set(sizes) <= {2}  # checked at d_P = 2, not at D = 8
+
+
+def _closed_stdout_run(argv, read_first_line):
+    """Run ``python -m meastree`` from this checkout with a reader that
+    closes stdout before it starts, or after one line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-m", "meastree", *argv]
+    if not read_first_line:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        return proc.returncode, proc.stderr
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("read_first_line", [False, True], ids=["closed-before-start", "closed-after-one-line"])
+def test_a_closed_stdout_stops_quietly(tmp_path, read_first_line):
+    # the tree of this 4-wire circuit is about 1 MB of JSON, far more than a pipe buffers
+    circuit = tmp_path / "c4.json"
+    circuit.write_text(json.dumps(circuit_to_json(random_circuit(np.random.default_rng(1), n_wires=4, max_paths=12))))
+    code, err = _closed_stdout_run(["tree", "--circuit", str(circuit)], read_first_line)
+    assert (code, err) == (141, b"")
