@@ -62,7 +62,7 @@ from .serialize import (
     tree_to_json,
     vector_to_json,
 )
-from .trees import MeasurementTree, route_label, run_tree, validate_tree
+from .trees import MeasurementTree, _principal_part, route_label, run_tree, validate_tree
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -167,6 +167,7 @@ def _tree_input(t: MeasurementTree, kind: str, arr: np.ndarray) -> DensityOperat
 
     A principal state is checked at its own size: E is an isometry up to
     ``|a|^2``, so ``E rho E^dag`` is a valid state exactly when rho is.
+    So is a full one that ``run_tree`` reads as ``E rho E^dag``.
     """
     n = arr.shape[0]
     if t.has_roles():
@@ -176,9 +177,12 @@ def _tree_input(t: MeasurementTree, kind: str, arr: np.ndarray) -> DensityOperat
             return DensityOperator(embed_principal(t, rho.matrix), t.space)
     if n != t.space.dim:
         raise ValueError(f"input dimension {n} matches neither the principal nor the full space")
-    if kind == "ket":
-        return DensityOperator.of(projector(arr), t.space)
-    return DensityOperator.of(arr, t.space)
+    m = projector(arr) if kind == "ket" else np.asarray(arr, dtype=complex)
+    # finiteness first: a NaN residual passes the range test
+    if m.shape == (n, n) and np.isfinite(m).all() and (rho := _principal_part(t, m)) is not None:
+        DensityOperator.of(rho, t.space.restrict(t.principal_wires))
+        return DensityOperator(m, t.space)
+    return DensityOperator.of(m, t.space)
 
 
 def _write_or_print(text: str, out: str | None) -> None:

@@ -4,7 +4,12 @@ Every verdict is exact and read off the branch isometry ``V_b = C_b E``,
 where ``C_b`` is the branch's composed operator and the columns of ``E``
 are the joint inputs ``e_i (x) ancilla``. The D x d_P matrix ``V_b`` is
 built by carrying ``E`` down the branch one outcome operator at a time,
-so the D x D operator ``C_b`` is never formed. A branch fires on a principal
+so the D x D operator ``C_b`` is never formed. Each tree keeps, read-only,
+the ``V_b`` of every branch it has analysed (one D x d_P block per leaf,
+plus one per level of the route walked last) and the SVD that factoring
+needs, so each branch is walked and decomposed once per tree; the
+tolerances and the probe cross-checks still apply on every call. The
+seeded probe matrix is kept per ``(d_P, probes, seed)``. A branch fires on a principal
 state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
 over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
 set of branches is input-independent iff the sum of those is ``p I``.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .linalg import (
     frob_norm,
     identity,
 )
-from .trees import Branch, MeasurementTree, _descend
+from .trees import Branch, MeasurementTree
 
 __all__ = [
     "BranchFactorization",
@@ -111,33 +117,44 @@ def _principal_dim(t: MeasurementTree) -> int:
 
 
 def _isometries(t: MeasurementTree, branches: Sequence[Sequence[str]]):
-    """Yield ``V_b = C_b E`` (D x d_P) per branch, carried down it from E without forming ``C_b``."""
+    """``V_b = C_b E / |a|`` (D x d_P) per branch, from the tree's memo: each is carried
+    down its branch from E once per tree, without forming ``C_b``, and is read-only."""
     _principal_dim(t)  # checks the wire roles and the ancilla norm
-    e, norm = t._isometry, t.ancilla_init.norm()
-    for branch in branches:
-        *_, (_, _, v) = _descend(t, e, route=tuple(branch))
-        yield v / norm  # probabilities per unit input norm
+    return (t._branch_isometry(branch) for branch in branches)
 
 
-def _factor(t: MeasurementTree, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(U, b)`` with ``V = U (x) b`` and ``U^dag U = I``, or None.
+def _branch_svd(t: MeasurementTree, branch: Branch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The singular values and the leading left and right singular vectors of ``V_b``
+    reshaped to (output ancilla) x (output principal . input), computed once per branch
+    and tree and read-only; no tolerance enters them."""
+    if (svd := t._branch_svds.get(branch)) is None:
+        m = bipartition_ket(t._branch_isometry(branch), t.space, t.output_principal).transpose(1, 0, 2)
+        left, s, right = np.linalg.svd(m.reshape(m.shape[0], -1), full_matrices=False)
+        svd = s, left[:, 0].copy(), right[0].copy()  # copies, so that the full factors are freed
+        for a in svd:
+            a.flags.writeable = False
+        t._branch_svds[branch] = svd
+    return svd
+
+
+def _factor(t: MeasurementTree, branch: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(U, b)`` with ``V_b = U (x) b`` and ``U^dag U = I``, or None, for a tree with roles.
 
     The first nonzero entry of U, in column order, is real and positive.
+    The tolerances apply on every call; only the SVD is kept.
     """
-    blocks = bipartition_ket(v, t.space, t.output_principal)
-    d_out, d_anc, d_in = blocks.shape
-    m = blocks.transpose(1, 0, 2).reshape(d_anc, d_out * d_in)
-    left, s, right = np.linalg.svd(m, full_matrices=False)
+    s, left, right = _branch_svd(t, tuple(branch))
+    d_in = t._isometry.shape[1]
     if s[0] <= TOL.zero or frob_norm(s[1:]) > EPS_RANK * s[0]:
         return None  # the branch annihilates every input, or entangles it with the ancilla
-    u = right[0].reshape(d_out, d_in) * math.sqrt(d_in)
+    u = right.reshape(-1, d_in) * math.sqrt(d_in)
     if frob_norm(dagger(u) @ u - identity(d_in)) > EPS_FACT:
         return None  # no isometric normalization: column norms or angles disagree
     flat = u.T.reshape(-1)
     lead = flat[int(np.argmax(np.abs(flat) > EPS_FACT))]
     phase = lead.conjugate() / abs(lead)
     # "+ 0.0" turns the -0.0 entries the SVD leaves into 0.0
-    return u * phase + 0.0, left[:, 0] * (s[0] / math.sqrt(d_in) / phase) + 0.0
+    return u * phase + 0.0, left * (s[0] / math.sqrt(d_in) / phase) + 0.0
 
 
 def _scalar(u: np.ndarray, w: np.ndarray, eps: float) -> complex | None:
@@ -152,13 +169,25 @@ def _scalar(u: np.ndarray, w: np.ndarray, eps: float) -> complex | None:
 
 def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> np.ndarray:
     """The d_P x n probe columns: the basis kets, the caller's kets normalized, then seeded
-    Haar kets, drawn from the stream that ``probes`` successive ``haar_ket`` calls consume."""
+    Haar kets, drawn from the stream that ``probes`` successive ``haar_ket`` calls consume.
+    Without ``extra`` the matrix is shared and read-only."""
     if probes < 0:
         raise ValueError(f"probe count must be >= 0, got {probes}")
+    kets = _seeded_probes(d_in, probes, seed)
+    if extra is None:
+        return kets
+    given = [np.asarray(x, dtype=complex).reshape(-1, 1) / np.linalg.norm(x) for x in extra]
+    return np.hstack([kets[:, :d_in], *given, kets[:, d_in:]])
+
+
+@lru_cache(maxsize=16)
+def _seeded_probes(d_in: int, probes: int, seed: int) -> np.ndarray:
+    """``_probe_kets`` without extra kets, built once per ``(d_in, probes, seed)`` and read-only."""
     g = np.random.default_rng(seed).normal(size=(probes, 2, d_in))
     haar = (g[:, 0] + 1j * g[:, 1]).T
-    given = [] if extra is None else [np.asarray(x, dtype=complex).reshape(-1, 1) / np.linalg.norm(x) for x in extra]
-    return np.hstack([identity(d_in), *given, haar / np.linalg.norm(haar, axis=0)])
+    kets = np.hstack([identity(d_in), haar / np.linalg.norm(haar, axis=0)])
+    kets.flags.writeable = False
+    return kets
 
 
 def _range(isos, kets: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -203,7 +232,7 @@ def factor_branch(
     """
     (v,) = _isometries(t, [branch])
     kets = _probe_kets(v.shape[1], random_probes, seed)
-    fact = _factor(t, v)
+    fact = _factor(t, branch)
     if fact is None:
         return None
     u, b = fact
@@ -258,7 +287,7 @@ def check_computes(
     if u.shape[0] != d_out:
         raise ValueError(f"shape mismatch {(d_out, d_out)} vs {(u.shape[0], u.shape[0])}")
     kets = _probe_kets(u.shape[1], probes, seed)
-    fact = _factor(t, v)
+    fact = _factor(t, branch)
     alpha = None if fact is None else _scalar(u, fact[0], 1e-9)
     if alpha is None or abs(abs(alpha) - 1.0) > 1e-9:
         return False, float("inf")
@@ -331,10 +360,10 @@ def check_isometry_scaling(
     square rescaled operator that is an isometry is reported "unitary".
     """
     u = np.asarray(operator, dtype=complex)
+    _principal_dim(t)  # checks the wire roles and the ancilla norm
     factors = []
-    branches = t.branches()
-    for b, v in zip(branches, _isometries(t, branches)):
-        fact = _factor(t, v)
+    for b in t.branches():
+        fact = _factor(t, b)
         if fact is None:
             return IsometryScalingReport(None, "inconclusive", f"branch {b!r} does not factor")
         factors.append((b, *fact))

@@ -112,6 +112,46 @@ class MeasurementTree:
         """The input isometry ``E`` of a tree with roles, read-only, built on first use."""
         return _input_isometry(self)
 
+    @cached_property
+    def _spine(self) -> list[tuple[str | None, np.ndarray]]:
+        """``(label, C E)`` after each edge of the route walked last, from ``(None, E)``: one block per level."""
+        return [(None, self._isometry)]
+
+    @cached_property
+    def _leaf_isometries(self) -> dict[Branch, np.ndarray]:
+        """``V_b`` of each branch analysed so far: one ``D x d_P`` block per leaf."""
+        return {}
+
+    @cached_property
+    def _branch_svds(self) -> dict[Branch, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per branch, the singular values and leading singular vectors of its reshaped ``V_b``,
+        kept by the independence analysis; no tolerance enters them."""
+        return {}
+
+    def _branch_isometry(self, branch: Sequence[str]) -> np.ndarray:
+        """``V_b = C_b E / |a|`` (D x d_P) of a tree with roles, read-only, computed once per branch.
+
+        The walk resumes from the longest prefix the route shares with the
+        route walked last, so a lone branch applies only its own edges and
+        the branches taken in ``branches()`` order apply each edge once.
+        ValueError if ``branch`` is not a branch of the tree.
+        """
+        route = tuple(branch)
+        if (v := self._leaf_isometries.get(route)) is None:
+            edges, spine = _route(self, route), self._spine
+            k = 0
+            while k < len(route) and k + 1 < len(spine) and spine[k + 1][0] == route[k]:
+                k += 1
+            del spine[k + 1 :]
+            for label, (op, wires) in zip(route[k:], edges[k:]):
+                block = apply_local(op, wires, spine[-1][1], self.space)
+                block.flags.writeable = False
+                spine.append((label, block))
+            v = spine[-1][1] / self.ancilla_init.norm()  # probabilities per unit input norm
+            v.flags.writeable = False
+            self._leaf_isometries[route] = v
+        return v
+
 
 def build_tree(
     space: HilbertSpec,
@@ -194,29 +234,38 @@ def validate_tree(t: MeasurementTree) -> list[str]:
     return problems
 
 
-def _descend(t: MeasurementTree, x=None, step=None, route: Sequence[str] | None = None):
+def _descend(t: MeasurementTree, x=None, step=None):
     """Depth first over the nodes of ``t``, carrying ``x`` down each edge.
 
     Yields ``(key, node, x)`` in preorder, children in declared outcome
     order. The edge of outcome operator L, on ``wires``, turns x into
     ``step(L, wires, x)``, by default ``apply_local(L, wires, x, t.space)``.
-    ``route`` walks one branch only and raises ValueError if it is none.
     """
-    stack = [(t.root, 0, x, None, None)]
+    stack = [(t.root, x, None, None)]
     while stack:
-        key, depth, x, op, wires = stack.pop()
+        key, x, op, wires = stack.pop()
         if op is not None and x is not None:
             x = step(op, wires, x) if step else apply_local(op, wires, x, t.space)
-        node = t.nodes[key] if route is None else t.nodes.get(key)
-        if route is None:
-            labels = () if node.is_leaf else node.measurement.labels
-        else:
-            labels = tuple(route[depth : depth + 1])
-            if node is None or node.is_leaf != (not labels) or not set(labels) <= set(node.children):
-                raise ValueError(f"{tuple(route)!r} is not a branch of the tree")
+        node = t.nodes[key]
         yield key, node, x
-        for label in reversed(labels):
-            stack.append((node.children[label], depth + 1, x, node.measurement.operator(label), t.wires_of(node)))
+        for label in reversed(() if node.is_leaf else node.measurement.labels):
+            stack.append((node.children[label], x, node.measurement.operator(label), t.wires_of(node)))
+
+
+def _route(t: MeasurementTree, route: Branch) -> list[tuple[np.ndarray, tuple[str, ...]]]:
+    """The outcome operators along ``route``, root first, each with its wires.
+
+    ValueError if ``route`` is not a branch: it must end at a leaf.
+    """
+    edges, key = [], t.root
+    for depth in range(len(route) + 1):
+        node, labels = t.nodes.get(key), route[depth : depth + 1]
+        if node is None or node.is_leaf != (not labels) or not set(labels) <= set(node.children):
+            raise ValueError(f"{route!r} is not a branch of the tree")
+        for label in labels:
+            edges.append((node.measurement.operator(label), t.wires_of(node)))
+            key = node.children[label]
+    return edges
 
 
 def run_tree(
@@ -276,7 +325,9 @@ def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
 
     The empty branch of a single-node tree gives the identity.
     """
-    *_, (_, _, op) = _descend(t, identity(t.space.dim), route=tuple(branch))
+    op = identity(t.space.dim)
+    for l, wires in _route(t, tuple(branch)):
+        op = apply_local(l, wires, op, t.space)
     return op
 
 

@@ -727,6 +727,77 @@ def test_a_malformed_principal_tree_input_is_exit_1(demo_files, tmp_path, capsys
     assert set(sizes) <= {2}  # checked at d_P = 2, not at D = 8
 
 
+def _count_eigvalsh(monkeypatch) -> list[int]:
+    """The size of each matrix passed to ``np.linalg.eigvalsh`` from now on."""
+    sizes = []
+    numpy_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh(m, *args, **kw):
+        sizes.append(m.shape[0])
+        return numpy_eigvalsh(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return sizes
+
+
+def test_a_full_size_principal_input_is_validated_at_d_p(monkeypatch):
+    from meastree.cli import _tree_input
+    from meastree.linalg import embed_principal
+    from meastree.reduction import reduce_circuit
+
+    c = random_circuit(np.random.default_rng(23), n_wires=8, max_paths=6)
+    t, _ = reduce_circuit(c)
+    assert (t.space.dim, t._isometry.shape[1]) == (256, 2)
+    rng = np.random.default_rng(4)
+    rho = random_density(c.principal_spec, rng).matrix
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    sizes = _count_eigvalsh(monkeypatch)
+    for kind, arr, want in (
+        ("density", embed_principal(t, rho), [2]),
+        ("ket", embed_principal(t, psi), [2]),
+        ("density", random_density(t.space, rng).matrix, [256]),  # full rank, outside the range of E
+        ("ket", rng.normal(size=256) + 0j, [256]),  # entangled with the ancilla
+    ):
+        sizes.clear()
+        sigma = _tree_input(t, kind, arr)
+        assert sizes == want
+        assert np.array_equal(sigma.matrix, arr if kind == "density" else np.outer(arr, arr.conj()))
+    nan, inf = embed_principal(t, rho), embed_principal(t, rho)
+    nan[0, 0], inf[3, 0] = np.nan, np.inf
+    for arr, message, want in (
+        (nan, "non-finite", []),
+        (inf, "non-finite", []),
+        (embed_principal(t, NOT_HERMITIAN), "not Hermitian", []),
+        (embed_principal(t, NOT_PSD), "not positive semidefinite", [2]),
+        (np.zeros((256, 256)), "trace must be strictly positive", [2]),
+    ):
+        sizes.clear()
+        with pytest.raises(ValueError, match=message):
+            _tree_input(t, "density", arr)
+        assert sizes == want
+
+
+@pytest.mark.parametrize("matrix, expected", [(VALID, 0), (NOT_PSD, 1), (NOT_HERMITIAN, 1), (np.zeros((2, 2)), 1)])
+def test_a_full_size_principal_tree_input_keeps_its_exit_code(tmp_path, capsys, matrix, expected):
+    from meastree.linalg import embed_principal
+    from meastree.reduction import reduce_circuit
+
+    c = random_circuit(np.random.default_rng(34), n_wires=4, max_paths=4)
+    t, _ = reduce_circuit(c)
+    assert (t.space.dim, t._isometry.shape[1]) == (16, 2)  # 8 d_P <= D: run_tree carries V = C E
+    circuit, tree, state = tmp_path / "c.json", tmp_path / "tree.json", tmp_path / "state.json"
+    circuit.write_text(json.dumps(circuit_to_json(c)))
+    assert main(["tree", "--circuit", str(circuit), "-o", str(tree)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for arr in (matrix, embed_principal(t, matrix)):
+        state.write_text(json.dumps({"matrix": matrix_to_json(arr)}))
+        code, out, err = run_cli(capsys, ["simulate", "--tree", str(tree), "--input", str(state)])
+        assert (code, bool(out), err.startswith("error: ")) == (expected, expected == 0, expected == 1)
+        outputs.append([row["probability"] for row in json.loads(out)] if out else [])
+    assert outputs[1] == pytest.approx(outputs[0], abs=1e-12)
+
+
 def _closed_stdout_run(argv, read_first_line):
     """Run ``python -m meastree`` from this checkout with a reader that
     closes stdout before it starts, or after one line."""

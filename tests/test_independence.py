@@ -283,37 +283,101 @@ def test_factor_branch_accepts_complex_ancilla_vector():
         assert fact.probability == pytest.approx(float(np.vdot(b, b).real), abs=1e-12)
 
 
-def test_branch_isometry_is_built_once_per_branch_and_call(tmp_path, monkeypatch):
-    from meastree import independence
+def edge_operators(t, branch=None):
+    """The outcome operator of every edge of ``t``, or of the edges along ``branch``."""
+    edges, key = [], t.root
+    if branch is not None:
+        for label in branch:
+            edges.append(t.nodes[key].measurement.operator(label))
+            key = t.nodes[key].children[label]
+        return edges
+    for node in t.nodes.values():
+        if not node.is_leaf:
+            edges += [node.measurement.operator(label) for label in node.measurement.labels]
+    return edges
+
+
+def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, monkeypatch):
+    from meastree import trees
     from meastree.cli import main
     from meastree.serialize import circuit_to_json, matrix_to_json
 
-    calls = []
-    descend = independence._descend
+    applied, svds = [], []
+    apply_local, svd = trees.apply_local, np.linalg.svd
+    monkeypatch.setattr(trees, "apply_local", lambda op, *args: applied.append(id(op)) or apply_local(op, *args))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
 
-    def counting(t, *args, route=None, **kwargs):
-        if route is not None:
-            calls.append(tuple(route))
-        return descend(t, *args, route=route, **kwargs)
-
-    monkeypatch.setattr(independence, "_descend", counting)
+    # a full per-branch analysis applies each edge of the tree once and decomposes each branch once
     t = reduced(teleportation)
     branches = t.branches()
     assert len(branches) == 4
     for branch in branches:
+        factor_branch(t, branch)
         check_independence(t, branch, probes=4, seed=0)
-    assert sorted(calls) == sorted(branches)
-    calls.clear()
+        check_computes(t, branch, I2, probes=4, seed=0)
+    check_set_independence(t, branches, probes=4, seed=0)
     check_isometry_scaling(t, I2)
-    assert sorted(calls) == sorted(branches)
-    calls.clear()
+    assert sorted(applied) == sorted(map(id, edge_operators(t)))
+    assert len(svds) == len(branches)
+
+    # a lone branch applies only the edges of its own route
+    lone = reduced(teleportation)
+    applied.clear()
+    factor_branch(lone, branches[-1])
+    assert sorted(applied) == sorted(map(id, edge_operators(lone, branches[-1])))
+
+    # check-unitary factors each branch once, for the scaling test and the per-branch test alike
     circuit = tmp_path / "teleportation.json"
     circuit.write_text(json.dumps(circuit_to_json(teleportation())))
     op = tmp_path / "op.json"
     op.write_text(json.dumps(matrix_to_json(I2)))
+    applied.clear()
+    svds.clear()
     argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
     assert main(argv) == 0
-    assert sorted(calls) == sorted(branches * 2)
+    assert len(svds) == len(branches)
+    assert len(applied) == len(edge_operators(t))
+
+
+def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
+    from meastree.linalg import TOL, configure_tolerances
+
+    monkeypatch.setattr(TOL, "zero", TOL.zero)  # restored after the test
+    t = reduced(teleportation)
+    branch = t.branches()[0]
+    assert factor_branch(t, branch) is not None
+    assert check_computes(t, branch, I2)[0]
+    configure_tolerances(zero=0.8)  # the top singular value of each branch, 1/sqrt(2), now counts as zero
+    fresh = reduced(teleportation)
+    for tree in (t, fresh):
+        assert factor_branch(tree, branch) is None
+        assert check_computes(tree, branch, I2) == (False, float("inf"))
+        assert check_isometry_scaling(tree, I2).verdict == "inconclusive"
+    configure_tolerances(zero=1e-12)
+    assert factor_branch(t, branch) is not None
+
+
+def test_memoised_analysis_is_read_only_and_unchanged_by_callers():
+    from meastree.independence import _branch_svd, _probe_kets
+
+    t = reduced(teleportation)
+    branch = t.branches()[1]
+    first = factor_branch(t, branch)
+    want = factor_branch(reduced(teleportation), branch)
+    first.principal_operator[:] = 7.0
+    first.ancilla_vector[:] = 7.0
+    again = factor_branch(t, branch)
+    assert np.array_equal(again.principal_operator, want.principal_operator)
+    assert np.array_equal(again.ancilla_vector, want.ancilla_vector)
+    assert again.residual == want.residual
+    memo = [t._branch_isometry(branch), *_branch_svd(t, branch), *(block for _, block in t._spine)]
+    memo.append(_probe_kets(2, 4, seed=0))
+    for a in memo:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+    assert _probe_kets(2, 4, seed=0) is _probe_kets(2, 4, seed=0)
+    assert _probe_kets(2, 4, seed=0, extra=[np.ones(2)]).flags.writeable
 
 
 def test_carried_branch_isometry_equals_the_branch_operator_route():
@@ -457,8 +521,8 @@ def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():
 
     t = reduced(teleportation)
     kets = _probe_kets(2, 8, seed=3)
-    for v in _isometries(t, t.branches()):
-        u, b = _factor(t, v)
+    for branch, v in zip(t.branches(), _isometries(t, t.branches())):
+        u, b = _factor(t, branch)
         images = [v @ psi for psi in kets.T]
         misses = [np.linalg.norm(bipartition_ket(x, t.space, t.output_principal) - np.outer(u @ psi, b))
                   for x, psi in zip(images, kets.T)]
@@ -470,3 +534,51 @@ def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():
             _range([v], 2 * kets)
         with pytest.raises(AssertionError, match="miss the factorization"):
             _witness_miss(t, v, kets, PAULI_X @ u, b)
+
+
+@pytest.fixture(scope="module")
+def c6():
+    """``c_6``: the first 6-wire draw of ``default_rng(11)`` with at least 170 paths."""
+    from meastree.circuits import enumerate_paths
+    from meastree.rand import random_circuit
+
+    rng = np.random.default_rng(11)
+    while True:
+        c = random_circuit(
+            rng, n_wires=6, max_layers=6, max_paths=512, require_multigate_layer=True, require_classical_channel=True
+        )
+        if len(enumerate_paths(c)) >= 170:
+            return c
+
+
+def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_path, capsys):
+    from meastree.cli import main
+    from meastree.linalg import bipartition_ket
+    from meastree.serialize import circuit_to_json, matrix_to_json
+    from meastree.trees import route_label
+
+    t, bij = reduce_circuit(c6)
+    assert (len(bij.forward), t.space.dim, t._isometry.shape[1]) == (1152, 64, 32)
+    circuit, op = tmp_path / "c6.json", tmp_path / "i32.json"
+    circuit.write_text(json.dumps(circuit_to_json(c6)))
+    op.write_text(json.dumps(matrix_to_json(np.eye(32))))
+    assert main(["check-independence", "--circuit", str(circuit), "--probes", "4", "--seed", "0"]) == 3
+    ranges = {row["branch"]: (row["min_probability"], row["max_probability"]) for row in json.loads(capsys.readouterr().out)}
+    assert main(["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]) == 3
+    unitary = json.loads(capsys.readouterr().out)
+    computes = {row["branch"]: row["computes"] for row in unitary["branches"]}
+    assert len(ranges) == len(computes) == 1152
+
+    branches = t.branches()
+    e, norm = t._isometry, t.ancilla_init.norm()
+    for i in np.random.default_rng(0).choice(len(branches), size=20, replace=False):
+        branch = branches[i]
+        v = branch_operator(t, branch) @ e / norm
+        lam = np.linalg.eigvalsh(dagger(v) @ v)
+        assert ranges[route_label(branch)] == pytest.approx((lam[0], lam[-1]), abs=1e-12)
+        blocks = bipartition_ket(v, t.space, t.output_principal)  # output principal x ancilla x input
+        s = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1), compute_uv=False)
+        assert s[1] > 1e-3 * s[0]  # V_b has rank 2 across the ancilla cut: it factors through no U
+        assert computes[route_label(branch)] is False
+        assert factor_branch(t, branch) is None
+    assert unitary["verdict"] == "inconclusive" and "does not factor" in unitary["detail"]
