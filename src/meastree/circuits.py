@@ -26,6 +26,7 @@ from .linalg import (
     Measurement,
     _branch_output,
     _input_isometry,
+    _resume,
     apply_local,
     basis_ket,
     embed_principal,
@@ -156,16 +157,15 @@ def selected_gate(
 class Path(Mapping):
     """Immutable outcome assignment, one label per gate id."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_lookup")
 
     def __init__(self, assignment: Mapping[str, str]):
-        object.__setattr__(self, "_items", tuple(sorted((str(k), str(v)) for k, v in assignment.items())))
+        items = tuple(sorted((str(k), str(v)) for k, v in assignment.items()))
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_lookup", dict(items))
 
     def __getitem__(self, key: str) -> str:
-        for k, v in self._items:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self._lookup[key]
 
     def __iter__(self):
         return (k for k, _ in self._items)
@@ -180,7 +180,7 @@ class Path(Mapping):
         if isinstance(other, Path):
             return self._items == other._items
         if isinstance(other, Mapping):
-            return dict(self._items) == dict(other)
+            return self._lookup == dict(other)
         return NotImplemented
 
     def restrict(self, gate_ids: Iterable[str]) -> dict[str, str]:
@@ -306,6 +306,11 @@ class Circuit:
     def _isometry(self) -> np.ndarray:
         """The input isometry ``E``, read-only, built on first use."""
         return _input_isometry(self)
+
+    @cached_property
+    def _spine(self) -> list[tuple[str | None, np.ndarray]]:
+        """``(label, C E)`` after each gate of the path simulated last, from ``(None, E)``: one block per depth."""
+        return [(None, self._isometry)]
 
     def require_valid(self) -> None:
         if self.violations:
@@ -567,16 +572,29 @@ def enumerate_paths(c: Circuit) -> list[Path]:
     return [Path(a) for a, g, _, _ in _walk(c) if g is None]
 
 
-def _pinned(path: Mapping[str, str]):
-    """Follow of the one outcome ``path`` names at each gate; stops where it is incoherent."""
-    path = dict(path)
-    return lambda g, m, x: (path[g.gate_id],) if path.get(g.gate_id) in m.outcomes else ()
+def _path_edges(c: Circuit, path: Mapping[str, str]) -> list[tuple[str, np.ndarray, tuple[str, ...]]] | None:
+    """The edges of ``path``, gate by gate in execution order: each label with
+    its outcome operator and the gate's wires. None if ``path`` is not a
+    coherent path of ``c``; the resolution stops at the first gate where it
+    names no outcome of the selected measurement, and applies no operator."""
+    if set(path) != set(c.gates):
+        return None
+    edges = []
+    for g, sources, selected in c._steps:
+        key = tuple(path[s] for s in sources)
+        if key not in selected:
+            selected[key] = g.measurement_for(dict(zip(sources, key)))
+        m, label = selected[key], path[g.gate_id]
+        if m is None or label not in m.outcomes:
+            return None
+        edges.append((label, m.operator(label), g.wires))
+    return edges
 
 
 def is_coherent(c: Circuit, path: Mapping[str, str]) -> bool:
     """Does the assignment pick, gate by gate, an outcome of the selected measurement?"""
     c.require_valid()
-    return set(path) == set(c.gates) and any(g is None for _, g, _, _ in _walk(c, _pinned(path)))
+    return _path_edges(c, path) is not None
 
 
 def full_input(c: Circuit, rho: DensityOperator) -> np.ndarray:
@@ -595,18 +613,23 @@ def embed_principal_ket(c: Circuit, psi: np.ndarray) -> np.ndarray:
     return embed_principal(c, psi)
 
 
+def _input_trace(c: Circuit, rho: DensityOperator) -> float:
+    """The trace of the joint input ``rho (x) |a><a|``, over which a path's
+    output trace is its probability; ValueError if ``rho`` does not fit ``c``."""
+    c.require_valid()
+    if rho.matrix.shape[0] != (d := c._isometry.shape[1]):
+        raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
+    return float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
+
+
 def _simulate(c: Circuit, rho: DensityOperator, follow=None):
     """Yield ``(assignment, probability, V rho V^dag)`` at each complete path the walk reaches.
 
     The walk carries ``V = C E``, so ``V rho V^dag`` is the path's output
     ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``.
     """
-    c.require_valid()
-    e = c._isometry
-    if rho.matrix.shape[0] != e.shape[1]:
-        raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {e.shape[1]}")
-    t0 = float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
-    for assignment, g, _, v in _walk(c, follow, e):
+    t0 = _input_trace(c, rho)
+    for assignment, g, _, v in _walk(c, follow, c._isometry):
         if g is None:
             yield assignment, *_branch_output(v, rho.matrix, t0)
 
@@ -616,10 +639,14 @@ def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> 
 
     The output matrix lives on the full space and is the zero matrix
     exactly when the path has probability zero; it is never renormalized.
+    ``V = C E`` resumes from the longest prefix the path shares with the
+    path simulated last on ``c``, whatever its input.
     """
     if set(path) == set(c.gates):
-        for _, prob, sigma in _simulate(c, rho, _pinned(path)):
-            return prob, sigma
+        t0 = _input_trace(c, rho)
+        if (edges := _path_edges(c, path)) is not None:
+            v = _resume(c._spine, edges, c.space, apply_local)
+            return _branch_output(v, rho.matrix, t0)
     raise ValueError(f"not a coherent path: {dict(path)}")
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -146,8 +147,9 @@ def _path_follow(c: Circuit, text: str):
     return pick
 
 
-def _path_json(c: Circuit, path: Path) -> dict[str, str]:
-    return {gid: path[gid] for gid in flattened_gates(c)}
+def _path_json(order: Sequence[str], path: Mapping[str, str]) -> dict[str, str]:
+    """The path's outcomes in ``order``, the circuit's ``flattened_gates``."""
+    return {gid: path[gid] for gid in order}
 
 
 def _load_valid_circuit(path: str) -> Circuit:
@@ -234,12 +236,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_paths(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    paths = enumerate_paths(c)
+    paths, order = enumerate_paths(c), flattened_gates(c)
     if args.format == "table":
         for p in paths:
-            print(",".join(f"{gid}={p[gid]}" for gid in flattened_gates(c)))
+            print(",".join(f"{gid}={p[gid]}" for gid in order))
     else:
-        _print_json([_path_json(c, p) for p in paths])
+        _print_json([_path_json(order, p) for p in paths])
     return EXIT_OK
 
 
@@ -250,16 +252,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         c = _load_valid_circuit(args.circuit)
         rho = _principal_density(c, kind, arr)
         follow = _path_follow(c, args.path) if args.path else None
+        order = flattened_gates(c)
         for p, prob, sigma in _simulate(c, rho, follow):
             reduced = partial_trace_matrix(sigma, c.space, c.output_principal)
             rows.append(
                 {
-                    "path": _path_json(c, p),
+                    "path": _path_json(order, p),
                     "probability": prob,
                     "output_trace": float(sigma.trace().real),
                     "principal_output": matrix_to_json(reduced),
                     "_reduced": reduced,
-                    "_label": ",".join(f"{g}={p[g]}" for g in flattened_gates(c)),
+                    "_label": ",".join(f"{g}={p[g]}" for g in order),
                 }
             )
     else:
@@ -328,13 +331,14 @@ def _cmd_check_independence(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     t, bij = reduce_circuit(c)
     paths = [parse_path_spec(c, args.path)] if args.path else list(bij.forward)
+    order = flattened_gates(c)
     reports = []
     for p in paths:
         rep = check_independence(t, bij.forward[p], probes=args.probes, seed=args.seed)
         reports.append((p, rep))
     payload = [
         {
-            "path": _path_json(c, p),
+            "path": _path_json(order, p),
             "branch": route_label(rep.branch),
             "probe_count": rep.probe_count,
             "min_probability": rep.min_probability,
@@ -409,17 +413,17 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     t, bij = reduce_circuit(c)
     p = parse_path_spec(c, args.path)
-    branch = bij.forward[p]
+    path, branch = _path_json(flattened_gates(c), p), bij.forward[p]
     f = factor_branch(t, branch, seed=args.seed)
     if f is None:
-        payload = {"path": _path_json(c, p), "branch": route_label(branch), "factored": False}
+        payload = {"path": path, "branch": route_label(branch), "factored": False}
         if args.format == "table":
             print(f"{route_label(branch)}: does not factor")
         else:
             _print_json(payload)
         return EXIT_CHECK_FAILED
     payload = {
-        "path": _path_json(c, p),
+        "path": path,
         "branch": route_label(branch),
         "factored": True,
         "kind": f.kind,

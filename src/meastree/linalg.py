@@ -457,6 +457,28 @@ def apply_local(op: np.ndarray, on: Sequence[str], x: np.ndarray, space: Hilbert
     return t.transpose(inverse).reshape(x.shape)
 
 
+def _resume(spine: list, edges: Sequence[tuple[str, np.ndarray, tuple[str, ...]]], space: HilbertSpec, apply) -> np.ndarray:
+    """The block at the end of the route ``edges``, resumed from the route walked last.
+
+    ``edges`` are ``(label, L, wires)`` from the root; ``spine`` holds
+    ``(label, block)`` per level from ``(None, x0)``, the root block. The
+    spine is cut back to the longest prefix whose labels match the route
+    and extended by ``apply(L, wires, block, space)``, the caller's
+    ``apply_local``, along the rest, each new block read-only. So a lone
+    route applies only its own edges, and routes taken depth first apply
+    each edge of their prefix tree once.
+    """
+    k = 0
+    while k < len(edges) and k + 1 < len(spine) and spine[k + 1][0] == edges[k][0]:
+        k += 1
+    del spine[k + 1 :]
+    for label, op, wires in edges[k:]:
+        block = apply(op, wires, spine[-1][1], space)
+        block.flags.writeable = False
+        spine.append((label, block))
+    return spine[-1][1]
+
+
 def partial_trace_matrix(mat: np.ndarray, space: HilbertSpec, keep: Iterable[str]) -> np.ndarray:
     """Trace out every wire not named in ``keep`` (raw-matrix version).
 

@@ -28,6 +28,7 @@ from .linalg import (
     _branch_output,
     _clamp_probability,
     _input_isometry,
+    _resume,
     apply_local,
     dagger,
     frob_norm,
@@ -138,16 +139,8 @@ class MeasurementTree:
         """
         route = tuple(branch)
         if (v := self._leaf_isometries.get(route)) is None:
-            edges, spine = _route(self, route), self._spine
-            k = 0
-            while k < len(route) and k + 1 < len(spine) and spine[k + 1][0] == route[k]:
-                k += 1
-            del spine[k + 1 :]
-            for label, (op, wires) in zip(route[k:], edges[k:]):
-                block = apply_local(op, wires, spine[-1][1], self.space)
-                block.flags.writeable = False
-                spine.append((label, block))
-            v = spine[-1][1] / self.ancilla_init.norm()  # probabilities per unit input norm
+            block = _resume(self._spine, _route(self, route), self.space, apply_local)
+            v = block / self.ancilla_init.norm()  # probabilities per unit input norm
             v.flags.writeable = False
             self._leaf_isometries[route] = v
         return v
@@ -252,8 +245,8 @@ def _descend(t: MeasurementTree, x=None, step=None):
             stack.append((node.children[label], x, node.measurement.operator(label), t.wires_of(node)))
 
 
-def _route(t: MeasurementTree, route: Branch) -> list[tuple[np.ndarray, tuple[str, ...]]]:
-    """The outcome operators along ``route``, root first, each with its wires.
+def _route(t: MeasurementTree, route: Branch) -> list[tuple[str, np.ndarray, tuple[str, ...]]]:
+    """The edges along ``route``, root first: each label with its outcome operator and wires.
 
     ValueError if ``route`` is not a branch: it must end at a leaf.
     """
@@ -263,7 +256,7 @@ def _route(t: MeasurementTree, route: Branch) -> list[tuple[np.ndarray, tuple[st
         if node is None or node.is_leaf != (not labels) or not set(labels) <= set(node.children):
             raise ValueError(f"{route!r} is not a branch of the tree")
         for label in labels:
-            edges.append((node.measurement.operator(label), t.wires_of(node)))
+            edges.append((label, node.measurement.operator(label), t.wires_of(node)))
             key = node.children[label]
     return edges
 
@@ -326,7 +319,7 @@ def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
     The empty branch of a single-node tree gives the identity.
     """
     op = identity(t.space.dim)
-    for l, wires in _route(t, tuple(branch)):
+    for _, l, wires in _route(t, tuple(branch)):
         op = apply_local(l, wires, op, t.space)
     return op
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from meastree.circuits import (
     InvalidCircuitError,
     Path,
     Selection,
+    _simulate,
     embed_principal_ket,
     enumerate_paths,
     flattened_gates,
@@ -20,7 +23,7 @@ from meastree.circuits import (
     unitary_gate,
     validate_circuit,
 )
-from meastree.demos import feedforward_x, measure_discard, teleportation
+from meastree.demos import DEMOS, feedforward_x, measure_discard, teleportation
 from meastree.linalg import (
     CNOT,
     HADAMARD,
@@ -36,7 +39,7 @@ from meastree.linalg import (
     measure_z,
     projector,
 )
-from meastree.rand import random_circuit
+from meastree.rand import random_circuit, random_density
 
 I2 = np.eye(2, dtype=complex)
 P = [projector(basis_ket(2, 0)), projector(basis_ket(2, 1))]
@@ -159,6 +162,16 @@ def test_path_mapping_behaves_like_a_dict():
     assert dict(p) == {"a": "0", "b": "1"}
     assert p.restrict({"a"}) == {"a": "0"}
     assert len({p, Path({"a": "0", "b": "1"})}) == 1
+    assert p.get("c") is None and "c" not in p
+    with pytest.raises(KeyError):
+        p["c"]
+    a = {f"g{i}": str(i % 3) for i in range(200, 0, -1)}
+    big = Path(a)
+    assert dict(big) == a
+    assert list(big) == sorted(a)
+    assert hash(big) == hash(tuple(sorted(a.items())))
+    assert hash(p) == hash((("a", "0"), ("b", "1")))
+    assert repr(p) == "Path(a=0, b=1)"
 
 
 def test_selection_table_api():
@@ -471,3 +484,97 @@ def test_circuits_differing_only_in_ancilla_init_keep_their_own_isometry():
         c = Circuit.build(two_wire_space(), ["q0"], [measurement_gate("m", ("q1",), measure_z())], ancilla_init=basis_ket(2, k))
         probs = {p["m"]: simulate_path(c, p, rho)[0] for p in enumerate_paths(c)}
         assert probs == {str(k): 1.0, str(1 - k): 0.0}
+
+
+def _full_walk(c, rho):
+    """Every path's ``(probability, output)`` from one walk of the whole path tree."""
+    return {Path(a): (p, sigma) for a, p, sigma in _simulate(c, rho)}
+
+
+def test_simulate_path_in_any_order_equals_the_full_walk_bit_for_bit():
+    circuits = [make() for make in DEMOS.values()] + [random_circuit(np.random.default_rng(s)) for s in range(10)]
+    inputs = [[random_density(c.principal_spec, np.random.default_rng(k)) for k in (1, 2)] for c in circuits]
+    want = [[_full_walk(c, rho) for rho in rhos] for c, rhos in zip(circuits, inputs)]
+
+    def check(i, k, path):
+        prob, sigma = simulate_path(circuits[i], path, inputs[i][k])
+        w_prob, w_sigma = want[i][k][path]
+        assert prob == w_prob and np.array_equal(sigma, w_sigma)
+
+    shuffle = np.random.default_rng(5)
+    for i, c in enumerate(circuits):
+        paths = enumerate_paths(c)
+        for order in (paths, paths[::-1], [paths[j] for j in shuffle.permutation(len(paths))]):
+            for k in (0, 1):
+                for path in order:
+                    check(i, k, path)
+    # two circuits and two inputs taking turns: each circuit resumes from its own last path
+    for i in range(len(circuits) - 1):
+        a, b = enumerate_paths(circuits[i]), enumerate_paths(circuits[i + 1])
+        for n in range(max(len(a), len(b))):
+            check(i, n % 2, a[n % len(a)])
+            check(i + 1, (n + 1) % 2, b[::-1][n % len(b)])
+
+
+def _count_edges(monkeypatch):
+    from meastree import circuits
+
+    calls = []
+    kernel = circuits.apply_local
+    monkeypatch.setattr(circuits, "apply_local", lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def test_simulate_path_applies_each_prefix_tree_edge_once(monkeypatch):
+    calls = _count_edges(monkeypatch)
+    for make in (*DEMOS.values(), *(lambda s=s: random_circuit(np.random.default_rng(s)) for s in range(10))):
+        c = make()
+        rho = random_density(c.principal_spec, np.random.default_rng(3))
+        paths, order = enumerate_paths(c), flattened_gates(c)
+        prefixes = {tuple(p[g] for g in order[:k]) for p in paths for k in range(1, len(order) + 1)}
+        calls.clear()
+        for path in paths:
+            simulate_path(c, path, rho)
+        assert len(calls) == len(prefixes)
+        calls.clear()
+        simulate_path(c, paths[-1], rho)  # the path walked last: nothing left to apply
+        assert calls == []
+
+        lone = make()
+        simulate_path(lone, paths[len(paths) // 2], rho)
+        assert len(calls) == len(lone.gates)
+
+
+def test_incoherent_paths_raise_and_leave_the_spine_exact(monkeypatch):
+    c = feedforward_x()
+    rho = DensityOperator.of(np.array([[0.7, 0.1j], [-0.1j, 0.3]]), c.principal_spec)
+    want = _full_walk(c, rho)
+    first, second = {"spread": "u", "read": "0", "corr": "keep"}, {"spread": "u", "read": "1", "corr": "flip"}
+    calls = _count_edges(monkeypatch)
+    for bad in (
+        {"spread": "v", "read": "0", "corr": "keep"},  # incoherent at depth 0
+        {"spread": "u", "read": "0", "corr": "flip"},  # read=0 selects "keep": incoherent at depth 2
+    ):
+        calls.clear()
+        assert not is_coherent(c, bad)
+        assert calls == []  # the resolver applies no operator
+        simulate_path(c, first, rho)
+        with pytest.raises(ValueError, match=re.escape(f"not a coherent path: {bad}")):
+            simulate_path(c, bad, rho)
+        for good in (second, first):
+            prob, sigma = simulate_path(c, good, rho)
+            assert prob == want[Path(good)][0] and np.array_equal(sigma, want[Path(good)][1])
+
+
+def test_spine_blocks_are_read_only_and_outputs_are_the_callers():
+    c = teleportation()
+    rho = DensityOperator.of(np.eye(2) / 2, c.principal_spec)
+    paths = enumerate_paths(c)
+    _, sigma = simulate_path(c, paths[0], rho)
+    assert len(c._spine) == len(c.gates) + 1
+    for _, block in c._spine:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    sigma[:] = 0.0  # the output is a fresh array: overwriting it leaves the spine as it was
+    assert np.array_equal(simulate_path(c, paths[0], rho)[1], _full_walk(c, rho)[paths[0]][1])
