@@ -52,16 +52,15 @@ from .linalg import (
 )
 from .reduction import linearize, reduce_circuit
 from .serialize import (
+    _json_text,
     circuit_from_json,
     circuit_to_json,
     matrix_from_json,
-    matrix_to_json,
     measurement_from_json,
     state_from_json,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
-    vector_to_json,
 )
 from .trees import MeasurementTree, _principal_part, route_label, run_tree, validate_tree
 
@@ -80,10 +79,12 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _print_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _table(rows: list[list[str]], header: list[str]) -> list[str]:
@@ -246,6 +247,8 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.path and not args.circuit:
+        raise ValueError("--path applies only with --circuit")
     kind, arr = state_from_json(_load_json(args.input))
     rows: list[dict[str, Any]] = []
     if args.circuit:
@@ -260,8 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     "path": _path_json(order, p),
                     "probability": prob,
                     "output_trace": float(sigma.trace().real),
-                    "principal_output": matrix_to_json(reduced),
-                    "_reduced": reduced,
+                    "principal_output": reduced,
                     "_label": ",".join(f"{g}={p[g]}" for g in order),
                 }
             )
@@ -284,8 +286,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             if t.has_roles():
                 reduced = partial_trace_matrix(sigma, t.space, t.output_principal)
-                row["principal_output"] = matrix_to_json(reduced)
-                row["_reduced"] = reduced
+                row["principal_output"] = reduced
             rows.append(row)
 
     if args.format == "table":
@@ -294,9 +295,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ]
         print("\n".join(_table(table_rows, ["route", "probability", "output_trace"])))
         for r in rows:
-            if "_reduced" in r:
+            if "principal_output" in r:
                 print(f"{r['_label']}: principal output")
-                print("\n".join(_matrix_lines(r["_reduced"])))
+                print("\n".join(_matrix_lines(r["principal_output"])))
     else:
         _print_json([{k: v for k, v in r.items() if not k.startswith("_")} for r in rows])
     return EXIT_OK
@@ -305,7 +306,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     lin, _ = linearize(c)
-    _write_or_print(json.dumps(circuit_to_json(lin), indent=2), args.output)
+    _write_or_print(_json_text(circuit_to_json(lin)), args.output)
     return EXIT_OK
 
 
@@ -323,7 +324,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if args.dot:
         _write_or_print(tree_to_dot(t), args.output)
     else:
-        _write_or_print(json.dumps(tree_to_json(t), indent=2), args.output)
+        _write_or_print(_json_text(tree_to_json(t)), args.output)
     return EXIT_OK
 
 
@@ -429,8 +430,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         "kind": f.kind,
         "probability": f.probability,
         "residual": f.residual,
-        "U": matrix_to_json(f.principal_operator),
-        "b": vector_to_json(f.ancilla_vector),
+        "U": f.principal_operator,
+        "b": f.ancilla_vector,
     }
     if args.format == "table":
         print(f"branch:      {route_label(branch)}")
@@ -456,7 +457,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo {args.name!r} (have: {', '.join(sorted(DEMOS))})")
     payload = circuit_to_json(DEMOS[args.name]())
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if args.emit or args.output:
         _write_or_print(text, args.output or f"{args.name}.json")
     else:

@@ -10,6 +10,7 @@ can be inspected for violations.
 from __future__ import annotations
 
 import cmath
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -34,17 +35,85 @@ __all__ = [
 ]
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """A complex array's entries as [re, im] pairs: shape ``a.shape + (2,)``."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,))
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[_pair(z) for z in row] for row in m]
+    return _pairs(m).tolist()
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    return _pairs(np.asarray(v).reshape(-1)).tolist()
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """A 2-D complex array as ``matrix_to_json`` writes it, a 1-D one as
+    ``vector_to_json`` does, laid out as ``_json_text`` would lay out that
+    list at ``level``: one template for the layout, filled in one step."""
+    if a.ndim not in (1, 2):
+        raise TypeError(f"cannot write a {a.ndim}-D array as JSON")
+    pairs = _pairs(a)
+    template = "%s"
+    for depth in range(pairs.ndim - 1, -1, -1):
+        if not pairs.shape[depth]:
+            template = "[]"
+            continue
+        inner = "\n" + "  " * (level + depth + 1)
+        items = ("," + inner).join([template] * pairs.shape[depth])
+        template = f"[{inner}{items}\n{'  ' * (level + depth)}]"
+    floats = pairs.reshape(-1).tolist()
+    return template % tuple(map(float.__repr__ if np.isfinite(pairs).all() else _float_text, floats))
+
+
+def _json_text(x: Any, level: int = 0) -> str:
+    """The text that the stdlib ``json.dumps`` writes for a JSON value ``x``
+    with ``indent=2``, byte for byte.
+
+    A complex ndarray anywhere in ``x`` is written as its
+    ``matrix_to_json`` (2-D) or ``vector_to_json`` (1-D) list would be.
+    The stdlib encoder runs in pure Python whenever ``indent`` is set;
+    this writer formats each array's floats in one step instead.
+    """
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    if isinstance(x, np.ndarray):
+        return _array_text(x, level)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        items = ("," + inner).join([_json_text(v, level + 1) for v in x])
+        return f"[{inner}{items}\n{'  ' * level}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        items = ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json_text(v, level + 1)}" for k, v in x.items()]
+        )
+        return f"{{{inner}{items}\n{'  ' * level}}}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _complex_from_pair(obj: Any, where: str) -> complex:

@@ -521,6 +521,60 @@ def test_simulate_circuit_shares_prefixes(tmp_path, capsys, monkeypatch):
         assert len(calls) == sum(1 for _ in _walk(c)) - 1
 
 
+def test_json_output_is_the_stdlib_indented_layout(tmp_path, capsys):
+    """Each verb that emits JSON prints ``json.dumps(value, indent=2)`` of its value."""
+    rng = np.random.default_rng(93)
+    runs = [["demo"]]
+    for name, make in sorted(DEMOS.items()):
+        c = make()
+        circuit, state, _ = _circuit_and_state(tmp_path, name, c, rng)
+        spec = ",".join(f"{g}={o}" for g, o in enumerate_paths(c)[0].items())
+        operator = tmp_path / f"{name}_operator.json"
+        operator.write_text(json.dumps(matrix_to_json(np.eye(c.space.restrict(c.output_principal).dim, c.principal_spec.dim))))
+        tree = tmp_path / f"{name}_tree.json"
+        assert main(["tree", "--circuit", circuit, "-o", str(tree)]) == 0
+        runs += [
+            ["demo", name],
+            ["validate", circuit],
+            ["validate", str(tree)],
+            ["paths", "--circuit", circuit],
+            ["simulate", "--circuit", circuit, "--input", state],
+            ["simulate", "--circuit", circuit, "--input", state, "--path", spec],
+            ["simulate", "--tree", str(tree), "--input", state],
+            ["check-independence", "--circuit", circuit, "--seed", "0"],
+            ["factor", "--circuit", circuit, "--path", spec],
+            ["check-unitary", "--circuit", circuit, "--operator", str(operator), "--seed", "0"],
+            ["reduce", "--circuit", circuit],
+            ["tree", "--circuit", circuit],
+        ]
+    for s in range(10):
+        circuit, state, _ = _circuit_and_state(tmp_path, f"random{s}", random_circuit(np.random.default_rng(s)), rng)
+        runs.append(["simulate", "--circuit", circuit, "--input", state])
+    for argv in runs:
+        code, out, _ = run_cli(capsys, argv)
+        assert code in (0, 3), argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_simulate_rejects_a_path_in_tree_mode(demo_files, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    assert main(["tree", "--circuit", demo_files["teleportation"], "-o", str(tree)]) == 0
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": vector_to_json(np.array([1.0, 0.0]))}))
+    capsys.readouterr()
+    argv = ["simulate", "--tree", str(tree), "--input", str(state), "--path", "mz0=0,mz1=1"]
+    assert run_cli(capsys, argv) == (1, "", "error: --path applies only with --circuit\n")
+
+
+@pytest.mark.parametrize("text", [b"", b"{not json", b"\xff\xfe"], ids=["empty", "syntax", "not-utf-8"])
+def test_a_json_file_that_does_not_parse_is_named(demo_files, tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    code, out, err = run_cli(capsys, ["simulate", "--circuit", demo_files["teleportation"], "--input", str(bad)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ")
+
+
 @pytest.mark.parametrize("root", [[[1, 0]], {"a": 1}])
 def test_tree_root_that_is_not_a_string_is_exit_1(demo_files, tmp_path, capsys, root):
     tree = tmp_path / "tree.json"

@@ -12,6 +12,7 @@ from meastree.linalg import DensityOperator, HilbertSpec, Measurement, haar_ket,
 from meastree.rand import random_circuit, random_density, random_measurement, random_tree
 from meastree.reduction import reduce_circuit
 from meastree.serialize import (
+    _json_text,
     circuit_from_json,
     circuit_to_json,
     matrix_from_json,
@@ -42,6 +43,67 @@ def test_matrix_round_trip_preserves_complex_entries():
 def test_vector_round_trip():
     v = np.array([1.5, -2j, 0.25 + 0.75j])
     assert np.array_equal(vector_from_json(vector_to_json(v)), v)
+
+
+def _loop_matrix_to_json(m):
+    """The reference encoding: one [re, im] pair per entry."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+_ARRAYS = {
+    "1x1": np.array([[0.5 - 2j]]),
+    "vector": np.array([1.5, -2j, 0.25 + 0.75j]),
+    "integers": np.array([[1, 0], [0, -1]]),
+    "signed zeros": np.array([[-0.0 + 0j, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1]]),
+    "transposed": (np.arange(12) + 1j * np.arange(12, 24)).reshape(3, 4).T / 7,
+    "sliced": (np.arange(24) * (0.1 - 0.3j)).reshape(4, 6)[::2, 1::2],
+    "sliced vector": (np.arange(8) * (1e16 + 5e-324j))[::3],
+    "non-finite": np.array([[np.nan, complex(np.inf, 1)], [complex(0, -np.inf), -0.0]]),
+    "no rows": np.zeros((0, 3), dtype=complex),
+    "empty rows": np.zeros((2, 0), dtype=complex),
+    "empty vector": np.zeros(0, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_array_encodings_equal_the_entry_by_entry_loop(name):
+    a = _ARRAYS[name]
+    if a.ndim == 2:
+        assert repr(matrix_to_json(a)) == repr(_loop_matrix_to_json(a))  # repr tells -0.0 from 0.0
+    assert repr(vector_to_json(a)) == repr(_loop_matrix_to_json(a.reshape(1, -1))[0])
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_json_text_writes_an_array_as_its_list_at_every_depth(name):
+    a = _ARRAYS[name]
+    listed = matrix_to_json(a) if a.ndim == 2 else vector_to_json(a)
+    value, reference = a, listed
+    for depth in range(4):
+        assert _json_text(value) == json.dumps(reference, indent=2), depth
+        value, reference = {"k": [1, value]}, {"k": [1, reference]}
+
+
+_TRICKY_TEXT = ["", '"', "\\", "\x00\x1f\x7f", "tab\tnew\nline", "\u00e9", "\u2028", "\U0001f600", "\ud800"]
+_TRICKY_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")]
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from(_TRICKY_FLOATS)
+    | st.text()
+    | st.sampled_from(_TRICKY_TEXT),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text() | st.sampled_from(_TRICKY_TEXT), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_equals_the_stdlib_indented_layout(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_matrix_from_json_rejects_garbage():
