@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Mapping, Sequence
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -36,12 +37,7 @@ from .circuits import (
     validate_circuit,
 )
 from .demos import DEMOS
-from .independence import (
-    check_computes,
-    check_independence,
-    check_isometry_scaling,
-    factor_branch,
-)
+from .independence import _WITNESS_PROBES, _factorization, _independence, _svd, _unitary
 from .linalg import (
     TOL,
     DensityOperator,
@@ -50,17 +46,17 @@ from .linalg import (
     partial_trace_matrix,
     projector,
 )
-from .reduction import linearize, reduce_circuit
+from .reduction import _branch_of, _layer_bounds, linearize, reduce_circuit
 from .serialize import (
+    _circuit_payload,
     _json_text,
+    _tree_payload,
     circuit_from_json,
-    circuit_to_json,
     matrix_from_json,
     measurement_from_json,
     state_from_json,
     tree_from_json,
     tree_to_dot,
-    tree_to_json,
 )
 from .trees import MeasurementTree, _principal_part, route_label, run_tree, validate_tree
 
@@ -151,6 +147,17 @@ def _path_follow(c: Circuit, text: str):
 def _path_json(order: Sequence[str], path: Mapping[str, str]) -> dict[str, str]:
     """The path's outcomes in ``order``, the circuit's ``flattened_gates``."""
     return {gid: path[gid] for gid in order}
+
+
+def _branch_walk(c: Circuit, path: str | None):
+    """``(path, branch, V)`` at each path of one walk of ``c``, or at the one path
+    that ``path`` specifies: the branch of ``reduce_circuit(c)`` it maps to, and
+    ``V = C E / |a|``, the block that the tree analyses read for that branch."""
+    follow = _path_follow(c, path) if path else None
+    bounds, norm = _layer_bounds(c), c.ancilla_init.norm()
+    for p, g, _, v in _walk(c, follow, c._isometry):
+        if g is None:
+            yield p, _branch_of(list(p.values()), bounds), v / norm
 
 
 def _load_valid_circuit(path: str) -> Circuit:
@@ -306,7 +313,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     lin, _ = linearize(c)
-    _write_or_print(_json_text(circuit_to_json(lin)), args.output)
+    _write_or_print(_json_text(_circuit_payload(lin, np.asarray)), args.output)
     return EXIT_OK
 
 
@@ -324,19 +331,22 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if args.dot:
         _write_or_print(tree_to_dot(t), args.output)
     else:
-        _write_or_print(_json_text(tree_to_json(t)), args.output)
+        _write_or_print(_json_text(_tree_payload(t, np.asarray)), args.output)
     return EXIT_OK
 
 
 def _cmd_check_independence(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    t, bij = reduce_circuit(c)
-    paths = [parse_path_spec(c, args.path)] if args.path else list(bij.forward)
+    paths = []
+
+    def branches():
+        for p, branch, v in _branch_walk(c, args.path):
+            paths.append(p)
+            yield branch, v
+
+    # a pinned path is walked first, so that an error in it is reported before the probe count's
+    reports = _independence(c, list(branches()) if args.path else branches(), args.probes, args.seed)
     order = flattened_gates(c)
-    reports = []
-    for p in paths:
-        rep = check_independence(t, bij.forward[p], probes=args.probes, seed=args.seed)
-        reports.append((p, rep))
     payload = [
         {
             "path": _path_json(order, p),
@@ -347,7 +357,7 @@ def _cmd_check_independence(args: argparse.Namespace) -> int:
             "max_deviation": rep.max_deviation,
             "verdict": rep.verdict,
         }
-        for p, rep in reports
+        for p, rep in zip(paths, reports)
     ]
     if args.format == "table":
         rows = [
@@ -358,36 +368,28 @@ def _cmd_check_independence(args: argparse.Namespace) -> int:
                 f"{rep.max_probability:.9f}",
                 f"{rep.max_deviation:.3e}",
             ]
-            for _, rep in reports
+            for rep in reports
         ]
         print("\n".join(_table(rows, ["branch", "verdict", "min p", "max p", "spread"])))
     else:
         _print_json(payload)
-    ok = all(rep.verdict == "independent" for _, rep in reports)
+    ok = all(rep.verdict == "independent" for rep in reports)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_check_unitary(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     u = matrix_from_json(_load_json(args.operator), "operator")
-    t, _ = reduce_circuit(c)
-    iso = check_isometry_scaling(t, u)
-    # the supplied operator may carry an overall scale; once the scaling
-    # check pins t_scale, the branches are tested against the rescaled
-    # (isometric) operator
-    target = iso.t_scale * u if iso.t_scale is not None else u
-    branch_rows = []
-    all_compute = True
-    for b in t.branches():
-        holds, residual = check_computes(t, b, target, probes=args.probes, seed=args.seed)
-        all_compute = all_compute and holds
-        branch_rows.append(
-            {
-                "branch": route_label(b),
-                "computes": holds,
-                "residual": residual if math.isfinite(residual) else None,
-            }
-        )
+    pairs = ((branch, v) for _, branch, v in _branch_walk(c, None))
+    rows, iso = _unitary(c, pairs, u, args.probes, args.seed)
+    branch_rows = [
+        {
+            "branch": route_label(b),
+            "computes": holds,
+            "residual": residual if math.isfinite(residual) else None,
+        }
+        for b, holds, residual in rows
+    ]
     payload = {
         "branches": branch_rows,
         "t_scale": iso.t_scale,
@@ -395,27 +397,26 @@ def _cmd_check_unitary(args: argparse.Namespace) -> int:
         "detail": iso.detail,
     }
     if args.format == "table":
-        rows = [
+        table_rows = [
             [r["branch"], "yes" if r["computes"] else "no",
              "-" if r["residual"] is None else f"{r['residual']:.3e}"]
             for r in branch_rows
         ]
-        print("\n".join(_table(rows, ["branch", "computes", "residual"])))
+        print("\n".join(_table(table_rows, ["branch", "computes", "residual"])))
         scale = "-" if iso.t_scale is None else f"{iso.t_scale:.9f}"
         line = f"t_scale={scale}  verdict={iso.verdict}"
         print(line if not iso.detail else f"{line}  ({iso.detail})")
     else:
         _print_json(payload)
-    ok = all_compute and iso.verdict in ("unitary", "isometry")
+    ok = all(holds for _, holds, _ in rows) and iso.verdict in ("unitary", "isometry")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    t, bij = reduce_circuit(c)
-    p = parse_path_spec(c, args.path)
-    path, branch = _path_json(flattened_gates(c), p), bij.forward[p]
-    f = factor_branch(t, branch, seed=args.seed)
+    ((p, branch, v),) = _branch_walk(c, args.path)
+    path = _path_json(flattened_gates(c), p)
+    f = _factorization(c, branch, v, _svd(c, v), _WITNESS_PROBES, args.seed)
     if f is None:
         payload = {"path": path, "branch": route_label(branch), "factored": False}
         if args.format == "table":
@@ -456,8 +457,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo {args.name!r} (have: {', '.join(sorted(DEMOS))})")
-    payload = circuit_to_json(DEMOS[args.name]())
-    text = _json_text(payload)
+    text = _json_text(_circuit_payload(DEMOS[args.name](), np.asarray))
     if args.emit or args.output:
         _write_or_print(text, args.output or f"{args.name}.json")
     else:
@@ -468,7 +468,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later ``main`` call.
+
+    ``parse_args`` leaves it as it found it: each call gets a new namespace.
+    """
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format",
@@ -582,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_MALFORMED
     finally:
         vars(TOL).update(saved)

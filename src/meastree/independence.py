@@ -9,7 +9,12 @@ the ``V_b`` of every branch it has analysed (one D x d_P block per leaf,
 plus one per level of the route walked last) and the SVD that factoring
 needs, so each branch is walked and decomposed once per tree; the
 tolerances and the probe cross-checks still apply on every call. The
-seeded probe matrix is kept per ``(d_P, probes, seed)``. A branch fires on a principal
+seeded probe matrix is kept per ``(d_P, probes, seed)``. The public
+functions are thin wrappers over internals that read ``(key, V)`` pairs
+as a stream, with the wire roles of a tree or of a circuit: the CLI
+feeds them every path's ``V = C E`` from one walk of the circuit, with
+no tree, and ``check_independence`` keeps only each pair's d_P x d_P
+Gram and probe sums for one batched ``eigvalsh``. A branch fires on a principal
 state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
 over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
 set of branches is input-independent iff the sum of those is ``p I``.
@@ -60,6 +65,8 @@ EPS_RANK = 1e-8
 EPS_FACT = 1e-8
 # Slack of the probe cross-checks, which catch a wrong exact answer, not rounding.
 EPS_CHECK = 1e-7
+# Seeded Haar kets that cross-check a factorization by default.
+_WITNESS_PROBES = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,28 +130,33 @@ def _isometries(t: MeasurementTree, branches: Sequence[Sequence[str]]):
     return (t._branch_isometry(branch) for branch in branches)
 
 
-def _branch_svd(t: MeasurementTree, branch: Branch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The singular values and the leading left and right singular vectors of ``V_b``
-    reshaped to (output ancilla) x (output principal . input), computed once per branch
-    and tree and read-only; no tolerance enters them."""
-    if (svd := t._branch_svds.get(branch)) is None:
-        m = bipartition_ket(t._branch_isometry(branch), t.space, t.output_principal).transpose(1, 0, 2)
-        left, s, right = np.linalg.svd(m.reshape(m.shape[0], -1), full_matrices=False)
-        svd = s, left[:, 0].copy(), right[0].copy()  # copies, so that the full factors are freed
-        for a in svd:
-            a.flags.writeable = False
-        t._branch_svds[branch] = svd
+def _svd(roles, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The singular values and the leading left and right singular vectors of ``V``
+    reshaped to (output ancilla) x (output principal . input), read-only; no
+    tolerance enters them. ``roles`` is a circuit or a tree with roles."""
+    m = bipartition_ket(v, roles.space, roles.output_principal).transpose(1, 0, 2)
+    left, s, right = np.linalg.svd(m.reshape(m.shape[0], -1), full_matrices=False)
+    svd = s, left[:, 0].copy(), right[0].copy()  # copies, so that the full factors are freed
+    for a in svd:
+        a.flags.writeable = False
     return svd
 
 
-def _factor(t: MeasurementTree, branch: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(U, b)`` with ``V_b = U (x) b`` and ``U^dag U = I``, or None, for a tree with roles.
+def _branch_svd(t: MeasurementTree, branch: Branch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_svd`` of the branch's ``V_b``, computed once per branch and tree."""
+    if (svd := t._branch_svds.get(branch)) is None:
+        svd = t._branch_svds[branch] = _svd(t, t._branch_isometry(branch))
+    return svd
+
+
+def _factor(roles, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(U, b)`` with ``V = U (x) b`` and ``U^dag U = I``, or None, from ``_svd(roles, V)``.
 
     The first nonzero entry of U, in column order, is real and positive.
-    The tolerances apply on every call; only the SVD is kept.
+    The tolerances apply on every call.
     """
-    s, left, right = _branch_svd(t, tuple(branch))
-    d_in = t._isometry.shape[1]
+    s, left, right = svd
+    d_in = roles._isometry.shape[1]
     if s[0] <= TOL.zero or frob_norm(s[1:]) > EPS_RANK * s[0]:
         return None  # the branch annihilates every input, or entangles it with the ancilla
     u = right.reshape(-1, d_in) * math.sqrt(d_in)
@@ -190,35 +202,153 @@ def _seeded_probes(d_in: int, probes: int, seed: int) -> np.ndarray:
     return kets
 
 
+def _grams(pairs, kets: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """``keys, grams, sums`` over ``(key, V)`` pairs: per pair, ``V^dag V`` and each probe
+    column psi's ``|V psi|^2``. Only these are kept, never a V."""
+    keys, grams, sums = [], [], []
+    for key, v in pairs:
+        keys.append(key)
+        grams.append(dagger(v) @ v)
+        sums.append((np.abs(v @ kets) ** 2).sum(axis=0))
+    d, n = kets.shape
+    return keys, np.array(grams, dtype=complex).reshape(-1, d, d), np.array(sums).reshape(-1, n)
+
+
+def _spectral_ranges(grams: np.ndarray, sums: np.ndarray) -> tuple[list[float], list[float]]:
+    """``lo, hi``: the extreme eigenvalues of each Gram, from one batched ``eigvalsh``.
+    Each probe's ``|V psi|^2`` in ``sums`` must lie in its Gram's ``[lo, hi]``, else AssertionError."""
+    lam = np.linalg.eigvalsh(grams)
+    lo = [_clamp_probability(x) for x in lam[:, 0].tolist()]
+    hi = [_clamp_probability(x) for x in lam[:, -1].tolist()]
+    for i, (p_min, p_max) in enumerate(zip(sums.min(axis=1).tolist(), sums.max(axis=1).tolist())):
+        if p_min < lo[i] - EPS_CHECK or p_max > hi[i] + EPS_CHECK:
+            raise AssertionError(f"probe probabilities {p_min:.12f}-{p_max:.12f} leave the exact range {(lo[i], hi[i])}")
+    return lo, hi
+
+
 def _range(isos, kets: np.ndarray) -> tuple[float, float, np.ndarray]:
     """``lo, hi, gram``: the extreme eigenvalues of ``gram``, the summed ``V_b^dag V_b`` over ``isos``.
     Each probe column psi of ``kets`` must give a summed ``|V_b psi|^2`` in ``[lo, hi]``, else AssertionError."""
-    gram = np.zeros((len(kets), len(kets)), dtype=complex)
-    p = np.zeros(kets.shape[1])
-    for v in isos:
-        gram += dagger(v) @ v
-        p += np.sum(np.abs(v @ kets) ** 2, axis=0)
-    lam = np.linalg.eigvalsh(gram)
-    lo, hi = _clamp_probability(float(lam[0])), _clamp_probability(float(lam[-1]))
-    if np.any((p < lo - EPS_CHECK) | (p > hi + EPS_CHECK)):
-        raise AssertionError(f"probe probabilities {p.min():.12f}-{p.max():.12f} leave the exact range {(lo, hi)}")
+    _, grams, sums = _grams(((None, v) for v in isos), kets)
+    gram = grams.sum(axis=0)
+    (lo,), (hi,) = _spectral_ranges(gram[None], sums.sum(axis=0)[None])
     return lo, hi, gram
 
 
-def _witness_miss(t: MeasurementTree, v: np.ndarray, kets: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
+def _independence(roles, pairs, probes: int, seed: int, extra=None) -> list[IndependenceReport]:
+    """One ``IndependenceReport`` per ``(key, V)`` pair, the key as its branch.
+
+    ``roles`` is a circuit or a tree with roles. The pairs are read once, as a
+    stream: only their Grams and probe sums are kept, and one batched
+    ``eigvalsh`` gives every range.
+    """
+    kets = _probe_kets(roles._isometry.shape[1], probes, seed, extra)
+    keys, grams, sums = _grams(pairs, kets)
+    reports = []
+    for key, lo, hi in zip(keys, *_spectral_ranges(grams, sums)):
+        spread = hi - lo
+        verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
+        reports.append(IndependenceReport(tuple(key), kets.shape[1], lo, hi, spread, verdict))
+    return reports
+
+
+def _witness_miss(roles, v: np.ndarray, kets: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
     """The largest miss of the probe images ``V_b psi`` against ``U psi (x) b``; AssertionError past the slack."""
-    got = bipartition_ket(v @ kets, t.space, t.output_principal)
+    got = bipartition_ket(v @ kets, roles.space, roles.output_principal)
     miss = float(np.max(np.linalg.norm(got - (u @ kets)[:, None, :] * b[None, :, None], axis=(0, 1))))
     if miss > EPS_CHECK * max(frob_norm(u) * frob_norm(b), 1.0):
         raise AssertionError(f"probe images miss the factorization by {miss:.3e}")
     return miss
 
 
+def _factorization(roles, key, v: np.ndarray, svd, random_probes: int, seed: int) -> BranchFactorization | None:
+    """``factor_branch`` of the branch ``key`` from its ``V`` and ``_svd(roles, V)``."""
+    kets = _probe_kets(v.shape[1], random_probes, seed)
+    fact = _factor(roles, svd)
+    if fact is None:
+        return None
+    u, b = fact
+    residual = _witness_miss(roles, v, kets, u, b)
+    kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
+    return BranchFactorization(tuple(key), u, b, residual, float(np.vdot(b, b).real), kind)
+
+
+def _operator(roles, operator: np.ndarray) -> np.ndarray:
+    """The operator as a complex array; ValueError unless it maps the principal input
+    into the output principal space, of shape ``(d_out, d_P)``."""
+    u = np.asarray(operator, dtype=complex)
+    d_in = roles._isometry.shape[1]
+    d_out = math.prod(roles.space.dim_of(w) for w in roles.output_principal)
+    if u.ndim != 2 or u.shape[1] != d_in:
+        raise ValueError(f"operator of shape {u.shape} does not act on the principal input")
+    if u.shape[0] != d_out:
+        raise ValueError(f"shape mismatch: operator of shape {u.shape}, expected {(d_out, d_in)}")
+    return u
+
+
+def _computes(fact: tuple[np.ndarray, np.ndarray] | None, u: np.ndarray) -> bool:
+    """Is ``u`` the factor U of ``fact`` up to a phase?"""
+    alpha = None if fact is None else _scalar(u, fact[0], 1e-9)
+    return not (alpha is None or abs(abs(alpha) - 1.0) > 1e-9)
+
+
+def _scaling(factors, u: np.ndarray, eps: float) -> IsometryScalingReport:
+    """``check_isometry_scaling`` from ``(branch, _factor(...))`` per branch, read until
+    the first branch that does not factor."""
+    listed = []
+    for b, fact in factors:
+        if fact is None:
+            return IsometryScalingReport(None, "inconclusive", f"branch {b!r} does not factor")
+        listed.append((b, *fact))
+    ref = listed[0][1]
+    if any(_scalar(w, ref, EPS_FACT) is None for _, w, _ in listed):
+        return IsometryScalingReport(None, "inconclusive", "branches compute differing principal operators")
+
+    ratios = []  # |b| / |alpha|, whose squares are the branch weights
+    for b, w, vec in listed:
+        alpha = _scalar(u, w, max(eps, EPS_FACT))
+        if alpha is None:
+            detail = f"branch {b!r} does not factor through the supplied operator"
+            return IsometryScalingReport(None, "inconclusive", detail)
+        ratios.append(frob_norm(vec) / abs(alpha))
+
+    t_scale = math.hypot(*ratios)  # never squares |alpha|, which overflows on a large operator
+    scaled = t_scale * u
+    if frob_norm(dagger(scaled) @ scaled - identity(u.shape[1])) > eps:
+        return IsometryScalingReport(t_scale, "failed", "rescaled operator is not an isometry")
+    # a square isometry is unitary: S^dag S and S S^dag share their spectrum
+    return IsometryScalingReport(t_scale, "unitary" if u.shape[0] == u.shape[1] else "isometry", "")
+
+
+def _unitary(
+    roles, pairs, operator: np.ndarray, probes: int, seed: int
+) -> tuple[list[tuple[Branch, bool, float]], IsometryScalingReport]:
+    """``check_isometry_scaling`` and, per ``(branch, V)`` pair, ``check_computes`` of the
+    operator that the scaling rescales, with each branch factored once.
+
+    Returns the rows ``(branch, holds, residual)`` and the scaling report.
+    The pairs are read once, as a stream, and no V is kept.
+    """
+    u = _operator(roles, operator)
+    kets = _probe_kets(u.shape[1], probes, seed)
+    factored = []
+    for key, v in pairs:
+        fact = _factor(roles, _svd(roles, v))
+        factored.append((tuple(key), fact, None if fact is None else _witness_miss(roles, v, kets, *fact)))
+    iso = _scaling(((b, fact) for b, fact, _ in factored), u, 1e-9)
+    # the supplied operator may carry an overall scale; once the scaling
+    # check pins t_scale, the branches are tested against the rescaled
+    # (isometric) operator
+    target = iso.t_scale * u if iso.t_scale is not None else u
+    rows = [(b, True, miss) if _computes(fact, target) else (b, False, float("inf")) for b, fact, miss in factored]
+    return rows, iso
+
+
 def factor_branch(
     t: MeasurementTree,
     branch: Sequence[str],
     *,
-    random_probes: int = 4,
+    random_probes: int = _WITNESS_PROBES,
     seed: int = 0,
 ) -> BranchFactorization | None:
     """Extract the product-form witness (U, b) of a branch, if one exists.
@@ -231,14 +361,7 @@ def factor_branch(
     Haar-random kets.
     """
     (v,) = _isometries(t, [branch])
-    kets = _probe_kets(v.shape[1], random_probes, seed)
-    fact = _factor(t, branch)
-    if fact is None:
-        return None
-    u, b = fact
-    residual = _witness_miss(t, v, kets, u, b)
-    kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
-    return BranchFactorization(tuple(branch), u, b, residual, float(np.vdot(b, b).real), kind)
+    return _factorization(t, branch, v, _branch_svd(t, tuple(branch)), random_probes, seed)
 
 
 def check_independence(
@@ -256,11 +379,8 @@ def check_independence(
     principal basis states, optional caller-supplied kets and ``probes``
     seeded Haar-random kets) cross-check that range.
     """
-    kets = _probe_kets(_principal_dim(t), probes, seed, extra_probes)
-    lo, hi, _ = _range(_isometries(t, [branch]), kets)
-    spread = hi - lo
-    verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
-    return IndependenceReport(tuple(branch), kets.shape[1], lo, hi, spread, verdict)
+    (report,) = _independence(t, zip([branch], _isometries(t, [branch])), probes, seed, extra_probes)
+    return report
 
 
 def check_computes(
@@ -279,17 +399,11 @@ def check_computes(
     witness's largest miss on the basis kets and ``probes`` seeded
     Haar-random kets), or ``(False, inf)``.
     """
-    u = np.asarray(operator, dtype=complex)
     (v,) = _isometries(t, [branch])
-    d_out = math.prod(t.space.dim_of(w) for w in t.output_principal)
-    if u.ndim != 2 or u.shape[1] != v.shape[1]:
-        raise ValueError(f"operator of shape {u.shape} does not act on the principal input")
-    if u.shape[0] != d_out:
-        raise ValueError(f"shape mismatch {(d_out, d_out)} vs {(u.shape[0], u.shape[0])}")
+    u = _operator(t, operator)
     kets = _probe_kets(u.shape[1], probes, seed)
-    fact = _factor(t, branch)
-    alpha = None if fact is None else _scalar(u, fact[0], 1e-9)
-    if alpha is None or abs(abs(alpha) - 1.0) > 1e-9:
+    fact = _factor(t, _branch_svd(t, tuple(branch)))
+    if not _computes(fact, u):
         return False, float("inf")
     return True, _witness_miss(t, v, kets, *fact)
 
@@ -361,27 +475,4 @@ def check_isometry_scaling(
     """
     u = np.asarray(operator, dtype=complex)
     _principal_dim(t)  # checks the wire roles and the ancilla norm
-    factors = []
-    for b in t.branches():
-        fact = _factor(t, b)
-        if fact is None:
-            return IsometryScalingReport(None, "inconclusive", f"branch {b!r} does not factor")
-        factors.append((b, *fact))
-    ref = factors[0][1]
-    if any(_scalar(w, ref, EPS_FACT) is None for _, w, _ in factors):
-        return IsometryScalingReport(None, "inconclusive", "branches compute differing principal operators")
-
-    ratios = []  # |b| / |alpha|, whose squares are the branch weights
-    for b, w, vec in factors:
-        alpha = _scalar(u, w, max(eps, EPS_FACT))
-        if alpha is None:
-            detail = f"branch {b!r} does not factor through the supplied operator"
-            return IsometryScalingReport(None, "inconclusive", detail)
-        ratios.append(frob_norm(vec) / abs(alpha))
-
-    t_scale = math.hypot(*ratios)  # never squares |alpha|, which overflows on a large operator
-    scaled = t_scale * u
-    if frob_norm(dagger(scaled) @ scaled - identity(u.shape[1])) > eps:
-        return IsometryScalingReport(t_scale, "failed", "rescaled operator is not an isometry")
-    # a square isometry is unitary: S^dag S and S S^dag share their spectrum
-    return IsometryScalingReport(t_scale, "unitary" if u.shape[0] == u.shape[1] else "isometry", "")
+    return _scaling(((b, _factor(t, _branch_svd(t, b))) for b in t.branches()), u, eps)

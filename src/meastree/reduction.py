@@ -11,6 +11,7 @@ path's probability and output state exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -49,6 +50,17 @@ class Bijection:
         return len(self.forward)
 
 
+def _layer_bounds(c: Circuit) -> list[int]:
+    """Where each schedule layer starts in ``flattened_gates(c)``, then where the last one ends."""
+    return list(accumulate((len(layer) for layer in c.schedule), initial=0))
+
+
+def _branch_of(labels: Sequence[str], bounds: Sequence[int]) -> Branch:
+    """The branch of ``reduce_circuit`` that a path takes, or the segment of a prefix that
+    ends a layer: each whole layer's outcome labels, in execution order, joined with "|"."""
+    return tuple("|".join(labels[a:b]) for a, b in zip(bounds, bounds[1:]) if b <= len(labels))
+
+
 def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     """Merge each layer into a single gate; one gate per layer afterwards.
 
@@ -60,7 +72,7 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     """
     c.require_valid()
     flat = flattened_gates(c)
-    bounds = list(accumulate((len(layer) for layer in c.schedule), initial=0))
+    bounds = _layer_bounds(c)
     layers = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
     merged_ids = ["+".join(layer) for layer in layers]
     if len(set(merged_ids)) != len(merged_ids):
@@ -81,8 +93,7 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
         n = layer_at.get(len(assignment))
         if n is None:
             continue
-        labels = list(assignment.values())  # execution order: layer i is labels[bounds[i]:bounds[i + 1]]
-        joined = ["|".join(labels[a:b]) for a, b in zip(bounds, bounds[1 : n + 1])]
+        joined = _branch_of(list(assignment.values()), bounds)  # assignments keep execution order
         if g is None:
             pairs.append((Path(assignment), Path(dict(zip(merged_ids, joined)))))
             continue

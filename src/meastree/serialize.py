@@ -156,7 +156,11 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
 
 
 def measurement_to_json(m: Measurement) -> dict[str, Any]:
-    return {"outcomes": {label: matrix_to_json(m.operator(label)) for label in m.labels}}
+    return _measurement_payload(m, matrix_to_json)
+
+
+def _measurement_payload(m: Measurement, array) -> dict[str, Any]:
+    return {"outcomes": {label: array(m.operator(label)) for label in m.labels}}
 
 
 def measurement_from_json(obj: Any, where: str = "measurement") -> Measurement:
@@ -269,17 +273,24 @@ def _selection_from_json(obj: Any, where: str) -> Selection:
 
 
 def circuit_to_json(c: Circuit) -> dict[str, Any]:
+    return _circuit_payload(c, matrix_to_json)
+
+
+def _circuit_payload(c: Circuit, array) -> dict[str, Any]:
+    """``circuit_to_json``'s value with ``array`` applied to each complex array in it:
+    ``matrix_to_json`` gives the lists, ``np.asarray`` leaves the arrays for ``_json_text``.
+    A 1-D array stands for a vector; ``matrix_to_json`` lists it as ``vector_to_json`` does."""
     payload: dict[str, Any] = {
         "wires": _wires_to_json(c.space, c.principal_wires, c.output_principal_wires),
     }
     if c.ancilla_wires:
-        payload["ancilla_init"] = vector_to_json(c.ancilla_init.vector)
+        payload["ancilla_init"] = array(np.reshape(c.ancilla_init.vector, -1))
     payload["gates"] = [
         {
             "id": g.gate_id,
             "wires": list(g.wires),
             "classical_sources": sorted(g.classical_sources),
-            "measurements": [measurement_to_json(m) for m in g.measurements],
+            "measurements": [_measurement_payload(m, array) for m in g.measurements],
             "selection": _selection_to_json(g.selection),
         }
         for g in (c.gates[gid] for gid in c.gate_order)
@@ -370,6 +381,11 @@ def _tree_node_ids(t: MeasurementTree) -> dict[Branch, str]:
 
 
 def tree_to_json(t: MeasurementTree) -> dict[str, Any]:
+    return _tree_payload(t, matrix_to_json)
+
+
+def _tree_payload(t: MeasurementTree, array) -> dict[str, Any]:
+    """``tree_to_json``'s value with ``array`` applied to each complex array, as in ``_circuit_payload``."""
     ids = _tree_node_ids(t)
     nodes: dict[str, Any] = {}
     for key, nid in ids.items():
@@ -378,7 +394,7 @@ def tree_to_json(t: MeasurementTree) -> dict[str, Any]:
         if node.wires is not None:  # a local measurement: written on the full space
             m = Measurement({label: lift_operator(op, node.wires, t.space) for label, op in m.outcomes.items()})
         nodes[nid] = {
-            "measurement": None if node.is_leaf else measurement_to_json(m),
+            "measurement": None if node.is_leaf else _measurement_payload(m, array),
             "children": {} if node.is_leaf else {
                 label: ids[node.children[label]] for label in node.measurement.labels
             },
@@ -387,7 +403,7 @@ def tree_to_json(t: MeasurementTree) -> dict[str, Any]:
     if t.principal_wires is not None:
         payload["wires"] = _wires_to_json(t.space, t.principal_wires, t.output_principal_wires)
         if t.ancilla_init is not None:
-            payload["ancilla_init"] = vector_to_json(t.ancilla_init.vector)
+            payload["ancilla_init"] = array(np.reshape(t.ancilla_init.vector, -1))
     return payload
 
 

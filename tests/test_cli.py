@@ -879,3 +879,98 @@ def test_a_closed_stdout_stops_quietly(tmp_path, read_first_line):
     circuit.write_text(json.dumps(circuit_to_json(random_circuit(np.random.default_rng(1), n_wires=4, max_paths=12))))
     code, err = _closed_stdout_run(["tree", "--circuit", str(circuit)], read_first_line)
     assert (code, err) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "name, operator, expected",
+    [("code_embedding", np.eye(2), (4, 2)), ("teleportation", np.eye(3, 2), (2, 2))],
+    ids=["code_embedding", "teleportation"],
+)
+def test_a_wrong_operator_shape_is_named_with_the_shape_expected(tmp_path, capsys, name, operator, expected):
+    from meastree.independence import check_computes
+    from meastree.reduction import reduce_circuit
+
+    circuit, op = tmp_path / "circuit.json", tmp_path / "operator.json"
+    circuit.write_text(json.dumps(circuit_to_json(DEMOS[name]())))
+    op.write_text(json.dumps(matrix_to_json(operator)))
+    message = f"shape mismatch: operator of shape {operator.shape}, expected {expected}"
+    argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--seed", "0"]
+    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+    t, _ = reduce_circuit(DEMOS[name]())
+    with pytest.raises(ValueError) as exc:
+        check_computes(t, t.branches()[0], operator)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 2.91 TiB for an array with shape (100000000000, 2, 2)"),
+         "error: Unable to allocate 2.91 TiB for an array with shape (100000000000, 2, 2)\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_running_out_of_memory_is_one_error_line(demo_files, capsys, monkeypatch, exc, line):
+    from meastree import independence
+
+    def allocate(*args):  # stands in for the probe draw, which would really allocate 2.91 TiB
+        raise exc
+
+    monkeypatch.setattr(independence, "_seeded_probes", allocate)
+    argv = ["check-independence", "--circuit", demo_files["teleportation"], "--path", "mz0=1,mz1=0",
+            "--probes", "100000000000", "--seed", "0"]
+    assert run_cli(capsys, argv) == (1, "", line)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(demo_files, tmp_path, capsys):
+    from meastree import cli
+
+    tele = demo_files["teleportation"]
+    state = tmp_path / "ket.json"
+    state.write_text(json.dumps(vector_to_json(np.array([0.6, 0.8j]))))
+    sequence = [
+        ["check-independence", "--circuit", tele, "--path", "mz0=1,mz1=0", "--probes", "3", "--seed", "0"],
+        ["check-independence", "--circuit", tele, "--all-paths", "--seed", "1"],
+        ["simulate", "--circuit", tele, "--input", str(state), "--path", "mz0=0,mz1=1"],
+        ["check-independence", "--circuit", tele, "--seed"],  # an argparse error
+        ["simulate", "--circuit", tele, "--input", str(state)],
+        ["factor", "--circuit", tele, "--path", "mz0=1,mz1=1", "--format", "table"],
+        ["factor", "--circuit", tele, "--path", "mz0=1,mz1=1"],
+        ["paths", "--circuit", tele, "--format", "table"],
+        ["paths", "--circuit", tele],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(call(argv))
+    cli._build_parser.cache_clear()
+    assert [call(argv) for argv in sequence] == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_tree_reduce_and_demo_print_the_public_json_values(tmp_path, capsys):
+    from meastree.reduction import linearize, reduce_circuit
+    from meastree.serialize import tree_to_json
+
+    # 8 wires, D = 256: the tree holds one lifted 256 x 256 operator
+    c = random_circuit(np.random.default_rng(1), n_wires=8, max_layers=1, max_paths=1, max_outcomes=1)
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(circuit_to_json(c)))
+    runs = [
+        (["tree", "--circuit", str(circuit)], tree_to_json(reduce_circuit(c)[0])),
+        (["reduce", "--circuit", str(circuit)], circuit_to_json(linearize(c)[0])),
+    ]
+    runs += [(["demo", name], circuit_to_json(make())) for name, make in sorted(DEMOS.items())]
+    for argv, value in runs:
+        assert run_cli(capsys, argv) == (0, json.dumps(value, indent=2) + "\n", ""), argv

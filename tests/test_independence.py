@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from meastree.demos import code_embedding, coin, feedforward_x, measure_discard, teleportation
+from meastree.demos import DEMOS, code_embedding, coin, feedforward_x, measure_discard, teleportation
 from meastree.independence import (
     check_computes,
     check_independence,
@@ -23,7 +23,7 @@ from meastree.linalg import (
     projector,
     random_unitary,
 )
-from meastree.rand import random_density
+from meastree.rand import random_circuit, random_density
 from meastree.reduction import reduce_circuit
 from meastree.trees import branch_operator, single_node_tree
 
@@ -326,7 +326,13 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
     factor_branch(lone, branches[-1])
     assert sorted(applied) == sorted(map(id, edge_operators(lone, branches[-1])))
 
-    # check-unitary factors each branch once, for the scaling test and the per-branch test alike
+    # check-unitary factors each branch once, for the scaling test and the per-branch test alike,
+    # from one walk of the circuit that applies each of its edges once and builds no tree
+    from meastree import circuits
+    from meastree.circuits import _walk
+
+    walked = []
+    monkeypatch.setattr(circuits, "apply_local", lambda op, *args: walked.append(id(op)) or apply_local(op, *args))
     circuit = tmp_path / "teleportation.json"
     circuit.write_text(json.dumps(circuit_to_json(teleportation())))
     op = tmp_path / "op.json"
@@ -336,7 +342,8 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
     argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
     assert main(argv) == 0
     assert len(svds) == len(branches)
-    assert len(applied) == len(edge_operators(t))
+    assert applied == []
+    assert len(walked) == sum(1 for _ in _walk(teleportation())) - 1
 
 
 def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
@@ -516,13 +523,13 @@ def test_input_isometry_is_built_once_per_call(monkeypatch):
 
 
 def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():
-    from meastree.independence import _factor, _isometries, _probe_kets, _range, _witness_miss
+    from meastree.independence import _branch_svd, _factor, _isometries, _probe_kets, _range, _witness_miss
     from meastree.linalg import bipartition_ket
 
     t = reduced(teleportation)
     kets = _probe_kets(2, 8, seed=3)
     for branch, v in zip(t.branches(), _isometries(t, t.branches())):
-        u, b = _factor(t, branch)
+        u, b = _factor(t, _branch_svd(t, branch))
         images = [v @ psi for psi in kets.T]
         misses = [np.linalg.norm(bipartition_ket(x, t.space, t.output_principal) - np.outer(u @ psi, b))
                   for x, psi in zip(images, kets.T)]
@@ -551,21 +558,103 @@ def c6():
             return c
 
 
-def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_path, capsys):
+def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_paths=None):
+    """check-independence, factor and check-unitary on ``c`` report what the tree functions
+    report on ``reduce_circuit(c)``: the same keys, row order, labels, verdicts, probe counts
+    and exit codes, and floats within 1e-12. Returns the two verdict verbs' JSON."""
+    from meastree.circuits import flattened_gates
     from meastree.cli import main
+    from meastree.serialize import circuit_to_json, matrix_from_json, matrix_to_json, vector_from_json
+    from meastree.trees import route_label
+
+    t, bij = reduce_circuit(c)
+    e, order = t._isometry, flattened_gates(c)
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(circuit_to_json(c)))
+
+    def run(*argv):
+        code = main([*argv, "--circuit", str(circuit), "--seed", str(seed)])
+        return code, json.loads(capsys.readouterr().out)
+
+    def close(got, want):
+        return np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0) <= 1e-12
+
+    code, rows = run("check-independence", "--probes", "4")
+    reports = [check_independence(t, branch, probes=4, seed=seed) for branch in bij.forward.values()]
+    assert code == (0 if all(rep.verdict == "independent" for rep in reports) else 3)
+    assert len(rows) == len(reports)
+    for row, (p, branch), rep in zip(rows, bij.forward.items(), reports):
+        assert list(row) == ["path", "branch", "probe_count", "min_probability", "max_probability", "max_deviation", "verdict"]
+        assert list(row["path"].items()) == [(g, p[g]) for g in order]
+        assert (row["branch"], row["probe_count"], row["verdict"]) == (route_label(branch), rep.probe_count, rep.verdict)
+        got = [row["min_probability"], row["max_probability"], row["max_deviation"]]
+        assert close(got, [rep.min_probability, rep.max_probability, rep.max_deviation])
+
+    paths = list(bij.forward)
+    for p in factor_paths(paths) if factor_paths else paths:
+        spec = ",".join(f"{g}={p[g]}" for g in order)
+        code, doc = run("factor", "--path", spec)
+        f = factor_branch(t, bij.forward[p], seed=seed)
+        assert (code, doc["path"], doc["branch"], doc["factored"]) == (0 if f else 3, dict(p), route_label(bij.forward[p]), f is not None)
+        if f is None:
+            assert list(doc) == ["path", "branch", "factored"]
+            continue
+        assert list(doc) == ["path", "branch", "factored", "kind", "probability", "residual", "U", "b"]
+        assert doc["kind"] == f.kind
+        assert close([doc["probability"], doc["residual"]], [f.probability, f.residual])
+        assert close(matrix_from_json(doc["U"]), f.principal_operator) and close(vector_from_json(doc["b"]), f.ancilla_vector)
+
+    factors = [f for f in (factor_branch(t, branch) for branch in t.branches()) if f is not None]
+    u = factors[0].principal_operator if factors else np.eye(t.space.restrict(t.output_principal).dim, e.shape[1])
+    operator = tmp_path / "operator.json"
+    operator.write_text(json.dumps(matrix_to_json(u)))
+    code, unitary = run("check-unitary", "--operator", str(operator), "--probes", "4")
+    iso = check_isometry_scaling(t, u)
+    target = iso.t_scale * u if iso.t_scale is not None else u
+    computes = [check_computes(t, branch, target, probes=4, seed=seed) for branch in t.branches()]
+    ok = all(holds for holds, _ in computes) and iso.verdict in ("unitary", "isometry")
+    assert code == (0 if ok else 3)
+    assert list(unitary) == ["branches", "t_scale", "verdict", "detail"]
+    assert (unitary["verdict"], unitary["detail"]) == (iso.verdict, iso.detail)
+    assert (unitary["t_scale"] is None) == (iso.t_scale is None)
+    assert iso.t_scale is None or close(unitary["t_scale"], iso.t_scale)
+    assert len(unitary["branches"]) == len(computes)
+    for row, branch, (holds, residual) in zip(unitary["branches"], t.branches(), computes):
+        assert list(row) == ["branch", "computes", "residual"]
+        assert (row["branch"], row["computes"]) == (route_label(branch), holds)
+        assert (row["residual"] is None) == (not np.isfinite(residual))
+        assert row["residual"] is None or close(row["residual"], residual)
+    return rows, unitary
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS) + [f"random{s}" for s in range(30)])
+def test_analysis_verbs_equal_the_tree_functions(name, tmp_path, capsys):
+    from meastree.circuits import Path
+    from meastree.cli import _branch_walk
+
+    c = DEMOS[name]() if name in DEMOS else random_circuit(np.random.default_rng(int(name.removeprefix("random"))))
+    # the verbs stream, per path, its branch of reduce_circuit and V = C E / |a|
+    t, bij = reduce_circuit(c)
+    streamed = [(Path(p), branch, v) for p, branch, v in _branch_walk(c, None)]
+    assert [(p, branch) for p, branch, _ in streamed] == list(bij.forward.items())
+    for _, branch, v in streamed:
+        assert np.max(np.abs(v - branch_operator(t, branch) @ t._isometry / t.ancilla_init.norm())) <= 1e-12
+    assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed=1, factor_paths=lambda ps: ps[:2] + ps[-1:])
+
+
+def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_path, capsys):
+    from meastree.cli import _branch_walk
     from meastree.linalg import bipartition_ket
-    from meastree.serialize import circuit_to_json, matrix_to_json
     from meastree.trees import route_label
 
     t, bij = reduce_circuit(c6)
+    streamed = {branch: v for _, branch, v in _branch_walk(c6, None)}
+    assert list(streamed) == list(bij.forward.values())
     assert (len(bij.forward), t.space.dim, t._isometry.shape[1]) == (1152, 64, 32)
-    circuit, op = tmp_path / "c6.json", tmp_path / "i32.json"
-    circuit.write_text(json.dumps(circuit_to_json(c6)))
-    op.write_text(json.dumps(matrix_to_json(np.eye(32))))
-    assert main(["check-independence", "--circuit", str(circuit), "--probes", "4", "--seed", "0"]) == 3
-    ranges = {row["branch"]: (row["min_probability"], row["max_probability"]) for row in json.loads(capsys.readouterr().out)}
-    assert main(["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]) == 3
-    unitary = json.loads(capsys.readouterr().out)
+    rows, unitary = assert_verbs_equal_the_tree_functions(
+        c6, tmp_path, capsys, seed=0, factor_paths=lambda ps: [ps[0], ps[len(ps) // 2], ps[-1]]
+    )
+    ranges = {row["branch"]: (row["min_probability"], row["max_probability"]) for row in rows}
     computes = {row["branch"]: row["computes"] for row in unitary["branches"]}
     assert len(ranges) == len(computes) == 1152
 
@@ -574,6 +663,7 @@ def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_
     for i in np.random.default_rng(0).choice(len(branches), size=20, replace=False):
         branch = branches[i]
         v = branch_operator(t, branch) @ e / norm
+        assert np.max(np.abs(streamed[branch] - v)) <= 1e-12
         lam = np.linalg.eigvalsh(dagger(v) @ v)
         assert ranges[route_label(branch)] == pytest.approx((lam[0], lam[-1]), abs=1e-12)
         blocks = bipartition_ket(v, t.space, t.output_principal)  # output principal x ancilla x input
