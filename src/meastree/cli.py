@@ -153,7 +153,7 @@ def _branch_walk(c: Circuit, path: str | None):
     """``(path, branch, V)`` at each path of one walk of ``c``, or at the one path
     that ``path`` specifies: the branch of ``reduce_circuit(c)`` it maps to, and
     ``V = C E / |a|``, the block that the tree analyses read for that branch."""
-    follow = _path_follow(c, path) if path else None
+    follow = _path_follow(c, path) if path is not None else None
     bounds, norm = _layer_bounds(c), c.ancilla_init.norm()
     for p, g, _, v in _walk(c, follow, c._isometry):
         if g is None:
@@ -337,15 +337,15 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 def _cmd_check_independence(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    paths = []
+    pinned, paths = args.path or None, []  # an empty --path means every path
 
     def branches():
-        for p, branch, v in _branch_walk(c, args.path):
+        for p, branch, v in _branch_walk(c, pinned):
             paths.append(p)
             yield branch, v
 
     # a pinned path is walked first, so that an error in it is reported before the probe count's
-    reports = _independence(c, list(branches()) if args.path else branches(), args.probes, args.seed)
+    reports = _independence(c, list(branches()) if pinned else branches(), args.probes, args.seed)
     order = flattened_gates(c)
     payload = [
         {

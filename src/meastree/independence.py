@@ -229,9 +229,12 @@ def _spectral_ranges(grams: np.ndarray, sums: np.ndarray) -> tuple[list[float], 
 def _range(isos, kets: np.ndarray) -> tuple[float, float, np.ndarray]:
     """``lo, hi, gram``: the extreme eigenvalues of ``gram``, the summed ``V_b^dag V_b`` over ``isos``.
     Each probe column psi of ``kets`` must give a summed ``|V_b psi|^2`` in ``[lo, hi]``, else AssertionError."""
-    _, grams, sums = _grams(((None, v) for v in isos), kets)
-    gram = grams.sum(axis=0)
-    (lo,), (hi,) = _spectral_ranges(gram[None], sums.sum(axis=0)[None])
+    gram = np.zeros((len(kets), len(kets)), dtype=complex)
+    p = np.zeros(kets.shape[1])
+    for v in isos:
+        gram += dagger(v) @ v
+        p += np.sum(np.abs(v @ kets) ** 2, axis=0)
+    (lo,), (hi,) = _spectral_ranges(gram[None], p[None])
     return lo, hi, gram
 
 

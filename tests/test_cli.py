@@ -639,6 +639,15 @@ def test_negative_probe_count_is_exit_1(demo_files, tmp_path, capsys):
         assert err.startswith("error:") and "probe" in err
 
 
+def test_an_empty_path_pins_nothing(demo_files, capsys):
+    tele = demo_files["teleportation"]
+    code, out, err = run_cli(capsys, ["factor", "--circuit", tele, "--path", ""])
+    assert (code, out, err) == (1, "", "error: path: gate 'mz0' is ambiguous; pin one of: 0, 1\n")
+    # check-independence reads an empty --path as every path
+    argv = ["check-independence", "--circuit", tele, "--probes", "2", "--seed", "0"]
+    assert run_cli(capsys, [*argv, "--path", ""]) == run_cli(capsys, argv)
+
+
 def test_matrix_lines_print_no_sign_of_rounding_noise():
     m = np.array([[0.5 + 1e-20j, -1e-20 - 1e-20j], [1e-20 - 1e-20j, 0.5 - 1e-20j]])
     assert _matrix_lines(m) == _matrix_lines(np.diag([0.5, 0.5]).astype(complex))

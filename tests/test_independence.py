@@ -558,10 +558,12 @@ def c6():
             return c
 
 
-def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_paths=None):
+def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_paths=None, operator=None):
     """check-independence, factor and check-unitary on ``c`` report what the tree functions
     report on ``reduce_circuit(c)``: the same keys, row order, labels, verdicts, probe counts
-    and exit codes, and floats within 1e-12. Returns the two verdict verbs' JSON."""
+    and exit codes, and floats within 1e-12. check-unitary checks ``operator``, by default
+    the first branch factor found or the identity. Returns the two verdict verbs'
+    ``(exit code, JSON)``."""
     from meastree.circuits import flattened_gates
     from meastree.cli import main
     from meastree.serialize import circuit_to_json, matrix_from_json, matrix_to_json, vector_from_json
@@ -579,9 +581,9 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
     def close(got, want):
         return np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0) <= 1e-12
 
-    code, rows = run("check-independence", "--probes", "4")
+    independence_code, rows = run("check-independence", "--probes", "4")
     reports = [check_independence(t, branch, probes=4, seed=seed) for branch in bij.forward.values()]
-    assert code == (0 if all(rep.verdict == "independent" for rep in reports) else 3)
+    assert independence_code == (0 if all(rep.verdict == "independent" for rep in reports) else 3)
     assert len(rows) == len(reports)
     for row, (p, branch), rep in zip(rows, bij.forward.items(), reports):
         assert list(row) == ["path", "branch", "probe_count", "min_probability", "max_probability", "max_deviation", "verdict"]
@@ -604,11 +606,13 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
         assert close([doc["probability"], doc["residual"]], [f.probability, f.residual])
         assert close(matrix_from_json(doc["U"]), f.principal_operator) and close(vector_from_json(doc["b"]), f.ancilla_vector)
 
-    factors = [f for f in (factor_branch(t, branch) for branch in t.branches()) if f is not None]
-    u = factors[0].principal_operator if factors else np.eye(t.space.restrict(t.output_principal).dim, e.shape[1])
-    operator = tmp_path / "operator.json"
-    operator.write_text(json.dumps(matrix_to_json(u)))
-    code, unitary = run("check-unitary", "--operator", str(operator), "--probes", "4")
+    if operator is None:
+        factors = [f for f in (factor_branch(t, branch) for branch in t.branches()) if f is not None]
+        operator = factors[0].principal_operator if factors else np.eye(t.space.restrict(t.output_principal).dim, e.shape[1])
+    u = np.asarray(operator, dtype=complex)
+    operator_file = tmp_path / "operator.json"
+    operator_file.write_text(json.dumps(matrix_to_json(u)))
+    code, unitary = run("check-unitary", "--operator", str(operator_file), "--probes", "4")
     iso = check_isometry_scaling(t, u)
     target = iso.t_scale * u if iso.t_scale is not None else u
     computes = [check_computes(t, branch, target, probes=4, seed=seed) for branch in t.branches()]
@@ -624,7 +628,7 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
         assert (row["branch"], row["computes"]) == (route_label(branch), holds)
         assert (row["residual"] is None) == (not np.isfinite(residual))
         assert row["residual"] is None or close(row["residual"], residual)
-    return rows, unitary
+    return (independence_code, rows), (code, unitary)
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS) + [f"random{s}" for s in range(30)])
@@ -651,9 +655,10 @@ def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_
     streamed = {branch: v for _, branch, v in _branch_walk(c6, None)}
     assert list(streamed) == list(bij.forward.values())
     assert (len(bij.forward), t.space.dim, t._isometry.shape[1]) == (1152, 64, 32)
-    rows, unitary = assert_verbs_equal_the_tree_functions(
-        c6, tmp_path, capsys, seed=0, factor_paths=lambda ps: [ps[0], ps[len(ps) // 2], ps[-1]]
+    (independence_code, rows), (unitary_code, unitary) = assert_verbs_equal_the_tree_functions(
+        c6, tmp_path, capsys, seed=0, factor_paths=lambda ps: [ps[0], ps[len(ps) // 2], ps[-1]], operator=np.eye(32)
     )
+    assert independence_code == unitary_code == 3  # c_6 has dependent paths, and I_32 fails check-unitary
     ranges = {row["branch"]: (row["min_probability"], row["max_probability"]) for row in rows}
     computes = {row["branch"]: row["computes"] for row in unitary["branches"]}
     assert len(ranges) == len(computes) == 1152
