@@ -69,7 +69,6 @@ from .linalg import (
     partial_trace,
     partial_trace_matrix,
     projector,
-    proportional,
     random_unitary,
     tensor_measurements,
     tensor_product,

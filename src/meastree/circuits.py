@@ -7,6 +7,11 @@ a finite selection table over the outcomes of the gate's classical
 sources. A path assigns one outcome label to every gate, consistently
 with those tables. Measurement outcomes are never renormalized: a path's
 output is ``C rho C^dag`` for the composed outcome operators.
+
+Walks go over prefixes, the tuples of outcome labels in execution order
+from the root, with the walker and route resolver that trees share
+(``linalg._walk`` and ``linalg._edges``); ``Circuit._expand`` is the
+circuit's step. A prefix becomes a ``Path`` only where one is returned.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from .linalg import (
     Ket,
     Measurement,
     _branch_output,
+    _edges,
     _input_isometry,
     _resume,
+    _walk,
     apply_local,
     basis_ket,
     embed_principal,
@@ -296,11 +303,42 @@ class Circuit:
         return validate_circuit(self)
 
     @cached_property
-    def _steps(self) -> list[tuple[Gate, tuple[str, ...], dict]]:
-        """Per gate in execution order: the gate, its classical sources, and the
-        walks' memo from their outcomes to the measurement they select."""
-        gates = [self.gates[gid] for gid in flattened_gates(self)]
-        return [(g, tuple(g.classical_sources), {}) for g in gates]
+    def _order(self) -> tuple[str, ...]:
+        """``flattened_gates``: the gate ids in execution order, the order of a prefix's outcomes."""
+        return tuple(flattened_gates(self))
+
+    @cached_property
+    def _steps(self) -> list[tuple[Gate, tuple[str, ...], tuple[int, ...], dict]]:
+        """Per gate in execution order: the gate, its classical sources, their
+        positions in a prefix, and the memo from their outcomes to the
+        measurement they select."""
+        at = {gid: i for i, gid in enumerate(self._order)}
+        steps = []
+        for gid in self._order:
+            sources = tuple(self.gates[gid].classical_sources)
+            steps.append((self.gates[gid], sources, tuple(at[s] for s in sources), {}))
+        return steps
+
+    def _expand(self, prefix: tuple[str, ...]) -> tuple[Gate | None, Measurement | None, tuple[str, ...] | None]:
+        """``(gate, measurement, wires)`` at an outcome prefix, for ``linalg._walk``:
+        the next gate to fire and the measurement its sources select there
+        (None at a selection hole), or all None once the prefix is a path."""
+        steps = self._steps
+        if len(prefix) == len(steps):
+            return None, None, None
+        g, sources, positions, selected = steps[len(prefix)]
+        key = tuple([prefix[i] for i in positions])
+        if key not in selected:
+            selected[key] = g.measurement_for(dict(zip(sources, key)))
+        return g, selected[key], g.wires
+
+    def _path(self, prefix: tuple[str, ...]) -> Path:
+        """The path whose outcomes, in execution order, are ``prefix``."""
+        return Path(dict(zip(self._order, prefix)))
+
+    def _prefix(self, path: Mapping[str, str]) -> tuple[str, ...]:
+        """The outcomes of ``path``, which names every gate, in execution order."""
+        return tuple([path[gid] for gid in self._order])
 
     @cached_property
     def _isometry(self) -> np.ndarray:
@@ -502,8 +540,8 @@ def validate_circuit(c: Circuit) -> list[Violation]:
         counts = [0] * (len(seq) + 1)
         holes: set[str] = set()
         exploded_at = None
-        for assignment, g, m, _ in _walk(c):
-            depth = len(assignment)
+        for prefix, g, m, _ in _walk(c):
+            depth = len(prefix)
             counts[depth] += 1
             if counts[depth] > _MAX_WALK_STATES:
                 exploded_at = seq[depth - 1]
@@ -528,73 +566,16 @@ def flattened_gates(c: Circuit) -> list[str]:
     return out
 
 
-def _walk(c: Circuit, follow=None, x=None):
-    """Depth first over the coherent outcome prefixes of ``c``, carrying ``x``.
-
-    Gates come in execution order and outcomes in declared order. Yields
-    ``(assignment, gate, measurement, x)`` at each prefix, ``gate`` being
-    the next gate to fire and ``measurement`` the one its sources select
-    (None at a selection hole, which ends the prefix), and
-    ``(assignment, None, None, x)`` at each complete path. A ket or D x k
-    block ``x`` is carried down each edge, lazily, as the edge's outcome
-    operator times x. Once a prefix has been yielded, ``follow(gate,
-    measurement, x)`` names the outcomes to descend into, by default all of
-    them, or maps them to images of x it has computed already. Consumers
-    must not mutate the yielded assignments or blocks.
-    """
-    steps = c._steps
-    stack: list[tuple] = [({}, x, None)]
-    while stack:
-        assignment, x, edge = stack.pop()
-        if edge is not None:
-            x = apply_local(*edge, x, c.space)
-        depth = len(assignment)
-        if depth == len(steps):
-            yield assignment, None, None, x
-            continue
-        g, sources, selected = steps[depth]
-        key = tuple(assignment[s] for s in sources)
-        if key not in selected:
-            selected[key] = g.measurement_for(dict(zip(sources, key)))
-        m = selected[key]
-        yield assignment, g, m, x
-        if m is not None:
-            chosen = m.labels if follow is None else follow(g, m, x)
-            images = chosen if isinstance(chosen, dict) else {}
-            for label in reversed(chosen):
-                edge = None if x is None or label in images else (m.operator(label), g.wires)
-                stack.append(({**assignment, g.gate_id: label}, images.get(label, x), edge))
-
-
 def enumerate_paths(c: Circuit) -> list[Path]:
     """All coherent paths, in schedule order with declared outcome order."""
     c.require_valid()
-    return [Path(a) for a, g, _, _ in _walk(c) if g is None]
-
-
-def _path_edges(c: Circuit, path: Mapping[str, str]) -> list[tuple[str, np.ndarray, tuple[str, ...]]] | None:
-    """The edges of ``path``, gate by gate in execution order: each label with
-    its outcome operator and the gate's wires. None if ``path`` is not a
-    coherent path of ``c``; the resolution stops at the first gate where it
-    names no outcome of the selected measurement, and applies no operator."""
-    if set(path) != set(c.gates):
-        return None
-    edges = []
-    for g, sources, selected in c._steps:
-        key = tuple(path[s] for s in sources)
-        if key not in selected:
-            selected[key] = g.measurement_for(dict(zip(sources, key)))
-        m, label = selected[key], path[g.gate_id]
-        if m is None or label not in m.outcomes:
-            return None
-        edges.append((label, m.operator(label), g.wires))
-    return edges
+    return [c._path(prefix) for prefix, g, _, _ in _walk(c) if g is None]
 
 
 def is_coherent(c: Circuit, path: Mapping[str, str]) -> bool:
     """Does the assignment pick, gate by gate, an outcome of the selected measurement?"""
     c.require_valid()
-    return _path_edges(c, path) is not None
+    return set(path) == set(c.gates) and _edges(c, c._prefix(path)) is not None
 
 
 def full_input(c: Circuit, rho: DensityOperator) -> np.ndarray:
@@ -623,15 +604,15 @@ def _input_trace(c: Circuit, rho: DensityOperator) -> float:
 
 
 def _simulate(c: Circuit, rho: DensityOperator, follow=None):
-    """Yield ``(assignment, probability, V rho V^dag)`` at each complete path the walk reaches.
+    """Yield ``(prefix, probability, V rho V^dag)`` at each complete path the walk reaches.
 
     The walk carries ``V = C E``, so ``V rho V^dag`` is the path's output
     ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``.
     """
     t0 = _input_trace(c, rho)
-    for assignment, g, _, v in _walk(c, follow, c._isometry):
+    for prefix, g, _, v in _walk(c, c._isometry, follow):
         if g is None:
-            yield assignment, *_branch_output(v, rho.matrix, t0)
+            yield prefix, *_branch_output(v, rho.matrix, t0)
 
 
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:
@@ -644,8 +625,8 @@ def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> 
     """
     if set(path) == set(c.gates):
         t0 = _input_trace(c, rho)
-        if (edges := _path_edges(c, path)) is not None:
-            v = _resume(c._spine, edges, c.space, apply_local)
+        if (edges := _edges(c, c._prefix(path))) is not None:
+            v = _resume(c._spine, edges, c.space)
             return _branch_output(v, rho.matrix, t0)
     raise ValueError(f"not a coherent path: {dict(path)}")
 
@@ -677,5 +658,5 @@ def sample_run(
         i = int(gen.choice(len(probs), p=probs / probs.sum()))
         return {m.labels[i]: images[i]}
 
-    ((assignment, _, sigma),) = _simulate(c, rho, sample)
-    return Path(assignment), sigma
+    ((prefix, _, sigma),) = _simulate(c, rho, sample)
+    return c._path(prefix), sigma

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from functools import cache
 from typing import Any
 
@@ -29,10 +29,7 @@ import numpy as np
 from .circuits import (
     Circuit,
     InvalidCircuitError,
-    Path,
     _simulate,
-    _walk,
-    enumerate_paths,
     flattened_gates,
     validate_circuit,
 )
@@ -41,6 +38,7 @@ from .independence import _WITNESS_PROBES, _factorization, _independence, _svd, 
 from .linalg import (
     TOL,
     DensityOperator,
+    _walk,
     configure_tolerances,
     embed_principal,
     partial_trace_matrix,
@@ -66,7 +64,7 @@ EXIT_INVALID = 2
 EXIT_CHECK_FAILED = 3
 EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
-__all__ = ["main", "parse_path_spec"]
+__all__ = ["main"]
 
 
 def _load_json(path: str) -> Any:
@@ -98,21 +96,12 @@ def _matrix_lines(m: np.ndarray, indent: str = "    ") -> list[str]:
     return [indent + line for line in text.splitlines()]
 
 
-def parse_path_spec(c: Circuit, text: str) -> Path:
-    """Parse "gate=outcome,gate=outcome" and complete the forced outcomes.
-
-    Gates left unmentioned are filled in automatically when the
-    measurement selected for them has a single outcome; a gate with a
-    real choice must be pinned explicitly.
-    """
-    for assignment, g, m, _ in _walk(c, _path_follow(c, text)):
-        if g is not None and m is None:
-            raise ValueError(f"path: no measurement selected for gate {g.gate_id!r}")
-    return Path(assignment)  # one outcome per gate: the walk ends at the path
-
-
 def _path_follow(c: Circuit, text: str):
-    """The ``_walk`` follow of the one path that ``text`` specifies."""
+    """The ``_walk`` follow of the one path that ``text``, "gate=outcome,...", specifies.
+
+    A gate left unmentioned is filled in when the measurement selected for
+    it has a single outcome; a gate with a real choice must be pinned.
+    """
     given: dict[str, str] = {}
     for part in text.split(","):
         part = part.strip()
@@ -144,20 +133,25 @@ def _path_follow(c: Circuit, text: str):
     return pick
 
 
-def _path_json(order: Sequence[str], path: Mapping[str, str]) -> dict[str, str]:
-    """The path's outcomes in ``order``, the circuit's ``flattened_gates``."""
-    return {gid: path[gid] for gid in order}
+def _path_json(order: Sequence[str], prefix: Sequence[str]) -> dict[str, str]:
+    """A path's outcomes ``prefix`` by gate, in ``order``, the circuit's ``flattened_gates``."""
+    return dict(zip(order, prefix))
+
+
+def _path_text(order: Sequence[str], prefix: Sequence[str]) -> str:
+    """A path as the "gate=outcome,..." text that ``--path`` reads."""
+    return ",".join(map("=".join, zip(order, prefix)))
 
 
 def _branch_walk(c: Circuit, path: str | None):
-    """``(path, branch, V)`` at each path of one walk of ``c``, or at the one path
+    """``(prefix, branch, V)`` at each path of one walk of ``c``, or at the one path
     that ``path`` specifies: the branch of ``reduce_circuit(c)`` it maps to, and
     ``V = C E / |a|``, the block that the tree analyses read for that branch."""
     follow = _path_follow(c, path) if path is not None else None
     bounds, norm = _layer_bounds(c), c.ancilla_init.norm()
-    for p, g, _, v in _walk(c, follow, c._isometry):
+    for p, g, _, v in _walk(c, c._isometry, follow):
         if g is None:
-            yield p, _branch_of(list(p.values()), bounds), v / norm
+            yield p, _branch_of(p, bounds), v / norm
 
 
 def _load_valid_circuit(path: str) -> Circuit:
@@ -244,10 +238,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_paths(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    paths, order = enumerate_paths(c), flattened_gates(c)
+    paths, order = [p for p, g, _, _ in _walk(c) if g is None], flattened_gates(c)
     if args.format == "table":
         for p in paths:
-            print(",".join(f"{gid}={p[gid]}" for gid in order))
+            print(_path_text(order, p))
     else:
         _print_json([_path_json(order, p) for p in paths])
     return EXIT_OK
@@ -271,7 +265,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     "probability": prob,
                     "output_trace": float(sigma.trace().real),
                     "principal_output": reduced,
-                    "_label": ",".join(f"{g}={p[g]}" for g in order),
+                    "_label": _path_text(order, p),
                 }
             )
     else:

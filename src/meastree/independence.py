@@ -14,7 +14,8 @@ functions are thin wrappers over internals that read ``(key, V)`` pairs
 as a stream, with the wire roles of a tree or of a circuit: the CLI
 feeds them every path's ``V = C E`` from one walk of the circuit, with
 no tree, and ``check_independence`` keeps only each pair's d_P x d_P
-Gram and probe sums for one batched ``eigvalsh``. A branch fires on a principal
+Gram and probe sums, for one batched ``eigvalsh`` per ``_GRAM_BYTES`` of
+Grams. A branch fires on a principal
 state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
 over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
 set of branches is input-independent iff the sum of those is ``p I``.
@@ -33,6 +34,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -67,6 +69,9 @@ EPS_FACT = 1e-8
 EPS_CHECK = 1e-7
 # Seeded Haar kets that cross-check a factorization by default.
 _WITNESS_PROBES = 4
+# Bytes of stacked d_P x d_P Grams that one batched eigvalsh reads: 64 MB
+# holds about 2,000 Grams at d_P = 32, and 16 at d_P = 512.
+_GRAM_BYTES = 64 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +207,14 @@ def _seeded_probes(d_in: int, probes: int, seed: int) -> np.ndarray:
     return kets
 
 
-def _grams(pairs, kets: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """``keys, grams, sums`` over ``(key, V)`` pairs: per pair, ``V^dag V`` and each probe
-    column psi's ``|V psi|^2``. Only these are kept, never a V."""
-    keys, grams, sums = [], [], []
-    for key, v in pairs:
-        keys.append(key)
-        grams.append(dagger(v) @ v)
-        sums.append((np.abs(v @ kets) ** 2).sum(axis=0))
-    d, n = kets.shape
-    return keys, np.array(grams, dtype=complex).reshape(-1, d, d), np.array(sums).reshape(-1, n)
+def _grams(pairs, kets: np.ndarray):
+    """``keys, grams, sums`` per chunk of the ``(key, V)`` pairs: per pair, ``V^dag V`` and each
+    probe column psi's ``|V psi|^2``. Only these are kept, never a V, and a chunk's stacked
+    Grams take at most ``_GRAM_BYTES``, or one Gram."""
+    pairs, size = iter(pairs), max(1, _GRAM_BYTES // (16 * len(kets) ** 2))  # 16 bytes per complex entry
+    while chunk := [(key, dagger(v) @ v, (np.abs(v @ kets) ** 2).sum(axis=0)) for key, v in islice(pairs, size)]:
+        keys, grams, sums = zip(*chunk)
+        yield keys, np.array(grams), np.array(sums)
 
 
 def _spectral_ranges(grams: np.ndarray, sums: np.ndarray) -> tuple[list[float], list[float]]:
@@ -243,15 +246,15 @@ def _independence(roles, pairs, probes: int, seed: int, extra=None) -> list[Inde
 
     ``roles`` is a circuit or a tree with roles. The pairs are read once, as a
     stream: only their Grams and probe sums are kept, and one batched
-    ``eigvalsh`` gives every range.
+    ``eigvalsh`` per chunk of ``_GRAM_BYTES`` gives their ranges.
     """
     kets = _probe_kets(roles._isometry.shape[1], probes, seed, extra)
-    keys, grams, sums = _grams(pairs, kets)
     reports = []
-    for key, lo, hi in zip(keys, *_spectral_ranges(grams, sums)):
-        spread = hi - lo
-        verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
-        reports.append(IndependenceReport(tuple(key), kets.shape[1], lo, hi, spread, verdict))
+    for keys, grams, sums in _grams(pairs, kets):
+        for key, lo, hi in zip(keys, *_spectral_ranges(grams, sums)):
+            spread = hi - lo
+            verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
+            reports.append(IndependenceReport(tuple(key), kets.shape[1], lo, hi, spread, verdict))
     return reports
 
 

@@ -6,6 +6,12 @@ positive trace. Traces need not equal 1, and nothing in this package
 renormalizes a state behind the caller's back. A measurement is a finite
 ordered family of operators ``L_i`` with ``sum_i L_i^dag L_i = Id``;
 a unitary is the single-outcome special case.
+
+Circuits and trees share one walker, ``_walk``, and one route resolver,
+``_edges``. Both read a prefix, the tuple of outcome labels from the
+root, through the circuit's or the tree's ``_expand`` step. ``_resume``
+carries a block down the edges of a route from the route walked last.
+Outcome operators are applied by one kernel, ``apply_local``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "permute_ket",
     "embed_principal",
     "bipartition_ket",
-    "proportional",
     "measure_z",
     "ID2",
     "PAULI_X",
@@ -457,23 +462,71 @@ def apply_local(op: np.ndarray, on: Sequence[str], x: np.ndarray, space: Hilbert
     return t.transpose(inverse).reshape(x.shape)
 
 
-def _resume(spine: list, edges: Sequence[tuple[str, np.ndarray, tuple[str, ...]]], space: HilbertSpec, apply) -> np.ndarray:
+def _walk(roles, x=None, follow=None, apply=None):
+    """Depth first over the prefixes of ``roles``, a circuit or a tree, carrying ``x``.
+
+    A prefix is the tuple of outcome labels from the root, ``()``, and
+    ``roles._expand(prefix)`` gives ``(at, measurement, wires)``: the
+    gate or node there, the measurement it fires on ``wires`` and the
+    prefix's children, one per outcome in declared order. The measurement
+    is None where the prefix ends: at a leaf, at a complete path (``at``
+    None too) or at a selection hole. Yields ``(prefix, at, measurement,
+    x)`` at each prefix. A ket or D x k block ``x`` is carried down each
+    edge, lazily, as ``apply(L, wires, x, space)``, by default
+    ``apply_local``, for the edge's outcome operator L. Once a prefix has
+    been yielded, ``follow(at, measurement, x)`` names the outcomes to
+    descend into, by default all of them, or maps them to images of x it
+    has computed already. Consumers must not mutate the yielded blocks.
+    """
+    expand, space, apply = roles._expand, roles.space, apply or apply_local
+    stack: list[tuple] = [((), x, None, None)]
+    while stack:
+        prefix, x, op, on = stack.pop()
+        if op is not None:
+            x = apply(op, on, x, space)
+        at, m, wires = expand(prefix)
+        yield prefix, at, m, x
+        if m is None:
+            continue
+        ops = m.outcomes
+        chosen = ops if follow is None else follow(at, m, x)
+        images = chosen if follow is not None and isinstance(chosen, dict) else {}
+        for label in reversed(chosen):
+            op = None if x is None or label in images else ops[label]
+            stack.append((prefix + (label,), images.get(label, x), op, wires))
+
+
+def _edges(roles, route: Sequence[str]) -> list[tuple[str, np.ndarray, tuple[str, ...]]] | None:
+    """The edges along ``route``, root first, as ``(label, L, wires)``, or None
+    unless ``route`` names an outcome at each prefix and ends where
+    ``roles._expand`` fires nothing: a path of a circuit, a branch of a tree.
+    The resolution applies no operator and stops at the first label it cannot follow."""
+    edges, prefix, expand = [], (), roles._expand
+    for label in route:
+        _, m, wires = expand(prefix)
+        if m is None or label not in m.outcomes:
+            return None
+        edges.append((label, m.outcomes[label], wires))
+        prefix += (label,)
+    return edges if expand(prefix)[1] is None else None
+
+
+def _resume(spine: list, edges: Sequence[tuple[str, np.ndarray, tuple[str, ...]]], space: HilbertSpec) -> np.ndarray:
     """The block at the end of the route ``edges``, resumed from the route walked last.
 
-    ``edges`` are ``(label, L, wires)`` from the root; ``spine`` holds
-    ``(label, block)`` per level from ``(None, x0)``, the root block. The
-    spine is cut back to the longest prefix whose labels match the route
-    and extended by ``apply(L, wires, block, space)``, the caller's
-    ``apply_local``, along the rest, each new block read-only. So a lone
-    route applies only its own edges, and routes taken depth first apply
-    each edge of their prefix tree once.
+    ``edges`` are ``(label, L, wires)`` from the root, as ``_edges`` gives
+    them; ``spine`` holds ``(label, block)`` per level from ``(None, x0)``,
+    the root block. The spine is cut back to the longest prefix whose
+    labels match the route and extended by ``apply_local`` along the rest,
+    each new block read-only. So a lone route applies only its own edges,
+    and routes taken depth first apply each edge of their prefix tree once.
     """
     k = 0
     while k < len(edges) and k + 1 < len(spine) and spine[k + 1][0] == edges[k][0]:
         k += 1
     del spine[k + 1 :]
     for label, op, wires in edges[k:]:
-        block = apply(op, wires, spine[-1][1], space)
+        block = apply_local(op, wires, spine[-1][1], space)
         block.flags.writeable = False
         spine.append((label, block))
     return spine[-1][1]
@@ -531,28 +584,6 @@ def bipartition_ket(vec: np.ndarray, space: HilbertSpec, front: Sequence[str]) -
     v = permute_ket(vec, space, front + [w for w in space.wires if w not in set(front)])
     d_front = math.prod(space.dim_of(w) for w in front)
     return v.reshape((d_front, space.dim // d_front) + v.shape[1:])
-
-
-def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float | None:
-    """Positive scalar c with ``a = c * b``, or None if there is none.
-
-    The scalar is a least-squares fit followed by a residual check, so b
-    being (numerically) zero or the fit coming out nonpositive both yield
-    None rather than an error.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    denom = float(np.vdot(b, b).real)
-    if denom <= TOL.zero:
-        return None
-    c = float(np.vdot(b, a).real) / denom
-    if c <= TOL.zero:
-        return None
-    if frob_norm(a - c * b) <= tol * max(frob_norm(a), 1.0):
-        return c
-    return None
 
 
 def measure_z(dim: int = 2) -> Measurement:

@@ -15,15 +15,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .circuits import (
-    Circuit,
-    Gate,
-    Path,
-    Selection,
-    _walk,
-    flattened_gates,
-)
-from .linalg import tensor_measurements
+from .circuits import Circuit, Gate, Path, Selection, flattened_gates
+from .linalg import _walk, tensor_measurements
 from .trees import Branch, MeasurementTree, TreeNode
 
 __all__ = ["Bijection", "linearize", "tree_from_linear", "reduce_circuit"]
@@ -55,10 +48,10 @@ def _layer_bounds(c: Circuit) -> list[int]:
     return list(accumulate((len(layer) for layer in c.schedule), initial=0))
 
 
-def _branch_of(labels: Sequence[str], bounds: Sequence[int]) -> Branch:
+def _branch_of(prefix: Sequence[str], bounds: Sequence[int]) -> Branch:
     """The branch of ``reduce_circuit`` that a path takes, or the segment of a prefix that
     ends a layer: each whole layer's outcome labels, in execution order, joined with "|"."""
-    return tuple("|".join(labels[a:b]) for a, b in zip(bounds, bounds[1:]) if b <= len(labels))
+    return tuple("|".join(prefix[a:b]) for a, b in zip(bounds, bounds[1:]) if b <= len(prefix))
 
 
 def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
@@ -89,15 +82,16 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     # source assignment, read at every coherent prefix that starts the layer.
     choice_of: list[dict[tuple[tuple[str, str], ...], tuple[int, ...]]] = [{} for _ in layers]
     pairs = []
-    for assignment, g, _, _ in _walk(c):
-        n = layer_at.get(len(assignment))
+    for prefix, g, _, _ in _walk(c):
+        n = layer_at.get(len(prefix))
         if n is None:
             continue
-        joined = _branch_of(list(assignment.values()), bounds)  # assignments keep execution order
+        joined = _branch_of(prefix, bounds)
         if g is None:
-            pairs.append((Path(assignment), Path(dict(zip(merged_ids, joined)))))
+            pairs.append((c._path(prefix), Path(dict(zip(merged_ids, joined)))))
             continue
         when = tuple((merged_ids[i], joined[i]) for i in source_layers[n])
+        assignment = dict(zip(flat, prefix))
         choice = tuple(
             c.gates[gid].selection.select({s: assignment[s] for s in c.gates[gid].classical_sources})
             for gid in layers[n]
@@ -155,13 +149,12 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
 
     nodes: dict[Branch, TreeNode] = {}
     pairs: list[tuple[Path, Branch]] = []
-    for assignment, g, m, _ in _walk(c):
-        segment = tuple(assignment.values())
+    for prefix, g, m, _ in _walk(c):
         if g is None:
-            nodes[segment] = TreeNode(None, {})
-            pairs.append((Path(assignment), segment))
+            nodes[prefix] = TreeNode(None, {})
+            pairs.append((c._path(prefix), prefix))
             continue
-        nodes[segment] = TreeNode(m, {label: segment + (label,) for label in m.labels}, g.wires)
+        nodes[prefix] = TreeNode(m, {label: prefix + (label,) for label in m.labels}, g.wires)
     tree = MeasurementTree(
         space=c.space,
         root=(),

@@ -16,8 +16,8 @@ from typing import Any
 import numpy as np
 
 from .circuits import Circuit, Gate, Selection
-from .linalg import HilbertSpec, Ket, Measurement, lift_operator
-from .trees import Branch, MeasurementTree, TreeNode, _descend
+from .linalg import HilbertSpec, Ket, Measurement, _walk, lift_operator
+from .trees import Branch, MeasurementTree, TreeNode
 
 __all__ = [
     "matrix_to_json",
@@ -370,8 +370,8 @@ def _tree_node_ids(t: MeasurementTree) -> dict[Branch, str]:
     """Readable, unique node ids: the route joined with slashes."""
     ids: dict[Branch, str] = {}
     used: set[str] = set()
-    for key, _, _ in _descend(t):
-        base = name = "/" + "/".join(key[len(t.root) :])
+    for key, _, _, _ in _walk(t):
+        base = name = "/" + "/".join(key)
         k = 2
         while name in used:
             name, k = f"{base}#{k}", k + 1

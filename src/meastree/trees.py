@@ -1,10 +1,12 @@
 """Measurement trees: rooted trees whose inner nodes carry measurements,
 local to the wires each node names, and whose edges are labeled by outcome.
 
-A branch is the label sequence from the root down to a leaf. Following a
-branch multiplies the traversed outcome operators into one composed
-operator, so the set of all branches behaves like a single measurement
-over branch labels. Running a tree carries unnormalized states downward
+A branch is the label sequence from the root down to a leaf, and each
+node is keyed by its route from the root ``()``. The walker and route
+resolver that circuits share (``linalg._walk`` and ``linalg._edges``)
+read ``MeasurementTree._expand``. Following a branch multiplies the
+traversed outcome operators into one composed operator, so the set of
+all branches behaves like a single measurement over branch labels. Running a tree carries unnormalized states downward
 and never renormalizes. On a principal input ``E rho E^dag`` of a tree
 with a small principal space it carries ``V = C E`` (``D x d_P``), as
 the circuit simulator does, and forms the ``D x D`` output only at the
@@ -27,8 +29,10 @@ from .linalg import (
     Measurement,
     _branch_output,
     _clamp_probability,
+    _edges,
     _input_isometry,
     _resume,
+    _walk,
     apply_local,
     dagger,
     frob_norm,
@@ -90,7 +94,15 @@ class MeasurementTree:
 
     def branches(self) -> list[Branch]:
         """All leaf segments, depth first, children in declared outcome order."""
-        return [key for key, node, _ in _descend(self) if node.is_leaf]
+        return [key for key, _, m, _ in _walk(self) if m is None]
+
+    def _expand(self, key: Branch) -> tuple[TreeNode, Measurement | None, tuple[str, ...]]:
+        """``(node, measurement, wires)`` of the node at ``key``, for ``linalg._walk``:
+        its children are keyed ``key + (label,)``, as ``validate_tree`` checks.
+        ValueError if there is no node at ``key``."""
+        if (node := self.nodes.get(key)) is None:
+            raise ValueError(f"the tree has no node at {key!r}")
+        return node, node.measurement, self.wires_of(node)
 
     @property
     def output_principal(self) -> tuple[str, ...] | None:
@@ -139,7 +151,7 @@ class MeasurementTree:
         """
         route = tuple(branch)
         if (v := self._leaf_isometries.get(route)) is None:
-            block = _resume(self._spine, _route(self, route), self.space, apply_local)
+            block = _resume(self._spine, _route(self, route), self.space)
             v = block / self.ancilla_init.norm()  # probabilities per unit input norm
             v.flags.writeable = False
             self._leaf_isometries[route] = v
@@ -183,8 +195,8 @@ def single_node_tree(space: HilbertSpec, **roles) -> MeasurementTree:
 def validate_tree(t: MeasurementTree) -> list[str]:
     """Structural problems, as human-readable strings."""
     problems: list[str] = []
-    if t.root not in t.nodes:
-        return [f"root {t.root!r} is not a node"]
+    if t.root != () or () not in t.nodes:
+        return [f"root {t.root!r} is not a node keyed ()"]
     init, ancilla = t.ancilla_init, t.ancilla_wires or ()
     if init is not None:
         if not set(ancilla) <= set(t.space.wires) or len(init.vector) != t.space.restrict(ancilla).dim:
@@ -192,14 +204,11 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         elif not abs(init.norm() - 1.0) <= 1e-9:
             problems.append(f"ancilla_init norm {init.norm():.6f} != 1")
     seen: set[Branch] = set()
-    stack: list[tuple[Branch, Branch | None]] = [(t.root, None)]  # (node, its parent), preorder
+    stack: list[Branch] = [()]  # preorder, each child keyed by its route
     while stack:
-        key, parent = stack.pop()
+        key = stack.pop()
         if key not in t.nodes:
-            problems.append(f"node {parent!r}: missing child {key!r}")
-            continue
-        if key in seen:
-            problems.append(f"node {key!r} reached twice")
+            problems.append(f"node {key[:-1]!r}: missing child {key!r}")
             continue
         seen.add(key)
         node = t.nodes[key]
@@ -219,7 +228,10 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         defect = m.completeness_defect()
         if not defect <= TOL.complete:
             problems.append(f"node {key!r}: completeness defect {defect:.3e}")
-        stack.extend((child, key) for child in reversed(node.children.values()))
+        for label in m.labels:
+            if node.children[label] != key + (label,):
+                problems.append(f"node {key!r}: child {label!r} is keyed {node.children[label]!r}, not by its route")
+        stack.extend(key + (label,) for label in reversed(m.labels))
 
     unreachable = set(t.nodes) - seen
     if unreachable and not problems:
@@ -227,37 +239,10 @@ def validate_tree(t: MeasurementTree) -> list[str]:
     return problems
 
 
-def _descend(t: MeasurementTree, x=None, step=None):
-    """Depth first over the nodes of ``t``, carrying ``x`` down each edge.
-
-    Yields ``(key, node, x)`` in preorder, children in declared outcome
-    order. The edge of outcome operator L, on ``wires``, turns x into
-    ``step(L, wires, x)``, by default ``apply_local(L, wires, x, t.space)``.
-    """
-    stack = [(t.root, x, None, None)]
-    while stack:
-        key, x, op, wires = stack.pop()
-        if op is not None and x is not None:
-            x = step(op, wires, x) if step else apply_local(op, wires, x, t.space)
-        node = t.nodes[key]
-        yield key, node, x
-        for label in reversed(() if node.is_leaf else node.measurement.labels):
-            stack.append((node.children[label], x, node.measurement.operator(label), t.wires_of(node)))
-
-
 def _route(t: MeasurementTree, route: Branch) -> list[tuple[str, np.ndarray, tuple[str, ...]]]:
-    """The edges along ``route``, root first: each label with its outcome operator and wires.
-
-    ValueError if ``route`` is not a branch: it must end at a leaf.
-    """
-    edges, key = [], t.root
-    for depth in range(len(route) + 1):
-        node, labels = t.nodes.get(key), route[depth : depth + 1]
-        if node is None or node.is_leaf != (not labels) or not set(labels) <= set(node.children):
-            raise ValueError(f"{route!r} is not a branch of the tree")
-        for label in labels:
-            edges.append((label, node.measurement.operator(label), t.wires_of(node)))
-            key = node.children[label]
+    """``linalg._edges`` of ``route``; ValueError if it is not a branch: it must end at a leaf."""
+    if (edges := _edges(t, route)) is None:
+        raise ValueError(f"{route!r} is not a branch of the tree")
     return edges
 
 
@@ -282,15 +267,15 @@ def run_tree(
         raise ValueError("input state has zero trace")
     sigma = np.asarray(sigma0.matrix, dtype=complex)
     if (rho := _principal_part(t, sigma)) is not None:
-        walk = _descend(t, t._isometry)
-        return {key: _branch_output(v, rho, t0) for key, node, v in walk if node.is_leaf}
+        walk = _walk(t, t._isometry)
+        return {key: _branch_output(v, rho, t0) for key, _, m, v in walk if m is None}
 
-    def step(op: np.ndarray, wires: tuple[str, ...], sigma: np.ndarray) -> np.ndarray:
-        left = apply_local(op, wires, sigma, t.space)
-        return apply_local(op.conj(), wires, left.T, t.space).T  # L sigma L^dag
+    def step(op: np.ndarray, wires: tuple[str, ...], sigma: np.ndarray, space: HilbertSpec) -> np.ndarray:
+        left = apply_local(op, wires, sigma, space)
+        return apply_local(op.conj(), wires, left.T, space).T  # L sigma L^dag
 
-    walk = _descend(t, sigma, step)
-    return {key: (_clamp_probability(float(s.trace().real) / t0), s) for key, node, s in walk if node.is_leaf}
+    walk = _walk(t, sigma, apply=step)
+    return {key: (_clamp_probability(float(s.trace().real) / t0), s) for key, _, m, s in walk if m is None}
 
 
 def _principal_part(t: MeasurementTree, sigma: np.ndarray) -> np.ndarray | None:
@@ -335,8 +320,8 @@ def branch_measurement(t: MeasurementTree) -> Measurement:
     Labels are serialized branch routes. Individual operators may be zero
     (orthogonal compositions); the family as a whole is complete.
     """
-    walk = _descend(t, identity(t.space.dim))
-    return Measurement.of({route_label(key): op for key, node, op in walk if node.is_leaf})
+    walk = _walk(t, identity(t.space.dim))
+    return Measurement.of({route_label(key): op for key, _, m, op in walk if m is None})
 
 
 def branch_probability(t: MeasurementTree, branch: Sequence[str], sigma: DensityOperator) -> float:

@@ -430,17 +430,12 @@ def test_random_circuit_rejects_draws_over_four_times_max_paths():
             assert len(enumerate_paths(c)) <= 40
 
 
-def test_sample_run_applies_each_outcome_operator_once(monkeypatch):
+def test_sample_run_applies_each_outcome_operator_once(kernel_calls):
     """The Born weights need every outcome's image; the walk takes the chosen one from them."""
-    from meastree import circuits
-
-    calls = []
-    kernel = circuits.apply_local
-    monkeypatch.setattr(circuits, "apply_local", lambda *a: calls.append(1) or kernel(*a))
     c = teleportation()
     rho = DensityOperator.of(projector(haar_ket(2, np.random.default_rng(1))), c.principal_spec)
     path, sigma = sample_run(c, rho, 0)
-    assert len(calls) == 11
+    assert len(kernel_calls) == 11
     assert np.array_equal(sigma, simulate_path(c, path, rho)[1])
 
 
@@ -488,7 +483,7 @@ def test_circuits_differing_only_in_ancilla_init_keep_their_own_isometry():
 
 def _full_walk(c, rho):
     """Every path's ``(probability, output)`` from one walk of the whole path tree."""
-    return {Path(a): (p, sigma) for a, p, sigma in _simulate(c, rho)}
+    return {c._path(prefix): (p, sigma) for prefix, p, sigma in _simulate(c, rho)}
 
 
 def test_simulate_path_in_any_order_equals_the_full_walk_bit_for_bit():
@@ -516,17 +511,8 @@ def test_simulate_path_in_any_order_equals_the_full_walk_bit_for_bit():
             check(i + 1, (n + 1) % 2, b[::-1][n % len(b)])
 
 
-def _count_edges(monkeypatch):
-    from meastree import circuits
-
-    calls = []
-    kernel = circuits.apply_local
-    monkeypatch.setattr(circuits, "apply_local", lambda *a: calls.append(1) or kernel(*a))
-    return calls
-
-
-def test_simulate_path_applies_each_prefix_tree_edge_once(monkeypatch):
-    calls = _count_edges(monkeypatch)
+def test_simulate_path_applies_each_prefix_tree_edge_once(kernel_calls):
+    calls = kernel_calls
     for make in (*DEMOS.values(), *(lambda s=s: random_circuit(np.random.default_rng(s)) for s in range(10))):
         c = make()
         rho = random_density(c.principal_spec, np.random.default_rng(3))
@@ -545,12 +531,12 @@ def test_simulate_path_applies_each_prefix_tree_edge_once(monkeypatch):
         assert len(calls) == len(lone.gates)
 
 
-def test_incoherent_paths_raise_and_leave_the_spine_exact(monkeypatch):
+def test_incoherent_paths_raise_and_leave_the_spine_exact(kernel_calls):
     c = feedforward_x()
     rho = DensityOperator.of(np.array([[0.7, 0.1j], [-0.1j, 0.3]]), c.principal_spec)
     want = _full_walk(c, rho)
     first, second = {"spread": "u", "read": "0", "corr": "keep"}, {"spread": "u", "read": "1", "corr": "flip"}
-    calls = _count_edges(monkeypatch)
+    calls = kernel_calls
     for bad in (
         {"spread": "v", "read": "0", "corr": "keep"},  # incoherent at depth 0
         {"spread": "u", "read": "0", "corr": "flip"},  # read=0 selects "keep": incoherent at depth 2

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meastree import circuits, linalg
-from meastree.circuits import _walk, enumerate_paths, simulate_path
-from meastree.cli import _matrix_lines, main, parse_path_spec
+from meastree import linalg
+from meastree.circuits import enumerate_paths, simulate_path
+from meastree.cli import _matrix_lines, main
 from meastree.demos import DEMOS, teleportation
-from meastree.linalg import configure_tolerances, partial_trace_matrix
+from meastree.linalg import _walk, configure_tolerances, partial_trace_matrix
 from meastree.rand import random_circuit, random_density
 from meastree.serialize import circuit_from_json, circuit_to_json, matrix_to_json, vector_to_json
 
@@ -395,7 +395,7 @@ def test_output_is_deterministic_for_fixed_seed(demo_files, capsys):
     assert first == second
 
 
-def test_paths_table_format_emits_reusable_path_specs(demo_files, capsys):
+def test_paths_table_format_emits_reusable_path_specs(demo_files, tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         ["paths", "--circuit", demo_files["teleportation"], "--format", "table"],
@@ -404,13 +404,23 @@ def test_paths_table_format_emits_reusable_path_specs(demo_files, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all("mz0=" in line and "mz1=" in line for line in lines)
-    # each line round-trips through the --path parser
-    c = teleportation()
-    assert {tuple(sorted(parse_path_spec(c, line).items())) for line in lines} == {
-        tuple(sorted(p.items())) for p in enumerate_paths(c)
-    }
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+    # each line round-trips through --path: simulate and factor name the path it spells
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": vector_to_json(np.array([1.0, 0.0]))}))
+    tele, simulated, factored = demo_files["teleportation"], [], []
+    for line in lines:
+        code, out, _ = run_cli(capsys, ["simulate", "--circuit", tele, "--input", str(state), "--path", line])
+        assert code == 0
+        (row,) = json.loads(out)
+        simulated.append(row["path"])
+        code, out, _ = run_cli(capsys, ["factor", "--circuit", tele, "--path", line])
+        assert code == 0
+        factored.append(json.loads(out)["path"])
+    assert [",".join(f"{g}={o}" for g, o in p.items()) for p in simulated] == lines
+    assert factored == simulated
+    assert simulated == [dict(p) for p in enumerate_paths(teleportation())]
 
 
 def test_check_independence_table_format(demo_files, capsys):
@@ -454,26 +464,43 @@ def test_tolerance_env_var_is_restored_after_main(demo_files, capsys, monkeypatc
     assert vars(linalg.TOL) == before
 
 
-def test_parse_path_spec_autofills_single_outcome_gates():
-    c = teleportation()
-    p = parse_path_spec(c, "mz0=1,mz1=0")
-    assert p["mz0"] == "1" and p["mz1"] == "0"
-    # single-outcome gates and forced selections are filled in
-    assert p["bell_h"] == "u"
-    assert p["corr_x"] == "i"  # mz1=0 selects the identity correction
-    assert p["corr_z"] == "z"  # mz0=1 selects the Z correction
+def test_path_option_autofills_single_outcome_gates(demo_files, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": vector_to_json(np.array([1.0, 0.0]))}))
+    tele = demo_files["teleportation"]
+    code, out, _ = run_cli(capsys, ["simulate", "--circuit", tele, "--input", str(state), "--path", "mz0=1,mz1=0"])
+    assert code == 0
+    (row,) = json.loads(out)
+    code, out, _ = run_cli(capsys, ["factor", "--circuit", tele, "--path", "mz0=1,mz1=0"])
+    assert code == 0
+    for p in (row["path"], json.loads(out)["path"]):
+        assert p["mz0"] == "1" and p["mz1"] == "0"
+        # single-outcome gates and forced selections are filled in
+        assert p["bell_h"] == "u"
+        assert p["corr_x"] == "i"  # mz1=0 selects the identity correction
+        assert p["corr_z"] == "z"  # mz0=1 selects the Z correction
 
 
-def test_parse_path_spec_errors():
-    c = teleportation()
-    with pytest.raises(ValueError):
-        parse_path_spec(c, "mz0=1")  # mz1 has two outcomes, so it is required
-    with pytest.raises(ValueError):
-        parse_path_spec(c, "mz0=1,mz0=0,mz1=1")  # duplicate assignment
-    with pytest.raises(ValueError):
-        parse_path_spec(c, "mz0=2,mz1=0")  # unknown outcome
-    with pytest.raises(ValueError):
-        parse_path_spec(c, "nope=1,mz0=0,mz1=0")  # unknown gate
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("mz0=1", "gate 'mz1' is ambiguous; pin one of: 0, 1"),  # mz1 has two outcomes, so it is required
+        ("mz0=1,mz0=0,mz1=1", "gate 'mz0' pinned twice"),
+        ("mz0=2,mz1=0", "gate 'mz0' has no outcome '2' here (options: 0, 1)"),
+        ("nope=1,mz0=0,mz1=0", "unknown gate 'nope'"),
+        ("mz0", "expected gate=outcome, got 'mz0'"),
+    ],
+    ids=["ambiguous", "pinned-twice", "unknown-outcome", "unknown-gate", "no-equals-sign"],
+)
+def test_path_option_errors_are_exit_1(demo_files, tmp_path, capsys, spec, message):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": vector_to_json(np.array([1.0, 0.0]))}))
+    tele = demo_files["teleportation"]
+    for argv in (
+        ["simulate", "--circuit", tele, "--input", str(state), "--path", spec],
+        ["factor", "--circuit", tele, "--path", spec],
+    ):
+        assert run_cli(capsys, argv) == (1, "", f"error: path: {message}\n")
 
 
 def _circuit_and_state(tmp_path, name, c, rng):
@@ -507,11 +534,9 @@ def test_simulate_circuit_rows_equal_simulate_path(tmp_path, capsys):
             }
 
 
-def test_simulate_circuit_shares_prefixes(tmp_path, capsys, monkeypatch):
+def test_simulate_circuit_shares_prefixes(tmp_path, capsys, kernel_calls):
     """One walk serves every path: one gate application per non-root prefix."""
-    calls = []
-    kernel = circuits.apply_local
-    monkeypatch.setattr(circuits, "apply_local", lambda *a: calls.append(1) or kernel(*a))
+    calls = kernel_calls
     rng = np.random.default_rng(92)
     for name, c in [("teleportation", teleportation()), ("random18", random_circuit(np.random.default_rng(18)))]:
         circuit, state, _ = _circuit_and_state(tmp_path, name, c, rng)

@@ -297,14 +297,15 @@ def edge_operators(t, branch=None):
     return edges
 
 
-def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, monkeypatch):
-    from meastree import trees
+def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, monkeypatch, kernel_calls):
     from meastree.cli import main
+    from meastree.linalg import _walk
     from meastree.serialize import circuit_to_json, matrix_to_json
 
-    applied, svds = [], []
-    apply_local, svd = trees.apply_local, np.linalg.svd
-    monkeypatch.setattr(trees, "apply_local", lambda op, *args: applied.append(id(op)) or apply_local(op, *args))
+    def applied():
+        return sorted(id(op) for op, _ in kernel_calls)
+
+    svds, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
 
     # a full per-branch analysis applies each edge of the tree once and decomposes each branch once
@@ -317,33 +318,27 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
         check_computes(t, branch, I2, probes=4, seed=0)
     check_set_independence(t, branches, probes=4, seed=0)
     check_isometry_scaling(t, I2)
-    assert sorted(applied) == sorted(map(id, edge_operators(t)))
+    assert applied() == sorted(map(id, edge_operators(t)))
     assert len(svds) == len(branches)
 
     # a lone branch applies only the edges of its own route
     lone = reduced(teleportation)
-    applied.clear()
+    kernel_calls.clear()
     factor_branch(lone, branches[-1])
-    assert sorted(applied) == sorted(map(id, edge_operators(lone, branches[-1])))
+    assert applied() == sorted(map(id, edge_operators(lone, branches[-1])))
 
     # check-unitary factors each branch once, for the scaling test and the per-branch test alike,
     # from one walk of the circuit that applies each of its edges once and builds no tree
-    from meastree import circuits
-    from meastree.circuits import _walk
-
-    walked = []
-    monkeypatch.setattr(circuits, "apply_local", lambda op, *args: walked.append(id(op)) or apply_local(op, *args))
     circuit = tmp_path / "teleportation.json"
     circuit.write_text(json.dumps(circuit_to_json(teleportation())))
     op = tmp_path / "op.json"
     op.write_text(json.dumps(matrix_to_json(I2)))
-    applied.clear()
+    kernel_calls.clear()
     svds.clear()
     argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
     assert main(argv) == 0
     assert len(svds) == len(branches)
-    assert applied == []
-    assert len(walked) == sum(1 for _ in _walk(teleportation())) - 1
+    assert len(kernel_calls) == sum(1 for _ in _walk(teleportation())) - 1
 
 
 def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
@@ -633,13 +628,12 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
 
 @pytest.mark.parametrize("name", sorted(DEMOS) + [f"random{s}" for s in range(30)])
 def test_analysis_verbs_equal_the_tree_functions(name, tmp_path, capsys):
-    from meastree.circuits import Path
     from meastree.cli import _branch_walk
 
     c = DEMOS[name]() if name in DEMOS else random_circuit(np.random.default_rng(int(name.removeprefix("random"))))
     # the verbs stream, per path, its branch of reduce_circuit and V = C E / |a|
     t, bij = reduce_circuit(c)
-    streamed = [(Path(p), branch, v) for p, branch, v in _branch_walk(c, None)]
+    streamed = [(c._path(p), branch, v) for p, branch, v in _branch_walk(c, None)]
     assert [(p, branch) for p, branch, _ in streamed] == list(bij.forward.items())
     for _, branch, v in streamed:
         assert np.max(np.abs(v - branch_operator(t, branch) @ t._isometry / t.ancilla_init.norm())) <= 1e-12
@@ -677,3 +671,23 @@ def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_
         assert computes[route_label(branch)] is False
         assert factor_branch(t, branch) is None
     assert unitary["verdict"] == "inconclusive" and "does not factor" in unitary["detail"]
+
+
+def test_chunked_grams_give_the_reports_of_one_batch(c6, monkeypatch):
+    """Under a smaller Gram budget the ranges come from several batched eigvalsh calls, bit for bit."""
+    from meastree import independence
+    from meastree.cli import _branch_walk
+
+    batches, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: batches.append(len(m)) or eigvalsh(m))
+
+    def reports(budget):
+        monkeypatch.setattr(independence, "_GRAM_BYTES", budget)
+        batches.clear()
+        pairs = ((branch, v) for _, branch, v in _branch_walk(c6, None))
+        return independence._independence(c6, pairs, 8, 0)
+
+    whole = reports(independence._GRAM_BYTES)
+    assert batches == [1152]
+    assert reports(500 * 16 * 32 * 32) == whole and batches == [500, 500, 152]
+    assert reports(1) == whole and batches == [1] * 1152

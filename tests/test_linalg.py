@@ -26,7 +26,6 @@ from meastree.linalg import (
     permute_ket,
     permute_wires,
     projector,
-    proportional,
     random_unitary,
     tensor_measurements,
     tensor_product,
@@ -274,13 +273,6 @@ def test_bipartition_ket_of_a_block_stacks_the_columns():
     want = np.stack([bipartition_ket(col, space, ("p1", "p0")) for col in block.T], axis=-1)
     assert np.array_equal(got, want)
     assert bipartition_ket(block, space, ()).shape == (1, space.dim, 5)
-
-def test_proportional_recovers_constant():
-    rng = np.random.default_rng(7)
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert proportional(3.7 * b, b) == pytest.approx(3.7)
-    assert proportional(np.zeros((2, 2)), ID2) is None
-    assert proportional(PAULI_X, PAULI_Z) is None
 
 
 def test_haar_ket_and_random_unitary_are_seeded():

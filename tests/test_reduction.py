@@ -188,3 +188,23 @@ def test_completeness_survives_reduction():
             if node.is_leaf:
                 continue
             assert node.measurement.completeness_defect() <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS) + [f"random{s}" for s in range(10)])
+def test_one_walker_and_one_resolver_serve_a_linear_circuit_and_its_tree(name):
+    from meastree.linalg import _edges, _walk
+
+    c = DEMOS[name]() if name in DEMOS else random_circuit(np.random.default_rng(int(name.removeprefix("random"))))
+    linear, _ = linearize(c)
+    tree, _ = tree_from_linear(linear)
+    assert [prefix for prefix, *_ in _walk(linear)] == [prefix for prefix, *_ in _walk(tree)]
+    routes = tree.branches()
+    assert routes == [prefix for prefix, gate, _, _ in _walk(linear) if gate is None]
+    for route in routes:
+        # the tree keeps the linear circuit's outcome operators: both resolve to the same edges
+        edges = [[(label, id(op), wires) for label, op, wires in _edges(roles, route)] for roles in (linear, tree)]
+        assert edges[0] == edges[1] and [label for label, _, _ in edges[0]] == list(route)
+        for roles in (linear, tree):
+            assert _edges(roles, route[:-1]) is None and _edges(roles, route + route[-1:]) is None
+            for i in range(len(route)):
+                assert _edges(roles, route[:i] + ("not an outcome",) + route[i + 1 :]) is None

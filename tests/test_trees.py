@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from meastree import trees
 from meastree.circuits import enumerate_paths, simulate_path
 from meastree.linalg import (
     HADAMARD,
@@ -13,7 +12,6 @@ from meastree.linalg import (
     Ket,
     Measurement,
     apply_kraus,
-    apply_local,
     basis_ket,
     embed_principal,
     projector,
@@ -230,6 +228,18 @@ def test_unknown_branch_raises():
         branch_operator(t, ("zzz",))
     with pytest.raises(ValueError):
         branch_operator(t, ("u",))  # stops at an inner node
+    with pytest.raises(ValueError):
+        branch_operator(t, ("u", "0", "0"))  # runs past a leaf
+    del t.nodes[("u", "1")]
+    with pytest.raises(ValueError):
+        branch_operator(t, ("u", "1"))  # a child missing from a hand-built tree
+
+
+def test_validate_tree_names_a_node_not_keyed_by_its_route():
+    t = h_then_z_tree()
+    assert validate_tree(dataclasses.replace(t, root=("u",))) == ["root ('u',) is not a node keyed ()"]
+    t.nodes[()] = TreeNode(t.nodes[()].measurement, {"u": ("w",)})
+    assert validate_tree(t) == ["node (): child 'u' is keyed ('w',), not by its route"]
 
 
 def test_branches_enumerated_in_declared_order():
@@ -317,16 +327,9 @@ def test_random_unitary_tree_output_is_rotated_input():
     assert np.allclose(sigma, u @ rho.matrix @ u.conj().T, atol=1e-12)
 
 
-def _record_carries(monkeypatch) -> list[tuple[int, ...]]:
-    """The shapes of the blocks that run_tree's walk hands to apply_local, as it goes."""
-    shapes = []
-
-    def recording(op, on, x, space):
-        shapes.append(np.shape(x))
-        return apply_local(op, on, x, space)
-
-    monkeypatch.setattr(trees, "apply_local", recording)
-    return shapes
+def _shapes(kernel_calls) -> set[tuple[int, ...]]:
+    """The shapes of the blocks handed to apply_local so far."""
+    return {shape for _, shape in kernel_calls}
 
 
 def _reduced(n_wires, seed, **kw):
@@ -344,7 +347,7 @@ def _outside_the_range_of_e(t, rng):
 
 
 @pytest.mark.parametrize("n_wires, seed", [(4, 14), (5, 14), (6, 1), (7, 1), (8, 1)])
-def test_narrow_and_two_sided_carries_agree(monkeypatch, n_wires, seed):
+def test_narrow_and_two_sided_carries_agree(kernel_calls, n_wires, seed):
     """A principal input carries V = C E; the same input plus a state outside
     the range of E carries D x D states, and the difference of the two
     two-sided runs gives back the principal input's branches."""
@@ -354,13 +357,12 @@ def test_narrow_and_two_sided_carries_agree(monkeypatch, n_wires, seed):
     assert 8 * d_p <= d
     principal = embed_principal(t, random_density(t.space.restrict(t.principal_wires), rng).matrix)
     rest = _outside_the_range_of_e(t, rng)
-    shapes = _record_carries(monkeypatch)
     narrow = run_tree(t, DensityOperator(principal, t.space))
-    assert shapes and set(shapes) == {(d, d_p)}
-    shapes.clear()
+    assert kernel_calls and _shapes(kernel_calls) == {(d, d_p)}
+    kernel_calls.clear()
     mixed = run_tree(t, DensityOperator(principal + rest, t.space))
     alone = run_tree(t, DensityOperator(rest, t.space))
-    assert shapes and set(shapes) == {(d, d)}
+    assert kernel_calls and _shapes(kernel_calls) == {(d, d)}
     t_p = np.trace(principal).real
     for b in t.branches():
         (p, sigma), (p_mixed, s_mixed), (p_rest, s_rest) = narrow[b], mixed[b], alone[b]
@@ -368,7 +370,7 @@ def test_narrow_and_two_sided_carries_agree(monkeypatch, n_wires, seed):
         assert abs(p * t_p - (p_mixed * (t_p + 1.0) - p_rest)) <= 1e-12
 
 
-def test_inputs_outside_the_range_of_e_match_the_branch_operators(monkeypatch):
+def test_inputs_outside_the_range_of_e_match_the_branch_operators(kernel_calls):
     """A full-rank joint state, and one a hair outside the range of E, take
     the two-sided carry and give C_b sigma_0 C_b^dag."""
     rng = np.random.default_rng(3)
@@ -377,10 +379,9 @@ def test_inputs_outside_the_range_of_e_match_the_branch_operators(monkeypatch):
     near = embed_principal(t, random_density(t.space.restrict(t.principal_wires), rng).matrix)
     near += 1e-9 * _outside_the_range_of_e(t, rng)
     for sigma0 in (random_density(t.space, rng), DensityOperator(near, t.space)):
-        shapes = _record_carries(monkeypatch)
+        kernel_calls.clear()
         out = run_tree(t, sigma0)
-        assert shapes and set(shapes) == {(d, d)}
-        monkeypatch.undo()
+        assert kernel_calls and _shapes(kernel_calls) == {(d, d)}
         for b in t.branches():
             c = branch_operator(t, b)
             expected = c @ sigma0.matrix @ c.conj().T
@@ -388,7 +389,7 @@ def test_inputs_outside_the_range_of_e_match_the_branch_operators(monkeypatch):
             assert out[b][0] == pytest.approx(np.trace(expected).real / sigma0.trace(), abs=1e-12)
 
 
-def test_trees_without_roles_or_ancilla_keep_the_two_sided_carry(monkeypatch):
+def test_trees_without_roles_or_ancilla_keep_the_two_sided_carry(kernel_calls):
     t = _reduced(6, 1, max_paths=12)
     rho = random_density(t.space.restrict(t.principal_wires), np.random.default_rng(4))
     sigma0 = DensityOperator(embed_principal(t, rho.matrix), t.space)
@@ -398,58 +399,53 @@ def test_trees_without_roles_or_ancilla_keep_the_two_sided_carry(monkeypatch):
         t, principal_wires=t.space.wires, ancilla_wires=(), ancilla_init=Ket.of([1.0], HilbertSpec(()))
     )
     assert not bare.has_roles() and whole.has_roles() and validate_tree(whole) == []
-    shapes = _record_carries(monkeypatch)
+    kernel_calls.clear()
     for tree in (bare, whole):
         out = run_tree(tree, sigma0)
         for b in t.branches():
             assert out[b][0] == pytest.approx(expected[b][0], abs=1e-12)
             assert np.abs(out[b][1] - expected[b][1]).max() <= 1e-12
-    assert shapes and set(shapes) == {(t.space.dim, t.space.dim)}
+    assert kernel_calls and _shapes(kernel_calls) == {(t.space.dim, t.space.dim)}
 
 
-def test_an_ancilla_a_little_off_unit_norm_keeps_the_narrow_carry(monkeypatch):
+def test_an_ancilla_a_little_off_unit_norm_keeps_the_narrow_carry(kernel_calls):
     """validate_tree allows |a|^2 = 1 +- 1e-9; rho is read with |a|^4."""
     t = _reduced(4, 14, max_paths=12)
     t = dataclasses.replace(t, ancilla_init=Ket.of((1 + 4e-10) * t.ancilla_init.vector, t.ancilla_init.space))
     assert validate_tree(t) == []
     rho = random_density(t.space.restrict(t.principal_wires), np.random.default_rng(5))
     sigma0 = DensityOperator(embed_principal(t, rho.matrix), t.space)
-    shapes = _record_carries(monkeypatch)
     out = run_tree(t, sigma0)
-    assert shapes and set(shapes) == {(t.space.dim, 2)}
-    monkeypatch.undo()
+    assert kernel_calls and _shapes(kernel_calls) == {(t.space.dim, 2)}
     for b in t.branches():
         c = branch_operator(t, b)
         assert np.abs(out[b][1] - c @ sigma0.matrix @ c.conj().T).max() <= 1e-12
 
 
-def test_a_principal_input_on_a_wide_tree_applies_nothing_to_a_d_by_d_block(monkeypatch):
+def test_a_principal_input_on_a_wide_tree_applies_nothing_to_a_d_by_d_block(kernel_calls):
     c = random_circuit(np.random.default_rng(23), n_wires=8, max_paths=6)
     t, to_branch = reduce_circuit(c)
     assert (t.space.dim, t._isometry.shape[1]) == (256, 2)
     rho = random_density(c.principal_spec, np.random.default_rng(6))
-    shapes = _record_carries(monkeypatch)
     out = run_tree(t, DensityOperator(embed_principal(t, rho.matrix), t.space))
-    assert len(shapes) == len(t.nodes) - 1  # one application per edge
-    assert set(shapes) == {(256, 2)}
+    assert len(kernel_calls) == len(t.nodes) - 1  # one application per edge
+    assert _shapes(kernel_calls) == {(256, 2)}
     for p in enumerate_paths(c):
         prob, sigma = simulate_path(c, p, rho)
         assert out[to_branch.forward[p]][0] == pytest.approx(prob, abs=1e-12)
         assert np.abs(out[to_branch.forward[p]][1] - sigma).max() <= 1e-12
 
 
-def test_a_principal_space_above_an_eighth_keeps_the_two_sided_carry_untested(monkeypatch):
+def test_a_principal_space_above_an_eighth_keeps_the_two_sided_carry_untested(kernel_calls):
     """With 8 d_P > D the leaf products cost more than the narrow carry
     saves, so run_tree neither builds E nor tests the input against it."""
     t = _reduced(5, 1, max_paths=12)
     assert (t.space.dim, t.space.restrict(t.principal_wires).dim) == (32, 8)
     rho = random_density(t.space.restrict(t.principal_wires), np.random.default_rng(7))
     sigma0 = DensityOperator(embed_principal(t, rho.matrix), t.space)
-    shapes = _record_carries(monkeypatch)
     out = run_tree(t, sigma0)
-    assert shapes and set(shapes) == {(32, 32)}
+    assert kernel_calls and _shapes(kernel_calls) == {(32, 32)}
     assert "_isometry" not in vars(t)
-    monkeypatch.undo()
     for b in t.branches():
         c = branch_operator(t, b)
         assert np.abs(out[b][1] - c @ sigma0.matrix @ c.conj().T).max() <= 1e-12
