@@ -9,9 +9,10 @@ with those tables. Measurement outcomes are never renormalized: a path's
 output is ``C rho C^dag`` for the composed outcome operators.
 
 Walks go over prefixes, the tuples of outcome labels in execution order
-from the root, with the walker and route resolver that trees share
-(``linalg._walk`` and ``linalg._edges``); ``Circuit._expand`` is the
-circuit's step. A prefix becomes a ``Path`` only where one is returned.
+from the root, with the walker and route resolvers that trees share
+(``linalg._walk``, ``linalg._resume`` and ``linalg._edges``);
+``Circuit._expand`` is the circuit's step. A prefix becomes a ``Path``
+only where one is returned.
 """
 
 from __future__ import annotations
@@ -170,6 +171,14 @@ class Path(Mapping):
         items = tuple(sorted((str(k), str(v)) for k, v in assignment.items()))
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_lookup", dict(items))
+
+    @classmethod
+    def _of_items(cls, items: tuple[tuple[str, str], ...]) -> "Path":
+        """The path of ``items``, string pairs already sorted by gate id."""
+        path = cls.__new__(cls)
+        object.__setattr__(path, "_items", items)
+        object.__setattr__(path, "_lookup", dict(items))
+        return path
 
     def __getitem__(self, key: str) -> str:
         return self._lookup[key]
@@ -332,9 +341,14 @@ class Circuit:
             selected[key] = g.measurement_for(dict(zip(sources, key)))
         return g, selected[key], g.wires
 
+    @cached_property
+    def _path_order(self) -> tuple[tuple[str, int], ...]:
+        """``(gate_id, position in a prefix)`` per gate, sorted by gate id: the order of a ``Path``'s items."""
+        return tuple(sorted((gid, i) for i, gid in enumerate(self._order)))
+
     def _path(self, prefix: tuple[str, ...]) -> Path:
         """The path whose outcomes, in execution order, are ``prefix``."""
-        return Path(dict(zip(self._order, prefix)))
+        return Path._of_items(tuple([(gid, prefix[i]) for gid, i in self._path_order]))
 
     def _prefix(self, path: Mapping[str, str]) -> tuple[str, ...]:
         """The outcomes of ``path``, which names every gate, in execution order."""
@@ -349,6 +363,11 @@ class Circuit:
     def _spine(self) -> list[tuple[str | None, np.ndarray]]:
         """``(label, C E)`` after each gate of the path simulated last, from ``(None, E)``: one block per depth."""
         return [(None, self._isometry)]
+
+    @cached_property
+    def _ancilla_norm2(self) -> float:
+        """``|a|^2`` for the ancilla vector a."""
+        return self.ancilla_init.norm() ** 2
 
     def require_valid(self) -> None:
         if self.violations:
@@ -600,7 +619,7 @@ def _input_trace(c: Circuit, rho: DensityOperator) -> float:
     c.require_valid()
     if rho.matrix.shape[0] != (d := c._isometry.shape[1]):
         raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
-    return float(rho.matrix.trace().real) * c.ancilla_init.norm() ** 2
+    return float(rho.matrix.trace().real) * c._ancilla_norm2
 
 
 def _simulate(c: Circuit, rho: DensityOperator, follow=None):
@@ -625,8 +644,7 @@ def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> 
     """
     if set(path) == set(c.gates):
         t0 = _input_trace(c, rho)
-        if (edges := _edges(c, c._prefix(path))) is not None:
-            v = _resume(c._spine, edges, c.space)
+        if (v := _resume(c, c._prefix(path))) is not None:
             return _branch_output(v, rho.matrix, t0)
     raise ValueError(f"not a coherent path: {dict(path)}")
 

@@ -7,11 +7,13 @@ renormalizes a state behind the caller's back. A measurement is a finite
 ordered family of operators ``L_i`` with ``sum_i L_i^dag L_i = Id``;
 a unitary is the single-outcome special case.
 
-Circuits and trees share one walker, ``_walk``, and one route resolver,
-``_edges``. Both read a prefix, the tuple of outcome labels from the
+Circuits and trees share one walker, ``_walk``, and two route
+resolvers. All three read a prefix, the tuple of outcome labels from the
 root, through the circuit's or the tree's ``_expand`` step. ``_resume``
-carries a block down the edges of a route from the route walked last.
-Outcome operators are applied by one kernel, ``apply_local``.
+carries a block down a route from the route walked last, resolving only
+the levels below the prefix the two share; ``_edges`` resolves a whole
+route without applying anything. Outcome operators are applied by one
+kernel, ``apply_local``.
 """
 
 from __future__ import annotations
@@ -310,6 +312,12 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, bit for bit, as one broadcast product."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def tensor_measurements(measurements: Sequence[Measurement]) -> Measurement:
     """Tensor a sequence of measurements into one joint measurement.
 
@@ -317,6 +325,11 @@ def tensor_measurements(measurements: Sequence[Measurement]) -> Measurement:
     labels of a genuine (length >= 2) product must not contain "|". The
     joint family is complete whenever the factors are.
     """
+    return Measurement.of(_joint_outcomes(measurements))
+
+
+def _joint_outcomes(measurements: Sequence[Measurement]) -> dict[str, np.ndarray]:
+    """The outcomes of ``tensor_measurements`` before its completeness check."""
     ms = list(measurements)
     if not ms:
         raise ValueError("need at least one measurement")
@@ -330,9 +343,9 @@ def tensor_measurements(measurements: Sequence[Measurement]) -> Measurement:
         label = "|".join(l for l, _ in combo)
         op = combo[0][1]
         for _, factor in combo[1:]:
-            op = np.kron(op, factor)
+            op = _kron(op, factor)
         joint[label] = np.asarray(op, dtype=complex)
-    return Measurement.of(joint)
+    return joint
 
 
 def apply_kraus(op: np.ndarray, rho: DensityOperator) -> DensityOperator | None:
@@ -511,25 +524,35 @@ def _edges(roles, route: Sequence[str]) -> list[tuple[str, np.ndarray, tuple[str
     return edges if expand(prefix)[1] is None else None
 
 
-def _resume(spine: list, edges: Sequence[tuple[str, np.ndarray, tuple[str, ...]]], space: HilbertSpec) -> np.ndarray:
-    """The block at the end of the route ``edges``, resumed from the route walked last.
+def _resume(roles, route: Sequence[str]) -> np.ndarray | None:
+    """The block at the end of ``route`` on ``roles``, resumed from the route walked last.
 
-    ``edges`` are ``(label, L, wires)`` from the root, as ``_edges`` gives
-    them; ``spine`` holds ``(label, block)`` per level from ``(None, x0)``,
-    the root block. The spine is cut back to the longest prefix whose
-    labels match the route and extended by ``apply_local`` along the rest,
-    each new block read-only. So a lone route applies only its own edges,
-    and routes taken depth first apply each edge of their prefix tree once.
+    ``roles._spine`` holds ``(label, block)`` per level from ``(None,
+    x0)``, the root block, along the route walked last. The spine is cut
+    back to the longest prefix whose labels match ``route``; below it,
+    ``roles._expand`` resolves each level and ``apply_local`` extends the
+    spine by its edge, each new block read-only. Returns None, keeping
+    the blocks of the levels it could follow, unless ``route`` names an
+    outcome at each prefix and ends where ``_expand`` fires nothing: a
+    path of a circuit, a branch of a tree. So a lone route applies only
+    its own edges, and routes taken depth first resolve and apply each
+    edge of their prefix tree once.
     """
+    spine, expand, space = roles._spine, roles._expand, roles.space
     k = 0
-    while k < len(edges) and k + 1 < len(spine) and spine[k + 1][0] == edges[k][0]:
+    while k < len(route) and k + 1 < len(spine) and spine[k + 1][0] == route[k]:
         k += 1
     del spine[k + 1 :]
-    for label, op, wires in edges[k:]:
-        block = apply_local(op, wires, spine[-1][1], space)
+    prefix = tuple(route[:k])
+    for label in route[k:]:
+        _, m, wires = expand(prefix)
+        if m is None or label not in m.outcomes:
+            return None
+        block = apply_local(m.outcomes[label], wires, spine[-1][1], space)
         block.flags.writeable = False
         spine.append((label, block))
-    return spine[-1][1]
+        prefix += (label,)
+    return spine[-1][1] if expand(prefix)[1] is None else None
 
 
 def partial_trace_matrix(mat: np.ndarray, space: HilbertSpec, keep: Iterable[str]) -> np.ndarray:

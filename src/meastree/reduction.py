@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .circuits import Circuit, Gate, Path, Selection, flattened_gates
-from .linalg import _walk, tensor_measurements
+from .linalg import Measurement, _joint_outcomes, _walk
 from .trees import Branch, MeasurementTree, TreeNode
 
 __all__ = ["Bijection", "linearize", "tree_from_linear", "reduce_circuit"]
@@ -61,7 +61,9 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     selected along some path, its outcome labels join the constituent
     labels with "|", and its classical sources are the layers containing
     a source of any constituent. Returns the new circuit and the path
-    bijection (old path -> new path).
+    bijection (old path -> new path). ValueError, naming the violations
+    of the new circuit, if a merged measurement is not complete: factors
+    complete within tolerance can have a product that is not.
     """
     c.require_valid()
     flat = flattened_gates(c)
@@ -80,17 +82,21 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
 
     # Per layer: which measurement-index choice fires under which merged
     # source assignment, read at every coherent prefix that starts the layer.
+    # The walk is depth first, so the prefix last seen at the start of layer
+    # n - 1 starts the current one: joined[n] extends its merged labels by one.
     choice_of: list[dict[tuple[tuple[str, str], ...], tuple[int, ...]]] = [{} for _ in layers]
-    pairs = []
+    joined: list[Branch] = [()] * len(bounds)
+    ends = []
     for prefix, g, _, _ in _walk(c):
         n = layer_at.get(len(prefix))
         if n is None:
             continue
-        joined = _branch_of(prefix, bounds)
+        if n:
+            joined[n] = joined[n - 1] + ("|".join(prefix[bounds[n - 1] :]),)
         if g is None:
-            pairs.append((c._path(prefix), Path(dict(zip(merged_ids, joined)))))
+            ends.append((prefix, joined[n]))
             continue
-        when = tuple((merged_ids[i], joined[i]) for i in source_layers[n])
+        when = tuple((merged_ids[i], joined[n][i]) for i in source_layers[n])
         assignment = dict(zip(flat, prefix))
         choice = tuple(
             c.gates[gid].selection.select({s: assignment[s] for s in c.gates[gid].classical_sources})
@@ -103,7 +109,7 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
         choices = sorted(set(choice_of[n].values()))
         index_of = {ch: i for i, ch in enumerate(choices)}
         measurements = tuple(
-            tensor_measurements([c.gates[gid].measurements[k] for gid, k in zip(layer, ch)])
+            Measurement(_joint_outcomes([c.gates[gid].measurements[k] for gid, k in zip(layer, ch)]))
             for ch in choices
         )
         rules = [
@@ -131,8 +137,9 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
         schedule=tuple((mid,) for mid in merged_ids),
         output_principal_wires=c.output_principal_wires,
     )
-    linear.require_valid()
-    return linear, Bijection.from_pairs(pairs)
+    if linear.violations:  # the one completeness check of each merged measurement
+        raise ValueError("; ".join(map(str, linear.violations)))
+    return linear, Bijection.from_pairs((c._path(prefix), linear._path(segment)) for prefix, segment in ends)
 
 
 def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:

@@ -3,11 +3,12 @@ local to the wires each node names, and whose edges are labeled by outcome.
 
 A branch is the label sequence from the root down to a leaf, and each
 node is keyed by its route from the root ``()``. The walker and route
-resolver that circuits share (``linalg._walk`` and ``linalg._edges``)
-read ``MeasurementTree._expand``. Following a branch multiplies the
-traversed outcome operators into one composed operator, so the set of
-all branches behaves like a single measurement over branch labels. Running a tree carries unnormalized states downward
-and never renormalizes. On a principal input ``E rho E^dag`` of a tree
+resolvers that circuits share (``linalg._walk``, ``linalg._resume`` and
+``linalg._edges``) read ``MeasurementTree._expand``. Following a branch
+multiplies the traversed outcome operators into one composed operator,
+so the set of all branches behaves like a single measurement over
+branch labels. Running a tree carries unnormalized states downward and
+never renormalizes. On a principal input ``E rho E^dag`` of a tree
 with a small principal space it carries ``V = C E`` (``D x d_P``), as
 the circuit simulator does, and forms the ``D x D`` output only at the
 leaves; any other input carries the ``D x D`` state itself.
@@ -151,7 +152,7 @@ class MeasurementTree:
         """
         route = tuple(branch)
         if (v := self._leaf_isometries.get(route)) is None:
-            block = _resume(self._spine, _route(self, route), self.space)
+            block = _route(route, _resume(self, route))
             v = block / self.ancilla_init.norm()  # probabilities per unit input norm
             v.flags.writeable = False
             self._leaf_isometries[route] = v
@@ -239,11 +240,12 @@ def validate_tree(t: MeasurementTree) -> list[str]:
     return problems
 
 
-def _route(t: MeasurementTree, route: Branch) -> list[tuple[str, np.ndarray, tuple[str, ...]]]:
-    """``linalg._edges`` of ``route``; ValueError if it is not a branch: it must end at a leaf."""
-    if (edges := _edges(t, route)) is None:
+def _route(route: Branch, resolved):
+    """``resolved``, what ``linalg._edges`` or ``linalg._resume`` gave for ``route``;
+    ValueError if that is None: ``route`` is not a branch, which must end at a leaf."""
+    if resolved is None:
         raise ValueError(f"{route!r} is not a branch of the tree")
-    return edges
+    return resolved
 
 
 def run_tree(
@@ -304,7 +306,8 @@ def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
     The empty branch of a single-node tree gives the identity.
     """
     op = identity(t.space.dim)
-    for _, l, wires in _route(t, tuple(branch)):
+    route = tuple(branch)
+    for _, l, wires in _route(route, _edges(t, route)):
         op = apply_local(l, wires, op, t.space)
     return op
 

@@ -23,3 +23,21 @@ def kernel_calls(monkeypatch):
     for module in (linalg, circuits, trees):
         monkeypatch.setattr(module, "apply_local", recording)
     return calls
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """Each call of a circuit's or a tree's ``_expand`` step, as ``(roles, prefix)``.
+
+    The walker and both route resolvers read the step from the instance,
+    so recording it on the two classes sees every call.
+    """
+    calls = []
+    for cls in (circuits.Circuit, trees.MeasurementTree):
+
+        def recording(roles, prefix, step=cls._expand):
+            calls.append((roles, prefix))
+            return step(roles, prefix)
+
+        monkeypatch.setattr(cls, "_expand", recording)
+    return calls

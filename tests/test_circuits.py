@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -34,6 +35,7 @@ from meastree.linalg import (
     HilbertSpec,
     Ket,
     Measurement,
+    _walk,
     basis_ket,
     haar_ket,
     measure_z,
@@ -481,13 +483,17 @@ def test_circuits_differing_only_in_ancilla_init_keep_their_own_isometry():
         assert probs == {str(k): 1.0, str(1 - k): 0.0}
 
 
+def _demo_and_random_circuits():
+    return [make() for make in DEMOS.values()] + [random_circuit(np.random.default_rng(s)) for s in range(10)]
+
+
 def _full_walk(c, rho):
     """Every path's ``(probability, output)`` from one walk of the whole path tree."""
     return {c._path(prefix): (p, sigma) for prefix, p, sigma in _simulate(c, rho)}
 
 
 def test_simulate_path_in_any_order_equals_the_full_walk_bit_for_bit():
-    circuits = [make() for make in DEMOS.values()] + [random_circuit(np.random.default_rng(s)) for s in range(10)]
+    circuits = _demo_and_random_circuits()
     inputs = [[random_density(c.principal_spec, np.random.default_rng(k)) for k in (1, 2)] for c in circuits]
     want = [[_full_walk(c, rho) for rho in rhos] for c, rhos in zip(circuits, inputs)]
 
@@ -564,3 +570,52 @@ def test_spine_blocks_are_read_only_and_outputs_are_the_callers():
             block[0, 0] = 1.0
     sigma[:] = 0.0  # the output is a fresh array: overwriting it leaves the spine as it was
     assert np.array_equal(simulate_path(c, paths[0], rho)[1], _full_walk(c, rho)[paths[0]][1])
+
+
+def test_a_path_built_from_a_prefix_is_the_path_of_its_assignment():
+    for c in _demo_and_random_circuits():
+        for prefix, g, _, _ in _walk(c):
+            if g is None:
+                got, want = c._path(prefix), Path(dict(zip(c._order, prefix)))
+                assert got == want and hash(got) == hash(want)
+                assert got._items == want._items and dict(got) == dict(want) and repr(got) == repr(want)
+
+
+def _incoherent(c, path, rng):
+    """``path`` with one outcome changed so that it is no longer coherent, or None."""
+    gid = c._order[int(rng.integers(len(c._order)))]
+    labels = [label for m in c.gates[gid].measurements for label in m.labels] + ["not an outcome"]
+    for label in rng.permutation(labels):
+        bad = dict(path, **{gid: str(label)})
+        if not is_coherent(c, bad):
+            return bad
+    return None
+
+
+def test_simulate_path_resumes_the_same_blocks_in_any_order():
+    # each result equals the one from a fresh copy of the circuit, which walks its path alone,
+    # with incoherent paths in between that leave part of their route on the spine
+    rng = np.random.default_rng(8)
+    for c in _demo_and_random_circuits():
+        rho = random_density(c.principal_spec, rng)
+        paths = enumerate_paths(c)
+        for j in rng.permutation(len(paths)):
+            path = paths[j]
+            prob, sigma = simulate_path(c, path, rho)
+            w_prob, w_sigma = simulate_path(dataclasses.replace(c), path, rho)
+            assert prob == w_prob and np.array_equal(sigma, w_sigma)
+            if (bad := _incoherent(c, path, rng)) is not None:
+                with pytest.raises(ValueError, match="not a coherent path"):
+                    simulate_path(c, bad, rho)
+
+
+def test_simulate_path_expands_each_prefix_once(expand_calls):
+    for c in _demo_and_random_circuits():
+        rho = random_density(c.principal_spec, np.random.default_rng(3))
+        paths = enumerate_paths(c)
+        prefixes = {tuple(p[g] for g in c._order[:k]) for p in paths for k in range(1, len(c._order) + 1)}
+        expand_calls.clear()
+        for path in paths:
+            simulate_path(c, path, rho)
+        assert len(expand_calls) <= len(prefixes) + len(paths)
+        assert {roles for roles, _ in expand_calls} == {c}

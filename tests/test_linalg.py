@@ -325,3 +325,15 @@ def test_input_isometry_and_embedding_on_interleaved_wires():
     for i in range(4):
         want = np.einsum("xy,pq->xpyq", a, basis_ket(4, i).reshape(2, 2)).reshape(-1)
         assert np.max(np.abs(e[:, i] - want)) <= 1e-12
+
+
+def test_kron_broadcast_is_np_kron_bit_for_bit():
+    from meastree.linalg import _kron
+
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        a_shape, b_shape = rng.integers(1, 6, size=2), rng.integers(1, 6, size=2)
+        a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        assert np.array_equal(_kron(a, b), np.kron(a, b))
+        assert np.array_equal(_kron(a.real, b), np.kron(a.real, b))

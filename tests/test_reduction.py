@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from meastree.circuits import (
     Circuit,
+    InvalidCircuitError,
     enumerate_paths,
     measurement_gate,
     principal_output,
@@ -11,6 +15,7 @@ from meastree.circuits import (
 )
 from meastree.demos import DEMOS, feedforward_x, teleportation
 from meastree.linalg import (
+    CNOT,
     DensityOperator,
     HilbertSpec,
     basis_ket,
@@ -208,3 +213,49 @@ def test_one_walker_and_one_resolver_serve_a_linear_circuit_and_its_tree(name):
             assert _edges(roles, route[:-1]) is None and _edges(roles, route + route[-1:]) is None
             for i in range(len(route)):
                 assert _edges(roles, route[:i] + ("not an outcome",) + route[i + 1 :]) is None
+
+
+def _shared_layer(first, second, space):
+    """``first`` and ``second`` in one layer of a circuit on ``space`` whose first wire is principal."""
+    return Circuit.build(space, space.wires[:1], [first, second], schedule=[[first.gate_id, second.gate_id]])
+
+
+def _reduce_on_the_cli(c, tmp_path, capsys):
+    from meastree.cli import main
+    from meastree.serialize import circuit_to_json
+
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(circuit_to_json(c)))
+    code = main(["reduce", "--circuit", str(circuit)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_separator_in_a_label_of_a_shared_layer_is_rejected(tmp_path, capsys):
+    two = HilbertSpec.of([("q0", 2), ("q1", 2)])
+    odd = measurement_gate("odd", ("q0",), {"a|b": projector(basis_ket(2, 0)), "c": projector(basis_ket(2, 1))})
+    c = _shared_layer(odd, measurement_gate("z", ("q1",), measure_z()), two)
+    assert c.violations == []
+    message = "label 'a|b' contains the reserved separator '|'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        linearize(c)
+    assert _reduce_on_the_cli(c, tmp_path, capsys) == (1, "", f"error: {message}\n")
+    # a gate alone in its layer keeps its labels as they are
+    alone = Circuit.build(two, ["q0"], [odd, measurement_gate("z", ("q1",), measure_z())])
+    assert linearize(alone)[0].gates["odd"].measurements[0].labels == ("a|b", "c")
+
+
+def test_a_merged_measurement_is_checked_for_completeness(tmp_path, capsys):
+    # each factor is complete within 1e-9, their product is not: (1 + e) Id_2 (x) CNOT
+    # has defect e sqrt(8), twice the defect e sqrt(2) of the first factor
+    three = HilbertSpec.of([("q0", 2), ("q1", 2), ("q2", 2)])
+    e = 0.9e-9 / np.sqrt(2)
+    scaled = unitary_gate("s", ("q0",), np.sqrt(1 + e) * np.eye(2))
+    assert scaled.measurements[0].completeness_defect() == pytest.approx(0.9e-9, rel=1e-6)
+    c = _shared_layer(scaled, unitary_gate("u", ("q1", "q2"), CNOT), three)
+    assert c.violations == []
+    message = "MEASUREMENT_COMPLETENESS [s+u]: measurement 0: ||sum L^dag L - Id||_F = 1.800e-09"
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        linearize(c)
+    assert not isinstance(exc.value, InvalidCircuitError)  # the circuit given is valid
+    assert _reduce_on_the_cli(c, tmp_path, capsys) == (1, "", f"error: {message}\n")

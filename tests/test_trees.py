@@ -449,3 +449,35 @@ def test_a_principal_space_above_an_eighth_keeps_the_two_sided_carry_untested(ke
     for b in t.branches():
         c = branch_operator(t, b)
         assert np.abs(out[b][1] - c @ sigma0.matrix @ c.conj().T).max() <= 1e-12
+
+
+def _reduced_demos_and_randoms():
+    from meastree.demos import DEMOS
+
+    circuits = [make() for make in DEMOS.values()] + [random_circuit(np.random.default_rng(s)) for s in range(10)]
+    return [reduce_circuit(c)[0] for c in circuits]
+
+
+def test_branch_isometries_resume_the_same_blocks_in_any_order():
+    # V_b taken in reversed branches() order equals V_b of a fresh copy of the tree, and a
+    # route that is not a branch raises and leaves the memo of the branches taken as it was
+    for t in _reduced_demos_and_randoms():
+        for branch in reversed(t.branches()):
+            memo = dict(t._leaf_isometries)
+            inner = [branch[:-1], branch[:-1] + ("not an outcome",)] if branch else []
+            for route in [branch + ("x",), *inner]:
+                with pytest.raises(ValueError, match="is not a branch of the tree"):
+                    t._branch_isometry(route)
+            assert t._leaf_isometries.keys() == memo.keys()
+            assert all(t._leaf_isometries[key] is v for key, v in memo.items())
+            assert np.array_equal(t._branch_isometry(branch), dataclasses.replace(t)._branch_isometry(branch))
+
+
+def test_branch_isometries_expand_each_node_once(expand_calls):
+    for t in _reduced_demos_and_randoms():
+        branches = t.branches()
+        expand_calls.clear()
+        for branch in branches:
+            t._branch_isometry(branch)
+        assert len(expand_calls) <= len(t.nodes) - 1 + len(branches)
+        assert {roles for roles, _ in expand_calls} == {t}
