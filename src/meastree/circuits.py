@@ -9,9 +9,9 @@ with those tables. Measurement outcomes are never renormalized: a path's
 output is ``C rho C^dag`` for the composed outcome operators.
 
 Walks go over prefixes, the tuples of outcome labels in execution order
-from the root, with the walker and route resolvers that trees share
-(``linalg._walk``, ``linalg._resume`` and ``linalg._edges``);
-``Circuit._expand`` is the circuit's step. A prefix becomes a ``Path``
+from the root, with the walker and route resolver that trees share
+(``linalg._walk``, ``linalg._edges``); ``Circuit._expand`` is the
+circuit's step. A prefix becomes a ``Path``
 only where one is returned.
 """
 
@@ -199,10 +199,6 @@ class Path(Mapping):
             return self._lookup == dict(other)
         return NotImplemented
 
-    def restrict(self, gate_ids: Iterable[str]) -> dict[str, str]:
-        wanted = set(gate_ids)
-        return {k: v for k, v in self._items if k in wanted}
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self._items)
         return f"Path({inner})"
@@ -293,11 +289,6 @@ class Circuit:
     @property
     def output_principal(self) -> tuple[str, ...]:
         return self.output_principal_wires if self.output_principal_wires is not None else self.principal_wires
-
-    @property
-    def output_ancilla(self) -> tuple[str, ...]:
-        out = set(self.output_principal)
-        return tuple(w for w in self.space.wires if w not in out)
 
     @property
     def principal_spec(self) -> HilbertSpec:

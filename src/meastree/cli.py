@@ -41,6 +41,7 @@ from .linalg import (
     _walk,
     configure_tolerances,
     embed_principal,
+    frob_norm,
     partial_trace_matrix,
     projector,
 )
@@ -160,10 +161,13 @@ def _load_valid_circuit(path: str) -> Circuit:
     return c
 
 
-def _principal_density(c: Circuit, kind: str, arr: np.ndarray) -> DensityOperator:
-    if kind == "ket":
-        return DensityOperator.of(projector(arr), c.principal_spec)
-    return DensityOperator.of(arr, c.principal_spec)
+def _state_matrix(kind: str, arr: np.ndarray) -> np.ndarray:
+    """The matrix of a state file's ket or density matrix. A ket too large to
+    square gives entries of inf or NaN, which ``DensityOperator.of`` rejects."""
+    if kind != "ket":
+        return np.asarray(arr, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return projector(arr)
 
 
 def _tree_input(t: MeasurementTree, kind: str, arr: np.ndarray) -> DensityOperator:
@@ -177,13 +181,14 @@ def _tree_input(t: MeasurementTree, kind: str, arr: np.ndarray) -> DensityOperat
     if t.has_roles():
         principal = t.space.restrict(t.principal_wires)
         if n == principal.dim != t.space.dim:
-            rho = DensityOperator.of(projector(arr) if kind == "ket" else arr, principal)
+            rho = DensityOperator.of(_state_matrix(kind, arr), principal)
             return DensityOperator(embed_principal(t, rho.matrix), t.space)
     if n != t.space.dim:
         raise ValueError(f"input dimension {n} matches neither the principal nor the full space")
-    m = projector(arr) if kind == "ket" else np.asarray(arr, dtype=complex)
-    # finiteness first: a NaN residual passes the range test
-    if m.shape == (n, n) and np.isfinite(m).all() and (rho := _principal_part(t, m)) is not None:
+    m = _state_matrix(kind, arr)
+    with np.errstate(over="ignore"):  # a finite norm first: a NaN or inf residual passes the range test
+        finite = math.isfinite(frob_norm(m))
+    if m.shape == (n, n) and finite and (rho := _principal_part(t, m)) is not None:
         DensityOperator.of(rho, t.space.restrict(t.principal_wires))
         return DensityOperator(m, t.space)
     return DensityOperator.of(m, t.space)
@@ -240,6 +245,10 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     paths, order = [p for p, g, _, _ in _walk(c) if g is None], flattened_gates(c)
     if args.format == "table":
+        for gid, label in dict.fromkeys(pair for p in paths for pair in zip(order, p)):
+            # --path splits at commas and the first "=", and strips each side
+            if "," in gid + label or "=" in gid or gid != gid.strip() or label != label.strip():
+                raise ValueError(f"paths: gate {gid!r} outcome {label!r} cannot be written as a --path spec")
         for p in paths:
             print(_path_text(order, p))
     else:
@@ -254,7 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     if args.circuit:
         c = _load_valid_circuit(args.circuit)
-        rho = _principal_density(c, kind, arr)
+        rho = DensityOperator.of(_state_matrix(kind, arr), c.principal_spec)
         follow = _path_follow(c, args.path) if args.path else None
         order = flattened_gates(c)
         for p, prob, sigma in _simulate(c, rho, follow):

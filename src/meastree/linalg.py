@@ -7,13 +7,12 @@ renormalizes a state behind the caller's back. A measurement is a finite
 ordered family of operators ``L_i`` with ``sum_i L_i^dag L_i = Id``;
 a unitary is the single-outcome special case.
 
-Circuits and trees share one walker, ``_walk``, and two route
-resolvers. All three read a prefix, the tuple of outcome labels from the
-root, through the circuit's or the tree's ``_expand`` step. ``_resume``
-carries a block down a route from the route walked last, resolving only
-the levels below the prefix the two share; ``_edges`` resolves a whole
-route without applying anything. Outcome operators are applied by one
-kernel, ``apply_local``.
+Circuits and trees share one walker, ``_walk``, and one route
+resolver, ``_edges``. Both read a prefix, the tuple of outcome labels
+from the root, through the circuit's or the tree's ``_expand`` step.
+``_resume`` carries a block down a route from the route walked last,
+applying the edges that ``_edges`` resolves below the prefix the two
+share. Outcome operators are applied by one kernel, ``apply_local``.
 """
 
 from __future__ import annotations
@@ -211,9 +210,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
-    def projector(self) -> np.ndarray:
-        return projector(self.vector)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -243,9 +239,12 @@ class DensityOperator:
             raise ValueError(f"matrix has dimension {m.shape[0]}, space has {space.dim}")
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
-        scale = frob_norm(m)
-        if frob_norm(m - dagger(m)) > TOL.herm * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        with np.errstate(over="ignore"):  # a norm that overflows reads as inf, with no RuntimeWarning
+            scale = frob_norm(m)
+            if not math.isfinite(scale):  # the tolerances scale with this norm: at inf they test nothing
+                raise ValueError("matrix is too large: its norm overflows")
+            if frob_norm(m - dagger(m)) > TOL.herm * scale:
+                raise ValueError("matrix is not Hermitian within tolerance")
         eigs = np.linalg.eigvalsh((m + dagger(m)) / 2)
         if eigs.size and float(eigs[0]) < -TOL.psd * scale:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
@@ -509,13 +508,13 @@ def _walk(roles, x=None, follow=None, apply=None):
             stack.append((prefix + (label,), images.get(label, x), op, wires))
 
 
-def _edges(roles, route: Sequence[str]) -> list[tuple[str, np.ndarray, tuple[str, ...]]] | None:
-    """The edges along ``route``, root first, as ``(label, L, wires)``, or None
-    unless ``route`` names an outcome at each prefix and ends where
+def _edges(roles, route: Sequence[str], start: int = 0) -> list[tuple[str, np.ndarray, tuple[str, ...]]] | None:
+    """The edges along ``route`` below its first ``start`` labels, as ``(label, L, wires)``,
+    or None unless ``route`` names an outcome at each prefix and ends where
     ``roles._expand`` fires nothing: a path of a circuit, a branch of a tree.
     The resolution applies no operator and stops at the first label it cannot follow."""
-    edges, prefix, expand = [], (), roles._expand
-    for label in route:
+    edges, prefix, expand = [], tuple(route[:start]), roles._expand
+    for label in route[start:]:
         _, m, wires = expand(prefix)
         if m is None or label not in m.outcomes:
             return None
@@ -529,30 +528,25 @@ def _resume(roles, route: Sequence[str]) -> np.ndarray | None:
 
     ``roles._spine`` holds ``(label, block)`` per level from ``(None,
     x0)``, the root block, along the route walked last. The spine is cut
-    back to the longest prefix whose labels match ``route``; below it,
-    ``roles._expand`` resolves each level and ``apply_local`` extends the
-    spine by its edge, each new block read-only. Returns None, keeping
-    the blocks of the levels it could follow, unless ``route`` names an
-    outcome at each prefix and ends where ``_expand`` fires nothing: a
-    path of a circuit, a branch of a tree. So a lone route applies only
-    its own edges, and routes taken depth first resolve and apply each
-    edge of their prefix tree once.
+    back to the longest prefix whose labels match ``route``; ``_edges``
+    resolves the levels below it, and ``apply_local`` extends the spine
+    by each of their edges, each new block read-only. Returns None, with
+    the spine left at the shared prefix, where ``_edges`` does. So a lone
+    route applies only its own edges, and routes taken depth first
+    resolve and apply each edge of their prefix tree once.
     """
-    spine, expand, space = roles._spine, roles._expand, roles.space
+    spine = roles._spine
     k = 0
     while k < len(route) and k + 1 < len(spine) and spine[k + 1][0] == route[k]:
         k += 1
     del spine[k + 1 :]
-    prefix = tuple(route[:k])
-    for label in route[k:]:
-        _, m, wires = expand(prefix)
-        if m is None or label not in m.outcomes:
-            return None
-        block = apply_local(m.outcomes[label], wires, spine[-1][1], space)
+    if (edges := _edges(roles, route, start=k)) is None:
+        return None
+    for label, op, wires in edges:
+        block = apply_local(op, wires, spine[-1][1], roles.space)
         block.flags.writeable = False
         spine.append((label, block))
-        prefix += (label,)
-    return spine[-1][1] if expand(prefix)[1] is None else None
+    return spine[-1][1]
 
 
 def partial_trace_matrix(mat: np.ndarray, space: HilbertSpec, keep: Iterable[str]) -> np.ndarray:

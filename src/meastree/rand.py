@@ -79,19 +79,16 @@ def random_tree(
 
     def grow(segment: tuple[str, ...], remaining: int) -> None:
         if remaining == 0:
-            nodes[segment] = TreeNode(measurement=None, children={})
+            nodes[segment] = TreeNode(None)
             return
         n_out = int(rng.integers(2, max_outcomes + 1))
         m = random_measurement(space.dim, n_out, rng)
-        children = {}
         for lab in m.labels:
-            child = segment + (lab,)
-            children[lab] = child
-            grow(child, remaining - 1 if rng.random() > 0.2 else 0)
-        nodes[segment] = TreeNode(measurement=m, children=children)
+            grow(segment + (lab,), remaining - 1 if rng.random() > 0.2 else 0)
+        nodes[segment] = TreeNode(m)
 
     grow((), depth)
-    return MeasurementTree(space=space, root=(), nodes=nodes)
+    return MeasurementTree(space, nodes)
 
 
 def _random_selection(

@@ -158,14 +158,13 @@ def tree_from_linear(c: Circuit) -> tuple[MeasurementTree, Bijection]:
     pairs: list[tuple[Path, Branch]] = []
     for prefix, g, m, _ in _walk(c):
         if g is None:
-            nodes[prefix] = TreeNode(None, {})
+            nodes[prefix] = TreeNode(None)
             pairs.append((c._path(prefix), prefix))
             continue
-        nodes[prefix] = TreeNode(m, {label: prefix + (label,) for label in m.labels}, g.wires)
+        nodes[prefix] = TreeNode(m, wires=g.wires)
     tree = MeasurementTree(
-        space=c.space,
-        root=(),
-        nodes=nodes,
+        c.space,
+        nodes,
         principal_wires=c.principal_wires,
         ancilla_wires=c.ancilla_wires,
         ancilla_init=c.ancilla_init,

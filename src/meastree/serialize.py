@@ -396,10 +396,10 @@ def _tree_payload(t: MeasurementTree, array) -> dict[str, Any]:
         nodes[nid] = {
             "measurement": None if node.is_leaf else _measurement_payload(m, array),
             "children": {} if node.is_leaf else {
-                label: ids[node.children[label]] for label in node.measurement.labels
+                label: ids[key + (label,)] for label in node.measurement.labels
             },
         }
-    payload: dict[str, Any] = {"root": ids[t.root], "nodes": nodes}
+    payload: dict[str, Any] = {"root": ids[()], "nodes": nodes}
     if t.principal_wires is not None:
         payload["wires"] = _wires_to_json(t.space, t.principal_wires, t.output_principal_wires)
         if t.ancilla_init is not None:
@@ -438,11 +438,11 @@ def tree_from_json(obj: Any) -> MeasurementTree:
         if not isinstance(raw_children, dict):
             raise ValueError(f"tree.nodes[{nid!r}].children: expected an object")
         if raw_m is None:
-            nodes[key] = TreeNode(None, {})
+            nodes[key] = TreeNode(None)
             continue
         m = measurement_from_json(raw_m, f"tree.nodes[{nid!r}].measurement")
         dims.append(m.dim)
-        nodes[key] = TreeNode(m, {label: key + (label,) for label in m.labels})
+        nodes[key] = TreeNode(m)
         for label in reversed(m.labels):
             stack.append((str(raw_children[label]) if label in raw_children else None, key + (label,), nid))
 
@@ -455,9 +455,8 @@ def tree_from_json(obj: Any) -> MeasurementTree:
         else:
             init = Ket.of(np.eye(anc_spec.dim, 1).reshape(-1), anc_spec)
         return MeasurementTree(
-            space=space,
-            root=(),
-            nodes=nodes,
+            space,
+            nodes,
             principal_wires=tuple(principal),
             ancilla_wires=tuple(ancilla),
             ancilla_init=init,
@@ -466,7 +465,7 @@ def tree_from_json(obj: Any) -> MeasurementTree:
     if not dims:
         raise ValueError('tree: a single-leaf tree needs a "wires" section to fix the dimension')
     space = HilbertSpec.of([("k", dims[0])])
-    return MeasurementTree(space=space, root=(), nodes=nodes)
+    return MeasurementTree(space, nodes)
 
 
 def tree_to_dot(t: MeasurementTree) -> str:
@@ -479,6 +478,6 @@ def tree_to_dot(t: MeasurementTree) -> str:
         node = t.nodes[key]
         for label in () if node.is_leaf else node.measurement.labels:
             lab = label.replace('"', '\\"')
-            lines.append(f'  "{nid}" -> "{ids[node.children[label]]}" [label="{lab}"];')
+            lines.append(f'  "{nid}" -> "{ids[key + (label,)]}" [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

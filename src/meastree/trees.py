@@ -2,22 +2,23 @@
 local to the wires each node names, and whose edges are labeled by outcome.
 
 A branch is the label sequence from the root down to a leaf, and each
-node is keyed by its route from the root ``()``. The walker and route
-resolvers that circuits share (``linalg._walk``, ``linalg._resume`` and
-``linalg._edges``) read ``MeasurementTree._expand``. Following a branch
-multiplies the traversed outcome operators into one composed operator,
-so the set of all branches behaves like a single measurement over
-branch labels. Running a tree carries unnormalized states downward and
-never renormalizes. On a principal input ``E rho E^dag`` of a tree
-with a small principal space it carries ``V = C E`` (``D x d_P``), as
-the circuit simulator does, and forms the ``D x D`` output only at the
-leaves; any other input carries the ``D x D`` state itself.
+node is keyed by its route from the root ``()``: the child of ``key`` on
+outcome ``label`` is ``key + (label,)``. The walker and route resolver
+that circuits share (``linalg._walk``, ``linalg._edges``) read
+``MeasurementTree._expand``. Following a branch multiplies the traversed
+outcome operators into one composed operator, so the set of all
+branches behaves like a single measurement over branch labels. Running
+a tree carries unnormalized states downward and never renormalizes. On
+a principal input ``E rho E^dag`` of a tree with a small principal
+space it carries ``V = C E`` (``D x d_P``), as the circuit simulator
+does, and forms the ``D x D`` output only at the leaves; any other
+input carries the ``D x D`` state itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,10 +61,10 @@ Branch = tuple[str, ...]
 
 @dataclass(frozen=True, eq=False)
 class TreeNode:
-    """Inner node (a measurement on ``wires``, None for all, plus one child per outcome) or leaf."""
+    """Inner node (a measurement on ``wires``, None for all) or leaf; its children follow from its key."""
 
     measurement: Measurement | None
-    children: dict[str, Branch]
+    _: KW_ONLY
     wires: tuple[str, ...] | None = None
 
     @property
@@ -73,7 +74,7 @@ class TreeNode:
 
 @dataclass(eq=False)
 class MeasurementTree:
-    """Nodes keyed by their branch segment: the labels from the root down.
+    """Nodes keyed by their route: the labels from the root ``()`` down.
 
     The optional wire-role fields record which wires host the variable
     input (and, when the output is split differently, which wires host
@@ -82,8 +83,8 @@ class MeasurementTree:
     """
 
     space: HilbertSpec
-    root: Branch
     nodes: dict[Branch, TreeNode]
+    _: KW_ONLY
     principal_wires: tuple[str, ...] | None = None
     ancilla_wires: tuple[str, ...] | None = None
     ancilla_init: Ket | None = None
@@ -99,8 +100,7 @@ class MeasurementTree:
 
     def _expand(self, key: Branch) -> tuple[TreeNode, Measurement | None, tuple[str, ...]]:
         """``(node, measurement, wires)`` of the node at ``key``, for ``linalg._walk``:
-        its children are keyed ``key + (label,)``, as ``validate_tree`` checks.
-        ValueError if there is no node at ``key``."""
+        its children are keyed ``key + (label,)``. ValueError if there is no node at ``key``."""
         if (node := self.nodes.get(key)) is None:
             raise ValueError(f"the tree has no node at {key!r}")
         return node, node.measurement, self.wires_of(node)
@@ -110,13 +110,6 @@ class MeasurementTree:
         if self.output_principal_wires is not None:
             return self.output_principal_wires
         return self.principal_wires
-
-    @property
-    def output_ancilla(self) -> tuple[str, ...] | None:
-        out = self.output_principal
-        if out is None:
-            return None
-        return tuple(w for w in self.space.wires if w not in set(out))
 
     def has_roles(self) -> bool:
         return self.principal_wires is not None and self.ancilla_init is not None
@@ -173,19 +166,19 @@ def build_tree(
 
     def grow(key: Branch, struct) -> None:
         if struct is None:
-            nodes[key] = TreeNode(None, {})
+            nodes[key] = TreeNode(None)
             return
         measurement, subs = struct
         if set(subs) != set(measurement.labels):
             raise ValueError(
                 f"children {sorted(subs)} do not match outcomes {sorted(measurement.labels)}"
             )
-        nodes[key] = TreeNode(measurement, {label: key + (label,) for label in measurement.labels})
+        nodes[key] = TreeNode(measurement)
         for label in measurement.labels:
             grow(key + (label,), subs[label])
 
     grow((), structure)
-    return MeasurementTree(space=space, root=(), nodes=nodes, **roles)
+    return MeasurementTree(space, nodes, **roles)
 
 
 def single_node_tree(space: HilbertSpec, **roles) -> MeasurementTree:
@@ -196,8 +189,8 @@ def single_node_tree(space: HilbertSpec, **roles) -> MeasurementTree:
 def validate_tree(t: MeasurementTree) -> list[str]:
     """Structural problems, as human-readable strings."""
     problems: list[str] = []
-    if t.root != () or () not in t.nodes:
-        return [f"root {t.root!r} is not a node keyed ()"]
+    if () not in t.nodes:
+        return ["no root node keyed ()"]
     init, ancilla = t.ancilla_init, t.ancilla_wires or ()
     if init is not None:
         if not set(ancilla) <= set(t.space.wires) or len(init.vector) != t.space.restrict(ancilla).dim:
@@ -214,13 +207,8 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         seen.add(key)
         node = t.nodes[key]
         if node.is_leaf:
-            if node.children:
-                problems.append(f"leaf {key!r} has children")
             continue
         m = node.measurement
-        if set(node.children) != set(m.labels):
-            problems.append(f"node {key!r}: edge labels do not match outcomes")
-            continue
         wires = t.wires_of(node)
         if not set(wires) <= set(t.space.wires) or len(set(wires)) != len(wires):
             problems.append(f"node {key!r}: wires {list(wires)} are unknown or repeated")
@@ -229,9 +217,6 @@ def validate_tree(t: MeasurementTree) -> list[str]:
         defect = m.completeness_defect()
         if not defect <= TOL.complete:
             problems.append(f"node {key!r}: completeness defect {defect:.3e}")
-        for label in m.labels:
-            if node.children[label] != key + (label,):
-                problems.append(f"node {key!r}: child {label!r} is keyed {node.children[label]!r}, not by its route")
         stack.extend(key + (label,) for label in reversed(m.labels))
 
     unreachable = set(t.nodes) - seen

@@ -29,7 +29,7 @@ def kernel_calls(monkeypatch):
 def expand_calls(monkeypatch):
     """Each call of a circuit's or a tree's ``_expand`` step, as ``(roles, prefix)``.
 
-    The walker and both route resolvers read the step from the instance,
+    The walker and the route resolver read the step from the instance,
     so recording it on the two classes sees every call.
     """
     calls = []

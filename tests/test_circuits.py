@@ -162,7 +162,6 @@ def test_path_mapping_behaves_like_a_dict():
     assert p == Path({"a": "0", "b": "1"})
     assert p == {"a": "0", "b": "1"}
     assert dict(p) == {"a": "0", "b": "1"}
-    assert p.restrict({"a"}) == {"a": "0"}
     assert len({p, Path({"a": "0", "b": "1"})}) == 1
     assert p.get("c") is None and "c" not in p
     with pytest.raises(KeyError):
@@ -594,7 +593,7 @@ def _incoherent(c, path, rng):
 
 def test_simulate_path_resumes_the_same_blocks_in_any_order():
     # each result equals the one from a fresh copy of the circuit, which walks its path alone,
-    # with incoherent paths in between that leave part of their route on the spine
+    # with incoherent paths in between that cut the spine back to the prefix they share with it
     rng = np.random.default_rng(8)
     for c in _demo_and_random_circuits():
         rho = random_density(c.principal_spec, rng)
@@ -619,3 +618,31 @@ def test_simulate_path_expands_each_prefix_once(expand_calls):
             simulate_path(c, path, rho)
         assert len(expand_calls) <= len(prefixes) + len(paths)
         assert {roles for roles, _ in expand_calls} == {c}
+
+
+def test_simulate_path_resolves_routes_only_through_edges(monkeypatch, expand_calls):
+    from meastree import linalg
+
+    resolved, resolve = [], linalg._edges
+
+    def edges(roles, route, start=0):
+        before = len(expand_calls)
+        found = resolve(roles, route, start=start)
+        resolved.append((start, len(expand_calls) - before))
+        return found
+
+    monkeypatch.setattr(linalg, "_edges", edges)
+    for c in _demo_and_random_circuits():
+        rho = random_density(c.principal_spec, np.random.default_rng(3))
+        routes = [c._prefix(p) for p in enumerate_paths(c)]
+        resolved.clear()
+        expand_calls.clear()
+        for route in routes:
+            simulate_path(c, dict(zip(c._order, route)), rho)
+        # each route resolves once, below the prefix it shares with the route before,
+        # and every step read is read by the resolver
+        shared = [0]
+        for before, route in zip(routes, routes[1:]):
+            shared.append(next((i for i, (a, b) in enumerate(zip(before, route)) if a != b), len(route)))
+        assert [start for start, _ in resolved] == shared
+        assert sum(n for _, n in resolved) == len(expand_calls)

@@ -1008,3 +1008,73 @@ def test_tree_reduce_and_demo_print_the_public_json_values(tmp_path, capsys):
     runs += [(["demo", name], circuit_to_json(make())) for name, make in sorted(DEMOS.items())]
     for argv, value in runs:
         assert run_cli(capsys, argv) == (0, json.dumps(value, indent=2) + "\n", ""), argv
+
+
+def _state_file(tmp_path, doc) -> str:
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    return str(state)
+
+
+def _diag(*entries) -> dict:
+    return {"matrix": matrix_to_json(np.diag(entries))}
+
+
+@pytest.mark.parametrize(
+    "demo, verb, state, message",
+    [
+        ("measure_discard", "--circuit", _diag(1e160, -5e159), "its norm overflows"),
+        ("teleportation", "--circuit", _diag(1e308, 1e308), "its norm overflows"),
+        ("teleportation", "--tree", _diag(1e308, 1e308), "its norm overflows"),
+        ("teleportation", "--circuit", {"vector": vector_to_json(np.array([1e160, 1e160]))}, "non-finite entries"),
+        ("teleportation", "--tree", {"vector": vector_to_json(np.array([1e160, 1e160]))}, "non-finite entries"),
+        ("measure_discard", "--circuit", _diag(1e150, -5e149), "not positive semidefinite"),
+    ],
+    ids=["not-psd", "overflowing-trace", "overflowing-trace-tree", "huge-ket", "huge-ket-tree", "not-psd-at-1e150"],
+)
+def test_a_huge_state_is_one_error_line(demo_files, tmp_path, capsys, demo, verb, state, message):
+    source = demo_files[demo]
+    if verb == "--tree":
+        source = str(tmp_path / "tree.json")
+        assert main(["tree", "--circuit", demo_files[demo], "-o", source]) == 0
+        capsys.readouterr()
+    code, out, err = run_cli(capsys, ["simulate", verb, source, "--input", _state_file(tmp_path, state)])
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()  # RuntimeWarnings are errors under pytest: none is raised either
+    assert line.startswith("error: ") and message in line
+
+
+def _one_gate_circuit(tmp_path, labels) -> str:
+    from meastree.circuits import Circuit, measurement_gate
+    from meastree.linalg import HilbertSpec, basis_ket, projector
+
+    q = HilbertSpec.of([("q", 2)])
+    outcomes = {label: projector(basis_ket(2, i)) for i, label in enumerate(labels)}
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(circuit_to_json(Circuit.build(q, ["q"], [measurement_gate("g", ["q"], outcomes)]))))
+    return str(circuit)
+
+
+@pytest.mark.parametrize(
+    "labels, unwritable", [(("0", "0 "), "'0 '"), (("a,b", "c"), "'a,b'"), (("x=y", " z"), "' z'")]
+)
+def test_paths_table_refuses_a_label_that_path_reads_differently(tmp_path, capsys, labels, unwritable):
+    circuit = _one_gate_circuit(tmp_path, labels)
+    code, out, err = run_cli(capsys, ["paths", "--circuit", circuit, "--format", "table"])
+    assert (code, out) == (1, "")
+    assert err == f"error: paths: gate 'g' outcome {unwritable} cannot be written as a --path spec\n"
+    code, out, _ = run_cli(capsys, ["paths", "--circuit", circuit])
+    assert (code, json.loads(out)) == (0, [{"g": label} for label in labels])
+
+
+def test_paths_table_lines_select_their_own_paths(tmp_path, capsys):
+    # "=" after the first one belongs to the label, so this label can be written
+    circuit = _one_gate_circuit(tmp_path, ("x=y", "z"))
+    code, out, _ = run_cli(capsys, ["paths", "--circuit", circuit, "--format", "table"])
+    assert (code, out) == (0, "g=x=y\ng=z\n")
+    state = _state_file(tmp_path, {"vector": vector_to_json(np.array([0.0, 1.0]))})
+    for line, probability in zip(out.splitlines(), (0.0, 1.0)):
+        code, out, _ = run_cli(capsys, ["simulate", "--circuit", circuit, "--input", state, "--path", line])
+        assert code == 0
+        (row,) = json.loads(out)
+        assert (line, row["probability"]) == (f"g={row['path']['g']}", probability)

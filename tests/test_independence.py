@@ -285,11 +285,11 @@ def test_factor_branch_accepts_complex_ancilla_vector():
 
 def edge_operators(t, branch=None):
     """The outcome operator of every edge of ``t``, or of the edges along ``branch``."""
-    edges, key = [], t.root
+    edges, key = [], ()
     if branch is not None:
         for label in branch:
             edges.append(t.nodes[key].measurement.operator(label))
-            key = t.nodes[key].children[label]
+            key += (label,)
         return edges
     for node in t.nodes.values():
         if not node.is_leaf:

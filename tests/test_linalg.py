@@ -134,6 +134,15 @@ def test_density_operator_validation():
         DensityOperator.of(np.ones((2, 3)))
 
 
+def test_density_operator_checks_a_state_whose_norm_overflows():
+    # past about 1.3e154 the Frobenius norm, which scales every tolerance, is inf
+    with pytest.raises(ValueError, match="matrix is too large: its norm overflows"):
+        DensityOperator.of(np.diag([1e160, -5e159]))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        DensityOperator.of(np.diag([1e150, -5e149]))
+    assert DensityOperator.of(np.diag([1e150, 5e149])).trace() == pytest.approx(1.5e150)
+
+
 def test_density_operator_accepts_unnormalized():
     rho = DensityOperator.of(np.diag([2.0, 2.0]))
     assert rho.trace() == pytest.approx(4.0)

@@ -26,7 +26,7 @@ from meastree.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from meastree.trees import branch_measurement, branch_operator, run_tree, validate_tree
+from meastree.trees import branch_measurement, branch_operator, build_tree, run_tree, validate_tree
 
 
 def test_matrix_round_trip_preserves_complex_entries():
@@ -297,6 +297,28 @@ def test_tree_json_node_ids_are_routes():
     # every non-root id is the route of labels from the root
     for node_id in doc["nodes"]:
         assert node_id == "/" or node_id.startswith("/")
+
+
+def test_tree_node_ids_that_collide_get_suffixes_and_keep_their_edges():
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    inner = Measurement.of({"b": p0, "b#2": p1})
+    root = Measurement.of({"a/b": p0, "a": p1})
+    t = build_tree(HilbertSpec.of([("q", 2)]), (root, {"a/b": None, "a": (inner, {"b": None, "b#2": None})}))
+    doc = tree_to_json(t)
+    assert list(doc["nodes"]) == ["/", "/a/b", "/a", "/a/b#2", "/a/b#2#2"]
+    assert doc["nodes"]["/"]["children"] == {"a/b": "/a/b", "a": "/a"}
+    assert doc["nodes"]["/a"]["children"] == {"b": "/a/b#2", "b#2": "/a/b#2#2"}
+    back = tree_from_json(json.loads(json.dumps(doc)))
+    assert back.branches() == t.branches() == [("a/b",), ("a", "b"), ("a", "b#2")]
+    for branch in t.branches():
+        assert np.array_equal(branch_operator(back, branch), branch_operator(t, branch))
+    edges = [line.strip() for line in tree_to_dot(t).splitlines() if "->" in line]
+    assert edges == [
+        '"/" -> "/a/b" [label="a/b"];',
+        '"/" -> "/a" [label="a"];',
+        '"/a" -> "/a/b#2" [label="b"];',
+        '"/a" -> "/a/b#2#2" [label="b#2"];',
+    ]
 
 
 def test_tree_from_json_rejects_cycles_and_missing_nodes():

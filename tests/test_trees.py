@@ -237,9 +237,13 @@ def test_unknown_branch_raises():
 
 def test_validate_tree_names_a_node_not_keyed_by_its_route():
     t = h_then_z_tree()
-    assert validate_tree(dataclasses.replace(t, root=("u",))) == ["root ('u',) is not a node keyed ()"]
-    t.nodes[()] = TreeNode(t.nodes[()].measurement, {"u": ("w",)})
-    assert validate_tree(t) == ["node (): child 'u' is keyed ('w',), not by its route"]
+    assert validate_tree(dataclasses.replace(t, nodes={("r",) + key: n for key, n in t.nodes.items()})) == [
+        "no root node keyed ()"
+    ]
+    below_a_leaf = dataclasses.replace(t, nodes={**t.nodes, ("u", "0", "x"): TreeNode(None)})
+    assert validate_tree(below_a_leaf) == ["1 nodes unreachable from the root"]
+    t.nodes[("w",)] = t.nodes.pop(("u",))
+    assert validate_tree(t) == ["node (): missing child ('u',)"]
 
 
 def test_branches_enumerated_in_declared_order():
@@ -274,17 +278,16 @@ def test_has_roles():
     assert t2.has_roles()
     assert validate_tree(t2) == []
     assert t2.output_principal == ("p",)
-    assert t2.output_ancilla == ("a",)
 
 
 def two_wire_tree(ancilla, wires=None, measurement=None):
     """A Z readout of ``p`` next to the ancilla wire ``a``."""
     space = HilbertSpec.of([("p", 2), ("a", 2)])
     m = z_measurement() if measurement is None else measurement
-    node = TreeNode(m, {label: (label,) for label in m.labels}, ("p",) if wires is None else wires)
-    nodes = {(): node, **{(label,): TreeNode(None, {}) for label in m.labels}}
+    node = TreeNode(m, wires=("p",) if wires is None else wires)
+    nodes = {(): node, **{(label,): TreeNode(None) for label in m.labels}}
     return MeasurementTree(
-        space, (), nodes, principal_wires=("p",), ancilla_wires=("a",), ancilla_init=Ket.of(ancilla)
+        space, nodes, principal_wires=("p",), ancilla_wires=("a",), ancilla_init=Ket.of(ancilla)
     )
 
 
@@ -302,6 +305,10 @@ def test_validate_tree_checks_local_wires():
     ]
     assert validate_tree(two_wire_tree(basis_ket(2, 0), ("p", "a"))) == [
         "node (): measurement dim 2 != dim 4 of its wires"
+    ]
+    incomplete = Measurement({"0": projector(basis_ket(2, 0)), "1": projector(basis_ket(2, 1)) / 2})
+    assert validate_tree(two_wire_tree(basis_ket(2, 0), measurement=incomplete)) == [
+        "node (): completeness defect 7.500e-01"
     ]
 
 
@@ -394,7 +401,7 @@ def test_trees_without_roles_or_ancilla_keep_the_two_sided_carry(kernel_calls):
     rho = random_density(t.space.restrict(t.principal_wires), np.random.default_rng(4))
     sigma0 = DensityOperator(embed_principal(t, rho.matrix), t.space)
     expected = run_tree(t, sigma0)
-    bare = MeasurementTree(t.space, t.root, t.nodes)
+    bare = MeasurementTree(t.space, t.nodes)
     whole = dataclasses.replace(
         t, principal_wires=t.space.wires, ancilla_wires=(), ancilla_init=Ket.of([1.0], HilbertSpec(()))
     )
