@@ -32,10 +32,10 @@ from .linalg import (
     Measurement,
     _branch_output,
     _edges,
+    _images,
     _input_isometry,
     _resume,
     _walk,
-    apply_local,
     basis_ket,
     embed_principal,
     partial_trace_matrix,
@@ -165,20 +165,23 @@ def selected_gate(
 class Path(Mapping):
     """Immutable outcome assignment, one label per gate id."""
 
-    __slots__ = ("_items", "_lookup")
+    __slots__ = ("_items", "_lookup", "_hash")
 
     def __init__(self, assignment: Mapping[str, str]):
-        items = tuple(sorted((str(k), str(v)) for k, v in assignment.items()))
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_lookup", dict(items))
+        self._set(tuple(sorted((str(k), str(v)) for k, v in assignment.items())))
 
     @classmethod
     def _of_items(cls, items: tuple[tuple[str, str], ...]) -> "Path":
         """The path of ``items``, string pairs already sorted by gate id."""
         path = cls.__new__(cls)
-        object.__setattr__(path, "_items", items)
-        object.__setattr__(path, "_lookup", dict(items))
+        path._set(items)
         return path
+
+    def _set(self, items: tuple[tuple[str, str], ...]) -> None:
+        """Fill the slots once: the items, their lookup, and their hash, which dict operations reread."""
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_lookup", dict(items))
+        object.__setattr__(self, "_hash", hash(items))
 
     def __getitem__(self, key: str) -> str:
         return self._lookup[key]
@@ -190,7 +193,7 @@ class Path(Mapping):
         return len(self._items)
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Path):
@@ -351,9 +354,10 @@ class Circuit:
         return _input_isometry(self)
 
     @cached_property
-    def _spine(self) -> list[tuple[str | None, np.ndarray]]:
-        """``(label, C E)`` after each gate of the path simulated last, from ``(None, E)``: one block per depth."""
-        return [(None, self._isometry)]
+    def _spine(self) -> list[list]:
+        """``[label, C E, fan]`` after each gate of the path simulated last, from ``[None, E, None]``:
+        one block per depth, and the images of it under the next gate's outcomes, if computed."""
+        return [[None, self._isometry, None]]
 
     @cached_property
     def _ancilla_norm2(self) -> float:
@@ -482,16 +486,7 @@ def validate_circuit(c: Circuit) -> list[Violation]:
                     )
                     shapes_ok = False
         if shapes_ok:
-            for mi, m in enumerate(g.measurements):
-                defect = m.completeness_defect()
-                if not defect <= TOL.complete:
-                    v.append(
-                        Violation(
-                            "MEASUREMENT_COMPLETENESS",
-                            gid,
-                            f"measurement {mi}: ||sum L^dag L - Id||_F = {defect:.3e}",
-                        )
-                    )
+            v.extend(_completeness_violations(gid, g.measurements))
         seen: dict[str, int] = {}
         for mi, m in enumerate(g.measurements):
             for label in m.labels:
@@ -564,6 +559,16 @@ def validate_circuit(c: Circuit) -> list[Violation]:
         if exploded_at is not None:
             v.append(Violation("PATH_EXPLOSION", exploded_at, f"more than {_MAX_WALK_STATES} coherent prefixes"))
 
+    return v
+
+
+def _completeness_violations(gid: str, measurements: Sequence[Measurement]) -> list[Violation]:
+    """Gate ``gid``'s measurements whose ``sum L^dag L`` is not the identity within ``TOL.complete``."""
+    v = []
+    for mi, m in enumerate(measurements):
+        defect = m.completeness_defect()
+        if not defect <= TOL.complete:
+            v.append(Violation("MEASUREMENT_COMPLETENESS", gid, f"measurement {mi}: ||sum L^dag L - Id||_F = {defect:.3e}"))
     return v
 
 
@@ -662,7 +667,7 @@ def sample_run(
         t = float(np.vdot(v, v @ rho.matrix).real)
         if t <= TOL.zero * t0:
             raise ArithmeticError("state trace vanished mid-run")
-        images = [apply_local(op, g.wires, v, c.space) for op in m.outcomes.values()]
+        images = _images(m, g.wires, v, c.space)
         probs = np.array([max(float(np.vdot(x, x @ rho.matrix).real) / t, 0.0) for x in images])
         i = int(gen.choice(len(probs), p=probs / probs.sum()))
         return {m.labels[i]: images[i]}

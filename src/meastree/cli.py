@@ -144,6 +144,15 @@ def _path_text(order: Sequence[str], prefix: Sequence[str]) -> str:
     return ",".join(map("=".join, zip(order, prefix)))
 
 
+def _require_path_texts(verb: str, order: Sequence[str], prefixes: Sequence[Sequence[str]]) -> None:
+    """ValueError naming the first gate and outcome of ``prefixes`` that ``_path_text`` cannot
+    write as a ``--path`` spec: such a text could name another path, or two paths alike."""
+    for gid, label in dict.fromkeys(pair for p in prefixes for pair in zip(order, p)):
+        # --path splits at commas and the first "=", and strips each side
+        if "," in gid + label or "=" in gid or gid != gid.strip() or label != label.strip():
+            raise ValueError(f"{verb}: gate {gid!r} outcome {label!r} cannot be written as a --path spec")
+
+
 def _branch_walk(c: Circuit, path: str | None):
     """``(prefix, branch, V)`` at each path of one walk of ``c``, or at the one path
     that ``path`` specifies: the branch of ``reduce_circuit(c)`` it maps to, and
@@ -245,10 +254,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     paths, order = [p for p, g, _, _ in _walk(c) if g is None], flattened_gates(c)
     if args.format == "table":
-        for gid, label in dict.fromkeys(pair for p in paths for pair in zip(order, p)):
-            # --path splits at commas and the first "=", and strips each side
-            if "," in gid + label or "=" in gid or gid != gid.strip() or label != label.strip():
-                raise ValueError(f"paths: gate {gid!r} outcome {label!r} cannot be written as a --path spec")
+        _require_path_texts("paths", order, paths)
         for p in paths:
             print(_path_text(order, p))
     else:
@@ -265,8 +271,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         c = _load_valid_circuit(args.circuit)
         rho = DensityOperator.of(_state_matrix(kind, arr), c.principal_spec)
         follow = _path_follow(c, args.path) if args.path else None
-        order = flattened_gates(c)
+        order, prefixes = flattened_gates(c), []
         for p, prob, sigma in _simulate(c, rho, follow):
+            prefixes.append(p)
             reduced = partial_trace_matrix(sigma, c.space, c.output_principal)
             rows.append(
                 {
@@ -277,6 +284,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     "_label": _path_text(order, p),
                 }
             )
+        if args.format == "table":
+            _require_path_texts("simulate", order, prefixes)
     else:
         t = tree_from_json(_load_json(args.tree))
         problems = validate_tree(t)

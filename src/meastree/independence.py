@@ -123,7 +123,7 @@ class IsometryScalingReport:
 def _principal_dim(t: MeasurementTree) -> int:
     if not t.has_roles():
         raise ValueError("tree carries no principal/ancilla wire roles; analysis needs them")
-    if t.ancilla_init.norm() <= TOL.zero:
+    if t._ancilla_norm <= TOL.zero:
         raise ValueError("state has zero trace")
     return math.prod(t.space.dim_of(w) for w in t.principal_wires)
 

@@ -12,7 +12,21 @@ resolver, ``_edges``. Both read a prefix, the tuple of outcome labels
 from the root, through the circuit's or the tree's ``_expand`` step.
 ``_resume`` carries a block down a route from the route walked last,
 applying the edges that ``_edges`` resolves below the prefix the two
-share. Outcome operators are applied by one kernel, ``apply_local``.
+share.
+
+Outcome operators are applied by one kernel, ``_apply_stack``: it
+applies a measurement's read-only outcome stack ``(n, d, d)``
+(``Measurement._stack``) to one block in a single ``np.matmul``, in
+``O(n * d_local * D * k)``, or row i to block i of a stack of blocks.
+``apply_local`` is its one-row case. All outcomes of a measurement act
+on the same parent block, so the walk makes one kernel call per inner
+prefix, not one per edge, and each level of ``_resume``'s spine keeps
+that fan of sibling images: a route that parts from the one walked last
+at a level reuses a sibling there and applies nothing. The fan is
+stacked only while its ``n`` images and ``n`` operators fit in
+``_STACK_BYTES``; above that a stacked product misses cache and is
+slower than ``n`` single ones, and edges are applied one by one, each
+operator through the same kernel as a one-row stack.
 """
 
 from __future__ import annotations
@@ -162,6 +176,14 @@ class HilbertSpec:
     def wires(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.factors)
 
+    def __hash__(self) -> int:
+        # computed once: the kernel's plan cache hashes the spec on every call
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.factors)
+
     @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
@@ -305,6 +327,13 @@ class Measurement:
         total = sum(dagger(op) @ op for op in self.outcomes.values())
         return frob_norm(total - identity(self.dim))
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """The outcome operators in label order as one read-only ``(n, d, d)`` stack, built on first use."""
+        stack = np.array(list(self.outcomes.values()))
+        stack.flags.writeable = False
+        return stack
+
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the first argument's indices are the major ones."""
@@ -312,9 +341,10 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices, bit for bit, as one broadcast product."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """``np.kron`` of each pair of matrices of two stacks ``(na, m, n)`` and ``(nb, p, q)``, bit
+    for bit, as one broadcast product: the ``na * nb`` products, ``a``'s index major."""
+    (na, m, n), (nb, p, q) = a.shape, b.shape
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(na * nb, m * p, n * q)
 
 
 def tensor_measurements(measurements: Sequence[Measurement]) -> Measurement:
@@ -324,26 +354,30 @@ def tensor_measurements(measurements: Sequence[Measurement]) -> Measurement:
     labels of a genuine (length >= 2) product must not contain "|". The
     joint family is complete whenever the factors are.
     """
-    return Measurement.of(_joint_outcomes(measurements))
+    return Measurement.of(_joint(measurements).outcomes)
 
 
-def _joint_outcomes(measurements: Sequence[Measurement]) -> dict[str, np.ndarray]:
-    """The outcomes of ``tensor_measurements`` before its completeness check."""
+def _joint(measurements: Sequence[Measurement]) -> Measurement:
+    """``tensor_measurements`` before its completeness check. The joint outcome stack
+    is one broadcast product per factor, and each joint operator a read-only row
+    of it; a single factor is returned as is."""
     ms = list(measurements)
     if not ms:
         raise ValueError("need at least one measurement")
-    if len(ms) > 1:
-        for m in ms:
-            for label in m.labels:
-                if "|" in label:
-                    raise ValueError(f"label {label!r} contains the reserved separator '|'")
-    joint: dict[str, np.ndarray] = {}
-    for combo in itertools.product(*(m.outcomes.items() for m in ms)):
-        label = "|".join(l for l, _ in combo)
-        op = combo[0][1]
-        for _, factor in combo[1:]:
-            op = _kron(op, factor)
-        joint[label] = np.asarray(op, dtype=complex)
+    if len(ms) == 1:
+        return ms[0]
+    for m in ms:
+        for label in m.labels:
+            if "|" in label:
+                raise ValueError(f"label {label!r} contains the reserved separator '|'")
+    labels = ["|".join(combo) for combo in itertools.product(*(m.labels for m in ms))]
+    stack = ms[0]._stack
+    for m in ms[1:]:
+        stack = _kron(stack, m._stack)
+    stack = stack.astype(complex, copy=False)
+    stack.flags.writeable = False
+    joint = Measurement(dict(zip(labels, stack)))  # each operator a row of the stack
+    joint.__dict__["_stack"] = stack
     return joint
 
 
@@ -445,33 +479,79 @@ def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.n
     return permute_wires(big, src, space.wires)
 
 
+# The largest fan of images, in bytes, that one stacked kernel call may
+# write. Above it the stacked product misses cache and is slower than
+# applying the edges one by one. Measured with single-threaded BLAS on a
+# 2-core VM: on a 256 x 256 two-sided block, a 4-wire node with 16
+# outcomes (a 16 MiB fan) took 24.1 ms stacked against 16.6 ms edge by
+# edge; 1-2 MiB fans broke even; a 256 KiB fan (64 x 64, 4 outcomes)
+# took 0.73 of the edge-by-edge time. Without the bound, run_tree on the
+# d_P = 128 tree of the ``wide`` benchmark took 19.1 ms against 13.8 ms.
+# Blocks of the narrow carry and of small spaces stay far below it.
+_STACK_BYTES = 256 * 1024
+
+
 @lru_cache(maxsize=1024)
 def _local_plan(space: HilbertSpec, on: tuple[str, ...], ndim: int):
-    """``apply_local``'s index plan for ``on`` and an ``ndim``-D block: ``(d_on, lead, perm, inverse)``,
-    ``lead`` sizing the factors before ``on`` if they are adjacent, else ``perm`` bringing them to the front."""
+    """``_apply_stack``'s index plan for ``on`` and a stack of ``ndim``-D blocks: ``(d_on, lead, perm, inverse)``,
+    ``lead`` sizing the factors before ``on`` if they are adjacent, else ``perm`` bringing them to the
+    front, behind the stack axis."""
     dims = space.dims
     axes = [space.index(w) for w in on]
     d_on = math.prod(dims[a] for a in axes)
     start = axes[0] if axes else 0
     if axes == list(range(start, start + len(axes))):
         return d_on, math.prod(dims[:start]), None, None
-    perm = axes + [i for i in range(len(dims) + ndim - 1) if i not in axes]
+    perm = [0] + [a + 1 for a in axes] + [i for i in range(1, len(dims) + ndim) if i - 1 not in axes]
     return d_on, None, tuple(perm), tuple(np.argsort(perm).tolist())
+
+
+def _apply_stack(ops: np.ndarray, on: Sequence[str], x: np.ndarray, space: HilbertSpec, pairwise: bool = False) -> np.ndarray:
+    """Each row of ``ops``, an ``(n, d, d)`` stack of operators on the wires ``on``, applied
+    to a ket or D x k block ``x``: the ``(n,) + x.shape`` stack of images, from one
+    ``np.matmul`` in ``O(n * d_local * D * k)``. With ``pairwise``, ``x`` is an
+    ``(n,) + block`` stack and row i meets block i. Each image equals the product of
+    its row alone bit for bit, so a stack and its rows one by one agree.
+    """
+    block = x.shape[1:] if pairwise else x.shape
+    d_on, lead, perm, inverse = _local_plan(space, tuple(on), len(block))
+    n = len(ops)
+    if ops.shape != (n, d_on, d_on):
+        raise ValueError(f"operator shape {ops.shape[1:]} does not match wire dims (local dim {d_on})")
+    m = len(x) if pairwise else 1  # blocks in x
+    if perm is None:
+        return np.matmul(ops[:, None], x.reshape(m, lead, d_on, -1)).reshape((n,) + block)
+    t = x.reshape((m,) + space.dims + block[1:]).transpose(perm)
+    t = np.matmul(ops, t.reshape(m, d_on, -1)).reshape((n,) + t.shape[1:])
+    return t.transpose(inverse).reshape((n,) + block)
 
 
 def apply_local(op: np.ndarray, on: Sequence[str], x: np.ndarray, space: HilbertSpec) -> np.ndarray:
     """``lift_operator(op, on, space) @ x`` for a ket or a D x k block ``x``,
     in ``O(d_local * D * k)``, without building the lift.
     """
-    x = np.asarray(x, dtype=complex)
-    d_on, lead, perm, inverse = _local_plan(space, tuple(on), x.ndim)
-    if op.shape != (d_on, d_on):
-        raise ValueError(f"operator shape {op.shape} does not match wire dims (local dim {d_on})")
-    if perm is None:
-        return np.matmul(op, x.reshape(lead, d_on, -1)).reshape(x.shape)
-    t = x.reshape(space.dims + x.shape[1:]).transpose(perm)
-    t = (op @ t.reshape(d_on, -1)).reshape(t.shape)
-    return t.transpose(inverse).reshape(x.shape)
+    return _apply_stack(op[None], on, np.asarray(x, dtype=complex), space)[0]
+
+
+def _sandwich(ops: np.ndarray, on: Sequence[str], sigma: np.ndarray, space: HilbertSpec) -> np.ndarray:
+    """``L sigma L^dag`` for each row L of ``ops``: two kernel calls, the second pairwise."""
+    left = _apply_stack(ops, on, sigma, space)
+    return _apply_stack(ops.conj(), on, left.transpose(0, 2, 1), space, pairwise=True).transpose(0, 2, 1)
+
+
+def _fans(m: Measurement, x: np.ndarray) -> bool:
+    """Are all of ``m``'s images of ``x`` taken in one stacked call? Only for more than one
+    outcome, and only while the images, and the outcome stack they are made from, fit in
+    ``_STACK_BYTES``: a tree read from JSON holds full-space operators, which a stack would copy."""
+    n = len(m.outcomes)
+    return 1 < n and n * (x.nbytes + next(iter(m.outcomes.values())).nbytes) <= _STACK_BYTES
+
+
+def _images(m: Measurement, wires: Sequence[str], x: np.ndarray, space: HilbertSpec) -> Sequence[np.ndarray]:
+    """Every outcome's image of ``x``, in label order: one stacked call, or edge by edge above the bound."""
+    if _fans(m, x):
+        return _apply_stack(m._stack, wires, x, space)
+    return [_apply_stack(op[None], wires, x, space)[0] for op in m.outcomes.values()]
 
 
 def _walk(roles, x=None, follow=None, apply=None):
@@ -483,33 +563,41 @@ def _walk(roles, x=None, follow=None, apply=None):
     prefix's children, one per outcome in declared order. The measurement
     is None where the prefix ends: at a leaf, at a complete path (``at``
     None too) or at a selection hole. Yields ``(prefix, at, measurement,
-    x)`` at each prefix. A ket or D x k block ``x`` is carried down each
-    edge, lazily, as ``apply(L, wires, x, space)``, by default
-    ``apply_local``, for the edge's outcome operator L. Once a prefix has
-    been yielded, ``follow(at, measurement, x)`` names the outcomes to
-    descend into, by default all of them, or maps them to images of x it
-    has computed already. Consumers must not mutate the yielded blocks.
+    x)`` at each prefix. A ket or D x k block ``x`` is carried down the
+    edges as ``apply(ops, wires, x, space)``, by default ``_apply_stack``,
+    for a stack ``ops`` of outcome operators: all of a prefix's children
+    in one call when ``_fans`` allows, else each edge lazily, as a
+    one-row view of its operator. Once a prefix has been yielded, ``follow(at,
+    measurement, x)`` names the outcomes to descend into, by default all
+    of them, or maps them to images of x it has computed already; the
+    edges it names are applied one by one. Consumers must not mutate the
+    yielded blocks.
     """
-    expand, space, apply = roles._expand, roles.space, apply or apply_local
+    expand, space, apply = roles._expand, roles.space, apply or _apply_stack
     stack: list[tuple] = [((), x, None, None)]
     while stack:
-        prefix, x, op, on = stack.pop()
-        if op is not None:
-            x = apply(op, on, x, space)
+        prefix, x, ops, on = stack.pop()
+        if ops is not None:
+            x = apply(ops, on, x, space)[0]
         at, m, wires = expand(prefix)
         yield prefix, at, m, x
         if m is None:
             continue
-        ops = m.outcomes
-        chosen = ops if follow is None else follow(at, m, x)
+        if follow is None and x is not None and _fans(m, x):
+            fan = apply(m._stack, wires, x, space)
+            stack.extend((prefix + (label,), image, None, None) for label, image in zip(reversed(m.outcomes), fan[::-1]))
+            continue
+        chosen = m.outcomes if follow is None else follow(at, m, x)
         images = chosen if follow is not None and isinstance(chosen, dict) else {}
         for label in reversed(chosen):
-            op = None if x is None or label in images else ops[label]
-            stack.append((prefix + (label,), images.get(label, x), op, wires))
+            if x is None or label in images:
+                stack.append((prefix + (label,), images.get(label, x), None, None))
+            else:
+                stack.append((prefix + (label,), x, m.outcomes[label][None], wires))
 
 
-def _edges(roles, route: Sequence[str], start: int = 0) -> list[tuple[str, np.ndarray, tuple[str, ...]]] | None:
-    """The edges along ``route`` below its first ``start`` labels, as ``(label, L, wires)``,
+def _edges(roles, route: Sequence[str], start: int = 0) -> list[tuple[str, Measurement, tuple[str, ...]]] | None:
+    """The edges along ``route`` below its first ``start`` labels, as ``(label, measurement, wires)``,
     or None unless ``route`` names an outcome at each prefix and ends where
     ``roles._expand`` fires nothing: a path of a circuit, a branch of a tree.
     The resolution applies no operator and stops at the first label it cannot follow."""
@@ -518,7 +606,7 @@ def _edges(roles, route: Sequence[str], start: int = 0) -> list[tuple[str, np.nd
         _, m, wires = expand(prefix)
         if m is None or label not in m.outcomes:
             return None
-        edges.append((label, m.outcomes[label], wires))
+        edges.append((label, m, wires))
         prefix += (label,)
     return edges if expand(prefix)[1] is None else None
 
@@ -526,26 +614,40 @@ def _edges(roles, route: Sequence[str], start: int = 0) -> list[tuple[str, np.nd
 def _resume(roles, route: Sequence[str]) -> np.ndarray | None:
     """The block at the end of ``route`` on ``roles``, resumed from the route walked last.
 
-    ``roles._spine`` holds ``(label, block)`` per level from ``(None,
-    x0)``, the root block, along the route walked last. The spine is cut
-    back to the longest prefix whose labels match ``route``; ``_edges``
-    resolves the levels below it, and ``apply_local`` extends the spine
-    by each of their edges, each new block read-only. Returns None, with
-    the spine left at the shared prefix, where ``_edges`` does. So a lone
-    route applies only its own edges, and routes taken depth first
-    resolve and apply each edge of their prefix tree once.
+    ``roles._spine`` holds ``[label, block, fan]`` per level from ``[None,
+    x0, None]``, the root block, along the route walked last; ``fan`` is
+    None or maps every outcome of the level's measurement to its
+    read-only image of ``block``. The spine is cut back to the
+    longest prefix whose labels match ``route``; ``_edges`` resolves the
+    levels below it. Each of their edges takes its block from the fan of
+    the level above, computing that fan in one kernel call where
+    ``_fans`` allows, or else applies its own operator as a one-row
+    view; each new block is read-only. Returns None, with the spine left
+    at the shared prefix, where ``_edges`` does. So routes taken depth
+    first make one kernel call per inner prefix of their prefix tree, and
+    a route that parts from the one walked last at some level reuses the
+    sibling image kept there.
     """
-    spine = roles._spine
+    spine, space = roles._spine, roles.space
     k = 0
     while k < len(route) and k + 1 < len(spine) and spine[k + 1][0] == route[k]:
         k += 1
     del spine[k + 1 :]
     if (edges := _edges(roles, route, start=k)) is None:
         return None
-    for label, op, wires in edges:
-        block = apply_local(op, wires, spine[-1][1], roles.space)
-        block.flags.writeable = False
-        spine.append((label, block))
+    for label, m, wires in edges:
+        level = spine[-1]
+        _, block, fan = level
+        if fan is None and _fans(m, block):
+            images = _apply_stack(m._stack, wires, block, space)
+            images.flags.writeable = False
+            fan = level[2] = dict(zip(m.outcomes, images))
+        if fan is None:
+            block = _apply_stack(m.outcomes[label][None], wires, block, space)[0]
+            block.flags.writeable = False
+        else:
+            block = fan[label]
+        spine.append([label, block, None])
     return spine[-1][1]
 
 

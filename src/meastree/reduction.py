@@ -15,8 +15,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .circuits import Circuit, Gate, Path, Selection, flattened_gates
-from .linalg import Measurement, _joint_outcomes, _walk
+from .circuits import Circuit, Gate, Path, Selection, _completeness_violations, flattened_gates
+from .linalg import _joint, _walk
 from .trees import Branch, MeasurementTree, TreeNode
 
 __all__ = ["Bijection", "linearize", "tree_from_linear", "reduce_circuit"]
@@ -32,11 +32,12 @@ class Bijection:
     @classmethod
     def from_pairs(cls, pairs) -> "Bijection":
         fwd, bwd = {}, {}
-        for a, b in pairs:
-            if a in fwd or b in bwd:
+        for n, (a, b) in enumerate(pairs, 1):
+            # one hash per key: a key already present leaves its dict one short
+            fwd.setdefault(a, b)
+            bwd.setdefault(b, a)
+            if not len(fwd) == len(bwd) == n:
                 raise ValueError(f"not a bijection: ({a!r}, {b!r}) collides")
-            fwd[a] = b
-            bwd[b] = a
         return cls(fwd, bwd)
 
     def __len__(self) -> int:
@@ -108,10 +109,7 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     for n, layer in enumerate(layers):
         choices = sorted(set(choice_of[n].values()))
         index_of = {ch: i for i, ch in enumerate(choices)}
-        measurements = tuple(
-            Measurement(_joint_outcomes([c.gates[gid].measurements[k] for gid, k in zip(layer, ch)]))
-            for ch in choices
-        )
+        measurements = tuple(_joint([c.gates[gid].measurements[k] for gid, k in zip(layer, ch)]) for ch in choices)
         rules = [
             (dict(when), index_of[ch])
             for when, ch in sorted(choice_of[n].items())
@@ -137,8 +135,13 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
         schedule=tuple((mid,) for mid in merged_ids),
         output_principal_wires=c.output_principal_wires,
     )
-    if linear.violations:  # the one completeness check of each merged measurement
-        raise ValueError("; ".join(map(str, linear.violations)))
+    # Merged from a valid circuit, the linear circuit can fail validation only
+    # where a merged measurement is not complete: check that alone, once, and
+    # record the result as the linear circuit's violations.
+    violations = [x for g in new_gates for x in _completeness_violations(g.gate_id, g.measurements)]
+    if violations:
+        raise ValueError("; ".join(map(str, violations)))
+    linear.violations = violations
     return linear, Bijection.from_pairs((c._path(prefix), linear._path(segment)) for prefix, segment in ends)
 
 

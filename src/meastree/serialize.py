@@ -438,13 +438,19 @@ def tree_from_json(obj: Any) -> MeasurementTree:
         if not isinstance(raw_children, dict):
             raise ValueError(f"tree.nodes[{nid!r}].children: expected an object")
         if raw_m is None:
+            if raw_children:
+                raise ValueError(f"tree.nodes[{nid!r}]: a leaf has no children, got {list(raw_children)}")
             nodes[key] = TreeNode(None)
             continue
         m = measurement_from_json(raw_m, f"tree.nodes[{nid!r}].measurement")
+        if extra := [label for label in raw_children if label not in m.outcomes]:
+            raise ValueError(f"tree.nodes[{nid!r}].children: {extra[0]!r} names no outcome")
         dims.append(m.dim)
         nodes[key] = TreeNode(m)
         for label in reversed(m.labels):
             stack.append((str(raw_children[label]) if label in raw_children else None, key + (label,), nid))
+    if unreached := [nid for nid in raw_nodes if nid not in seen]:
+        raise ValueError(f"tree.nodes[{unreached[0]!r}]: no route from the root reaches it")
 
     if "wires" in obj:
         space, principal, output_principal = _wires_from_json(obj["wires"], "tree.wires")

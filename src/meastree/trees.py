@@ -34,6 +34,7 @@ from .linalg import (
     _edges,
     _input_isometry,
     _resume,
+    _sandwich,
     _walk,
     apply_local,
     dagger,
@@ -120,9 +121,15 @@ class MeasurementTree:
         return _input_isometry(self)
 
     @cached_property
-    def _spine(self) -> list[tuple[str | None, np.ndarray]]:
-        """``(label, C E)`` after each edge of the route walked last, from ``(None, E)``: one block per level."""
-        return [(None, self._isometry)]
+    def _ancilla_norm(self) -> float:
+        """``|a|`` for the ancilla vector a of a tree with roles."""
+        return self.ancilla_init.norm()
+
+    @cached_property
+    def _spine(self) -> list[list]:
+        """``[label, C E, fan]`` after each edge of the route walked last, from ``[None, E, None]``:
+        one block per level, and the images of it under the level's outcomes, if computed."""
+        return [[None, self._isometry, None]]
 
     @cached_property
     def _leaf_isometries(self) -> dict[Branch, np.ndarray]:
@@ -146,7 +153,7 @@ class MeasurementTree:
         route = tuple(branch)
         if (v := self._leaf_isometries.get(route)) is None:
             block = _route(route, _resume(self, route))
-            v = block / self.ancilla_init.norm()  # probabilities per unit input norm
+            v = block / self._ancilla_norm  # probabilities per unit input norm
             v.flags.writeable = False
             self._leaf_isometries[route] = v
         return v
@@ -256,12 +263,7 @@ def run_tree(
     if (rho := _principal_part(t, sigma)) is not None:
         walk = _walk(t, t._isometry)
         return {key: _branch_output(v, rho, t0) for key, _, m, v in walk if m is None}
-
-    def step(op: np.ndarray, wires: tuple[str, ...], sigma: np.ndarray, space: HilbertSpec) -> np.ndarray:
-        left = apply_local(op, wires, sigma, space)
-        return apply_local(op.conj(), wires, left.T, space).T  # L sigma L^dag
-
-    walk = _walk(t, sigma, apply=step)
+    walk = _walk(t, sigma, apply=_sandwich)
     return {key: (_clamp_probability(float(s.trace().real) / t0), s) for key, _, m, s in walk if m is None}
 
 
@@ -277,7 +279,7 @@ def _principal_part(t: MeasurementTree, sigma: np.ndarray) -> np.ndarray | None:
     if not t.has_roles() or 8 * t.space.restrict(t.principal_wires).dim > t.space.dim:
         return None
     e = t._isometry
-    rho = dagger(e) @ sigma @ e / t.ancilla_init.norm() ** 4
+    rho = dagger(e) @ sigma @ e / t._ancilla_norm ** 4
     residual = e @ rho @ dagger(e)
     residual -= sigma
     if frob_norm(residual) > 64 * np.finfo(float).eps * frob_norm(sigma):
@@ -292,8 +294,8 @@ def branch_operator(t: MeasurementTree, branch: Sequence[str]) -> np.ndarray:
     """
     op = identity(t.space.dim)
     route = tuple(branch)
-    for _, l, wires in _route(route, _edges(t, route)):
-        op = apply_local(l, wires, op, t.space)
+    for label, m, wires in _route(route, _edges(t, route)):
+        op = apply_local(m.outcomes[label], wires, op, t.space)
     return op
 
 

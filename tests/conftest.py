@@ -6,22 +6,51 @@ import pytest
 from meastree import circuits, linalg, trees
 
 
+class KernelCalls(list):
+    """Each call of the one gate-application kernel ``linalg._apply_stack``, as
+    ``(stack of operators, shape of the block)``; a pairwise call records the
+    shape of one of its blocks."""
+
+    def rows(self) -> int:
+        """The operators applied: one per row of each recorded stack."""
+        return sum(len(ops) for ops, _ in self)
+
+    def edges(self, measurements) -> list[int]:
+        """The outcome operators applied, one per row, each as the address of its data, sorted.
+        Each recorded stack must be one of the measurements' ``_stack``, which stands for all
+        of its operators, or a one-row view of one operator."""
+        stacks = {id(vars(m)["_stack"]): m for m in measurements if "_stack" in vars(m)}
+        ops = {op.ctypes.data for m in measurements for op in m.outcomes.values()}
+        applied = []
+        for stack, _ in self:
+            if (m := stacks.get(id(stack))) is not None:
+                applied += [op.ctypes.data for op in m.outcomes.values()]
+            else:
+                assert len(stack) == 1 and stack.ctypes.data in ops
+                applied.append(stack.ctypes.data)
+        return sorted(applied)
+
+    @staticmethod
+    def every_edge(measurements) -> list[int]:
+        """Every outcome operator of ``measurements``, one per measurement given, as ``edges`` names them."""
+        return sorted(op.ctypes.data for m in measurements for op in m.outcomes.values())
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Each call of the gate-application kernel ``apply_local``, as ``(op, shape of the block)``.
+    """A ``KernelCalls`` list of the calls made while the test runs.
 
-    The walker and ``_resume`` read the kernel from ``linalg``; the sampler's
-    Born weights and the two-sided carry read it from ``circuits`` and ``trees``.
+    ``apply_local``, the walker, ``_resume``, the sampler's Born weights and the
+    two-sided carry all reach the kernel through ``linalg``.
     """
-    calls = []
-    kernel = linalg.apply_local
+    calls = KernelCalls()
+    kernel = linalg._apply_stack
 
-    def recording(op, on, x, space):
-        calls.append((op, np.shape(x)))
-        return kernel(op, on, x, space)
+    def recording(ops, on, x, space, pairwise=False):
+        calls.append((ops, np.shape(x)[1:] if pairwise else np.shape(x)))
+        return kernel(ops, on, x, space, pairwise)
 
-    for module in (linalg, circuits, trees):
-        monkeypatch.setattr(module, "apply_local", recording)
+    monkeypatch.setattr(linalg, "_apply_stack", recording)
     return calls
 
 

@@ -432,11 +432,14 @@ def test_random_circuit_rejects_draws_over_four_times_max_paths():
 
 
 def test_sample_run_applies_each_outcome_operator_once(kernel_calls):
-    """The Born weights need every outcome's image; the walk takes the chosen one from them."""
+    """The Born weights need every outcome's image; the walk takes the chosen one from them.
+    One stacked kernel call per gate gives all of its images."""
     c = teleportation()
     rho = DensityOperator.of(projector(haar_ket(2, np.random.default_rng(1))), c.principal_spec)
     path, sigma = sample_run(c, rho, 0)
-    assert len(kernel_calls) == 11
+    fired = [g.measurement_for({s: path[s] for s in g.classical_sources}) for g in c.gates.values()]
+    assert kernel_calls.rows() == 11 and len(kernel_calls) == len(c.gates)
+    assert kernel_calls.edges(fired) == kernel_calls.every_edge(fired)
     assert np.array_equal(sigma, simulate_path(c, path, rho)[1])
 
 
@@ -517,23 +520,32 @@ def test_simulate_path_in_any_order_equals_the_full_walk_bit_for_bit():
 
 
 def test_simulate_path_applies_each_prefix_tree_edge_once(kernel_calls):
+    """Paths in walk order make one kernel call per inner prefix of their prefix tree, with
+    the whole outcome stack of the measurement fired there: each edge is one row of one call."""
     calls = kernel_calls
     for make in (*DEMOS.values(), *(lambda s=s: random_circuit(np.random.default_rng(s)) for s in range(10))):
         c = make()
         rho = random_density(c.principal_spec, np.random.default_rng(3))
         paths, order = enumerate_paths(c), flattened_gates(c)
         prefixes = {tuple(p[g] for g in order[:k]) for p in paths for k in range(1, len(order) + 1)}
+        fired = {prefix: m for prefix, _, m, _ in _walk(c) if m is not None}
         calls.clear()
         for path in paths:
             simulate_path(c, path, rho)
-        assert len(calls) == len(prefixes)
+        assert calls.rows() == len(prefixes) and len(calls) == len(fired)
+        assert sorted(len(ops) for ops, _ in calls) == sorted(len(m.outcomes) for m in fired.values())
+        assert calls.edges(fired.values()) == calls.every_edge(fired.values())
         calls.clear()
         simulate_path(c, paths[-1], rho)  # the path walked last: nothing left to apply
         assert calls == []
 
+        # a lone path makes one call per gate, each giving the images of all of the gate's outcomes
         lone = make()
+        route = lone._prefix(paths[len(paths) // 2])
         simulate_path(lone, paths[len(paths) // 2], rho)
+        along = [lone._expand(route[:k])[1] for k in range(len(route))]
         assert len(calls) == len(lone.gates)
+        assert [len(ops) for ops, _ in calls] == [len(m.outcomes) for m in along]
 
 
 def test_incoherent_paths_raise_and_leave_the_spine_exact(kernel_calls):
@@ -563,10 +575,12 @@ def test_spine_blocks_are_read_only_and_outputs_are_the_callers():
     paths = enumerate_paths(c)
     _, sigma = simulate_path(c, paths[0], rho)
     assert len(c._spine) == len(c.gates) + 1
-    for _, block in c._spine:
+    fans = [image for _, _, fan in c._spine if fan is not None for image in fan.values()]
+    assert fans  # teleportation's measurements keep the images of both outcomes
+    for block in [block for _, block, _ in c._spine] + fans:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
-            block[0, 0] = 1.0
+            block.flat[0] = 1.0
     sigma[:] = 0.0  # the output is a fresh array: overwriting it leaves the spine as it was
     assert np.array_equal(simulate_path(c, paths[0], rho)[1], _full_walk(c, rho)[paths[0]][1])
 

@@ -535,7 +535,8 @@ def test_simulate_circuit_rows_equal_simulate_path(tmp_path, capsys):
 
 
 def test_simulate_circuit_shares_prefixes(tmp_path, capsys, kernel_calls):
-    """One walk serves every path: one gate application per non-root prefix."""
+    """One walk serves every path: one kernel call per inner prefix, which applies
+    every outcome of the gate fired there, so one operator per non-root prefix."""
     calls = kernel_calls
     rng = np.random.default_rng(92)
     for name, c in [("teleportation", teleportation()), ("random18", random_circuit(np.random.default_rng(18)))]:
@@ -543,7 +544,9 @@ def test_simulate_circuit_shares_prefixes(tmp_path, capsys, kernel_calls):
         calls.clear()
         code, _, _ = run_cli(capsys, ["simulate", "--circuit", circuit, "--input", state])
         assert code == 0
-        assert len(calls) == sum(1 for _ in _walk(c)) - 1
+        fired = [m for _, _, m, _ in _walk(c) if m is not None]
+        assert calls.rows() == sum(1 for _ in _walk(c)) - 1
+        assert sorted(len(ops) for ops, _ in calls) == sorted(len(m.outcomes) for m in fired)
 
 
 def test_json_output_is_the_stdlib_indented_layout(tmp_path, capsys):
@@ -1078,3 +1081,17 @@ def test_paths_table_lines_select_their_own_paths(tmp_path, capsys):
         assert code == 0
         (row,) = json.loads(out)
         assert (line, row["probability"]) == (f"g={row['path']['g']}", probability)
+
+
+def test_simulate_table_refuses_two_paths_it_would_print_as_one_route(tmp_path, capsys):
+    """Labels "0" and "0 " print as the same route "g=0"; the JSON output keeps both paths."""
+    circuit = _one_gate_circuit(tmp_path, ("0", "0 "))
+    state = _state_file(tmp_path, {"vector": vector_to_json(np.array([0.6, 0.8]))})
+    argv = ["simulate", "--circuit", circuit, "--input", state]
+    code, out, err = run_cli(capsys, argv + ["--format", "table"])
+    assert (code, out) == (1, "")
+    assert err == "error: simulate: gate 'g' outcome '0 ' cannot be written as a --path spec\n"
+    code, out, _ = run_cli(capsys, argv)
+    rows = json.loads(out)
+    assert code == 0 and [r["path"] for r in rows] == [{"g": "0"}, {"g": "0 "}]
+    assert [r["probability"] for r in rows] == pytest.approx([0.36, 0.64], abs=1e-12)

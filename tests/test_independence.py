@@ -283,18 +283,11 @@ def test_factor_branch_accepts_complex_ancilla_vector():
         assert fact.probability == pytest.approx(float(np.vdot(b, b).real), abs=1e-12)
 
 
-def edge_operators(t, branch=None):
-    """The outcome operator of every edge of ``t``, or of the edges along ``branch``."""
-    edges, key = [], ()
+def inner_measurements(t, branch=None):
+    """The measurement of every inner node of ``t``, or of the inner nodes along ``branch``."""
     if branch is not None:
-        for label in branch:
-            edges.append(t.nodes[key].measurement.operator(label))
-            key += (label,)
-        return edges
-    for node in t.nodes.values():
-        if not node.is_leaf:
-            edges += [node.measurement.operator(label) for label in node.measurement.labels]
-    return edges
+        return [t.nodes[tuple(branch[:k])].measurement for k in range(len(branch))]
+    return [node.measurement for node in t.nodes.values() if not node.is_leaf]
 
 
 def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, monkeypatch, kernel_calls):
@@ -302,8 +295,6 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
     from meastree.linalg import _walk
     from meastree.serialize import circuit_to_json, matrix_to_json
 
-    def applied():
-        return sorted(id(op) for op, _ in kernel_calls)
 
     svds, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
@@ -318,14 +309,16 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
         check_computes(t, branch, I2, probes=4, seed=0)
     check_set_independence(t, branches, probes=4, seed=0)
     check_isometry_scaling(t, I2)
-    assert applied() == sorted(map(id, edge_operators(t)))
+    inner = inner_measurements(t)
+    assert kernel_calls.edges(inner) == kernel_calls.every_edge(inner) and len(kernel_calls) == len(inner)
     assert len(svds) == len(branches)
 
-    # a lone branch applies only the edges of its own route
+    # a lone branch makes one kernel call per node of its own route, for all of that node's outcomes
     lone = reduced(teleportation)
     kernel_calls.clear()
     factor_branch(lone, branches[-1])
-    assert applied() == sorted(map(id, edge_operators(lone, branches[-1])))
+    route = inner_measurements(lone, branches[-1])
+    assert kernel_calls.edges(route) == kernel_calls.every_edge(route) and len(kernel_calls) == len(route)
 
     # check-unitary factors each branch once, for the scaling test and the per-branch test alike,
     # from one walk of the circuit that applies each of its edges once and builds no tree
@@ -338,7 +331,8 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
     argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
     assert main(argv) == 0
     assert len(svds) == len(branches)
-    assert len(kernel_calls) == sum(1 for _ in _walk(teleportation())) - 1
+    assert kernel_calls.rows() == sum(1 for _ in _walk(teleportation())) - 1
+    assert len(kernel_calls) == sum(1 for _, _, m, _ in _walk(teleportation()) if m is not None)
 
 
 def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
@@ -372,7 +366,7 @@ def test_memoised_analysis_is_read_only_and_unchanged_by_callers():
     assert np.array_equal(again.principal_operator, want.principal_operator)
     assert np.array_equal(again.ancilla_vector, want.ancilla_vector)
     assert again.residual == want.residual
-    memo = [t._branch_isometry(branch), *_branch_svd(t, branch), *(block for _, block in t._spine)]
+    memo = [t._branch_isometry(branch), *_branch_svd(t, branch), *(a for _, block, fan in t._spine for a in [block, *(fan or {}).values()])]
     memo.append(_probe_kets(2, 4, seed=0))
     for a in memo:
         assert not a.flags.writeable

@@ -337,12 +337,16 @@ def test_input_isometry_and_embedding_on_interleaved_wires():
 
 
 def test_kron_broadcast_is_np_kron_bit_for_bit():
+    """Row i * nb + j of the stacked product is np.kron(a[i], b[j]), bit for bit."""
     from meastree.linalg import _kron
 
     rng = np.random.default_rng(4)
     for _ in range(40):
-        a_shape, b_shape = rng.integers(1, 6, size=2), rng.integers(1, 6, size=2)
+        a_shape, b_shape = rng.integers(1, 6, size=3), rng.integers(1, 6, size=3)
         a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
         b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
-        assert np.array_equal(_kron(a, b), np.kron(a, b))
-        assert np.array_equal(_kron(a.real, b), np.kron(a.real, b))
+        for x in (a, a.real):
+            got = _kron(x, b)
+            assert got.shape[0] == len(x) * len(b)
+            for i, j in np.ndindex(len(x), len(b)):
+                assert np.array_equal(got[i * len(b) + j], np.kron(x[i], b[j]))

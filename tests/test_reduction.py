@@ -7,17 +7,20 @@ import pytest
 from meastree.circuits import (
     Circuit,
     InvalidCircuitError,
+    Path,
     enumerate_paths,
     measurement_gate,
     principal_output,
     simulate_path,
     unitary_gate,
+    validate_circuit,
 )
 from meastree.demos import DEMOS, feedforward_x, teleportation
 from meastree.linalg import (
     CNOT,
     DensityOperator,
     HilbertSpec,
+    _walk,
     basis_ket,
     haar_ket,
     measure_z,
@@ -184,6 +187,51 @@ def test_bijection_from_pairs_round_trip():
         Bijection.from_pairs([(1, "a"), (1, "b")])
 
 
+def test_bijection_hashes_each_key_once_and_names_a_collision():
+    class Key:
+        hashes = 0
+
+        def __init__(self, name):
+            self.name = name
+
+        def __hash__(self):
+            Key.hashes += 1
+            return hash(self.name)
+
+        def __repr__(self):
+            return self.name
+
+    a, b, c = Key("a"), Key("b"), Key("c")
+    bij = Bijection.from_pairs([(a, b), (b, c), (c, a)])
+    assert Key.hashes == 6 and bij.forward == {a: b, b: c, c: a} and bij.backward == {b: a, c: b, a: c}
+    for pairs, collides in [([(a, b), (a, c)], "(a, c)"), ([(a, b), (c, b)], "(c, b)"), ([(a, b), (a, b)], "(a, b)")]:
+        with pytest.raises(ValueError, match=re.escape(f"not a bijection: {collides} collides")):
+            Bijection.from_pairs(pairs)
+
+
+def test_a_path_hashes_its_items_once(monkeypatch):
+    from meastree import circuits
+
+    c = teleportation()
+    prefixes = [prefix for prefix, g, _, _ in _walk(c) if g is None]
+    paths = [c._path(prefix) for prefix in prefixes] + [Path(dict(zip(c._order, prefixes[0])))]
+    assert {hash(p) for p in paths} == {hash(p._items) for p in paths} and len(set(paths)) == len(prefixes)
+    monkeypatch.setattr(circuits, "hash", lambda value: pytest.fail("rehashed"), raising=False)
+    assert len({p: None for p in paths * 3}) == len(prefixes)
+
+
+def test_linearize_records_what_validating_the_linear_circuit_finds():
+    """linearize checks only the completeness of the merged measurements; validating
+    its linear circuit afresh finds exactly the violations it recorded: none."""
+    rng = np.random.default_rng(45)
+    circuits = [make() for make in DEMOS.values()] + [random_circuit(rng) for _ in range(40)]
+    circuits += [random_circuit(rng, require_multigate_layer=True, require_classical_channel=True) for _ in range(10)]
+    for c in circuits:
+        linear, _ = linearize(c)
+        assert "violations" in vars(linear)  # recorded, not computed on first read
+        assert validate_circuit(linear) == linear.violations == []
+
+
 def test_completeness_survives_reduction():
     rng = np.random.default_rng(44)
     for _ in range(5):
@@ -206,8 +254,8 @@ def test_one_walker_and_one_resolver_serve_a_linear_circuit_and_its_tree(name):
     routes = tree.branches()
     assert routes == [prefix for prefix, gate, _, _ in _walk(linear) if gate is None]
     for route in routes:
-        # the tree keeps the linear circuit's outcome operators: both resolve to the same edges
-        edges = [[(label, id(op), wires) for label, op, wires in _edges(roles, route)] for roles in (linear, tree)]
+        # the tree keeps the linear circuit's measurements: both resolve to the same edges
+        edges = [[(label, id(m), wires) for label, m, wires in _edges(roles, route)] for roles in (linear, tree)]
         assert edges[0] == edges[1] and [label for label, _, _ in edges[0]] == list(route)
         for roles in (linear, tree):
             assert _edges(roles, route[:-1]) is None and _edges(roles, route + route[-1:]) is None

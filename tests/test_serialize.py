@@ -337,6 +337,42 @@ def test_tree_from_json_rejects_cycles_and_missing_nodes():
         tree_from_json(doc2)
 
 
+LEAF = {"measurement": None, "children": {}}
+A_LEAF = "/u/u/u/u/0|0/i/i/u"  # a leaf of teleportation's tree
+
+
+@pytest.mark.parametrize(
+    "children, added, message",
+    [
+        (("/", {"zzz": "/orphan"}), ["/orphan", "/stray"], "tree.nodes['/'].children: 'zzz' names no outcome"),
+        (None, ["/stray"], "tree.nodes['/stray']: no route from the root reaches it"),
+        ((A_LEAF, {"a": "/stray"}), ["/stray"], f"tree.nodes['{A_LEAF}']: a leaf has no children, got ['a']"),
+    ],
+    ids=["unknown-outcome", "unreached-node", "children-on-a-leaf"],
+)
+def test_tree_from_json_rejects_what_no_route_reads(tmp_path, capsys, children, added, message):
+    """A children entry that names no outcome, children on a leaf, and a node no route
+    reaches: the loader rejects each, so validate and simulate --tree exit 1."""
+    from meastree.cli import main
+
+    t, _ = reduce_circuit(teleportation())
+    doc = json.loads(json.dumps(tree_to_json(t)))
+    assert tree_from_json(doc).branches() == t.branches() and A_LEAF in doc["nodes"]
+    if children is not None:
+        doc["nodes"][children[0]]["children"].update(children[1])
+    doc["nodes"].update(dict.fromkeys(added, LEAF))
+    with pytest.raises(ValueError) as exc:
+        tree_from_json(doc)
+    assert str(exc.value) == message
+    tree, state = tmp_path / "tree.json", tmp_path / "state.json"
+    tree.write_text(json.dumps(doc))
+    state.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    for argv in (["validate", str(tree)], ["simulate", "--tree", str(tree), "--input", str(state)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_single_leaf_tree_needs_wires_for_dimension():
     doc = {"root": "/", "nodes": {"/": {"measurement": None, "children": {}}}}
     with pytest.raises(ValueError):

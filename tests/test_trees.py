@@ -1,7 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meastree import linalg
 
 from meastree.circuits import enumerate_paths, simulate_path
 from meastree.linalg import (
@@ -13,7 +18,10 @@ from meastree.linalg import (
     Measurement,
     apply_kraus,
     basis_ket,
+    _resume,
+    _walk,
     embed_principal,
+    lift_operator,
     projector,
     random_unitary,
 )
@@ -335,7 +343,7 @@ def test_random_unitary_tree_output_is_rotated_input():
 
 
 def _shapes(kernel_calls) -> set[tuple[int, ...]]:
-    """The shapes of the blocks handed to apply_local so far."""
+    """The shapes of the blocks handed to the kernel so far."""
     return {shape for _, shape in kernel_calls}
 
 
@@ -435,7 +443,10 @@ def test_a_principal_input_on_a_wide_tree_applies_nothing_to_a_d_by_d_block(kern
     assert (t.space.dim, t._isometry.shape[1]) == (256, 2)
     rho = random_density(c.principal_spec, np.random.default_rng(6))
     out = run_tree(t, DensityOperator(embed_principal(t, rho.matrix), t.space))
-    assert len(kernel_calls) == len(t.nodes) - 1  # one application per edge
+    inner = [node.measurement for node in t.nodes.values() if not node.is_leaf]
+    assert len(kernel_calls) == len(inner)  # one call per inner node, applying each of its edges once
+    assert kernel_calls.edges(inner) == kernel_calls.every_edge(inner)
+    assert kernel_calls.rows() == len(t.nodes) - 1
     assert _shapes(kernel_calls) == {(256, 2)}
     for p in enumerate_paths(c):
         prob, sigma = simulate_path(c, p, rho)
@@ -488,3 +499,67 @@ def test_branch_isometries_expand_each_node_once(expand_calls):
             t._branch_isometry(branch)
         assert len(expand_calls) <= len(t.nodes) - 1 + len(branches)
         assert {roles for roles, _ in expand_calls} == {t}
+
+
+def test_full_space_operators_are_applied_one_by_one_and_never_stacked(kernel_calls):
+    """A tree read from JSON holds operators on the whole space; at D = 128 two of them
+    outgrow the stacking bound, so each edge is one call and no node copies its operators."""
+    t = _reduced(7, 1, max_paths=12)
+    lifted = {
+        key: TreeNode(None) if node.is_leaf else TreeNode(Measurement(
+            {label: lift_operator(op, t.wires_of(node), t.space) for label, op in node.measurement.outcomes.items()}
+        ))
+        for key, node in t.nodes.items()
+    }
+    full = dataclasses.replace(t, nodes=lifted)
+    rho = random_density(t.space.restrict(t.principal_wires), np.random.default_rng(8))
+    sigma0 = DensityOperator(embed_principal(t, rho.matrix), t.space)
+    want = run_tree(t, sigma0)
+    kernel_calls.clear()
+    out = run_tree(full, sigma0)
+    assert len(kernel_calls) == len(t.nodes) - 1 and {len(ops) for ops, _ in kernel_calls} == {1}
+    assert not any("_stack" in vars(node.measurement) for node in lifted.values() if not node.is_leaf)
+    assert max(len(node.measurement.outcomes) for node in lifted.values() if not node.is_leaf) > 1
+    for b in t.branches():
+        assert out[b][0] == pytest.approx(want[b][0], abs=1e-12)
+        assert np.abs(out[b][1] - want[b][1]).max() <= 1e-12
+
+
+def _carried_blocks(c, t, order, rho, sigma0):
+    """Every block the kernel gives for ``c`` and its tree ``t``: a full walk of each, ``_resume``
+    over their routes in ``order`` on fresh copies, and ``run_tree`` on a principal and a full input."""
+    blocks = [x for *_, x in _walk(c, c._isometry)] + [x for *_, x in _walk(t, t._isometry)]
+    for roles in (dataclasses.replace(c), dataclasses.replace(t)):
+        routes = [key for key, _, m, _ in _walk(roles) if m is None]
+        blocks += [_resume(roles, routes[i % len(routes)]) for i in order]
+    for sigma in (sigma0, random_density(t.space, np.random.default_rng(0))):
+        blocks += [s for _, s in run_tree(t, sigma).values()]
+    return blocks
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_wires=st.sampled_from([3, 4, 6]),
+    order=st.lists(st.integers(0, 1000), min_size=1, max_size=12),
+)
+def test_stacked_and_edge_by_edge_kernel_calls_give_the_same_blocks(seed, n_wires, order):
+    """With no fan stacked (bound 0) and every fan stacked (bound inf), the walk, the spine resume
+    in any route order and both carries of run_tree give the same blocks bit for bit."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_wires=n_wires, max_paths=12)
+    t, _ = reduce_circuit(c)
+    rho = random_density(c.principal_spec, rng)
+    sigma0 = DensityOperator(embed_principal(c, rho.matrix), c.space)
+    runs, stacked, kernel = [], [], linalg._apply_stack
+    for bound in (0, math.inf):
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_STACK_BYTES", bound)
+            mp.setattr(linalg, "_apply_stack", lambda ops, *a, **kw: rows.append(len(ops)) or kernel(ops, *a, **kw))
+            runs.append(_carried_blocks(c, t, order, rho, sigma0))
+        stacked.append(max(rows) > 1)
+    assert len(runs[0]) == len(runs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    fans = any(len(m.outcomes) > 1 for g in c.gates.values() for m in g.measurements)
+    assert stacked == [False, fans]
