@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +30,11 @@ from .linalg import (
     Ket,
     Measurement,
     _branch_output,
+    _cached_property,
     _edges,
     _images,
     _input_isometry,
+    _leaf_outputs,
     _resume,
     _walk,
     basis_ket,
@@ -301,16 +302,16 @@ class Circuit:
     def ancilla_spec(self) -> HilbertSpec:
         return self.space.restrict(self.ancilla_wires)
 
-    @cached_property
+    @_cached_property
     def violations(self) -> list[Violation]:
         return validate_circuit(self)
 
-    @cached_property
+    @_cached_property
     def _order(self) -> tuple[str, ...]:
         """``flattened_gates``: the gate ids in execution order, the order of a prefix's outcomes."""
         return tuple(flattened_gates(self))
 
-    @cached_property
+    @_cached_property
     def _steps(self) -> list[tuple[Gate, tuple[str, ...], tuple[int, ...], dict]]:
         """Per gate in execution order: the gate, its classical sources, their
         positions in a prefix, and the memo from their outcomes to the
@@ -335,7 +336,7 @@ class Circuit:
             selected[key] = g.measurement_for(dict(zip(sources, key)))
         return g, selected[key], g.wires
 
-    @cached_property
+    @_cached_property
     def _path_order(self) -> tuple[tuple[str, int], ...]:
         """``(gate_id, position in a prefix)`` per gate, sorted by gate id: the order of a ``Path``'s items."""
         return tuple(sorted((gid, i) for i, gid in enumerate(self._order)))
@@ -348,18 +349,18 @@ class Circuit:
         """The outcomes of ``path``, which names every gate, in execution order."""
         return tuple([path[gid] for gid in self._order])
 
-    @cached_property
+    @_cached_property
     def _isometry(self) -> np.ndarray:
         """The input isometry ``E``, read-only, built on first use."""
         return _input_isometry(self)
 
-    @cached_property
+    @_cached_property
     def _spine(self) -> list[list]:
         """``[label, C E, fan]`` after each gate of the path simulated last, from ``[None, E, None]``:
         one block per depth, and the images of it under the next gate's outcomes, if computed."""
         return [[None, self._isometry, None]]
 
-    @cached_property
+    @_cached_property
     def _ancilla_norm2(self) -> float:
         """``|a|^2`` for the ancilla vector a."""
         return self.ancilla_init.norm() ** 2
@@ -619,15 +620,20 @@ def _input_trace(c: Circuit, rho: DensityOperator) -> float:
 
 
 def _simulate(c: Circuit, rho: DensityOperator, follow=None):
-    """Yield ``(prefix, probability, V rho V^dag)`` at each complete path the walk reaches.
+    """Yield ``(prefixes, probabilities, traces, outputs)`` per chunk of the complete paths
+    the walk reaches, in walk order: their outcome prefixes, probabilities and output
+    traces, and the ``(m, D, D)`` stack of their outputs ``V rho V^dag``.
 
     The walk carries ``V = C E``, so ``V rho V^dag`` is the path's output
-    ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``.
+    ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``. A
+    chunk is a run of consecutive paths whose blocks and outputs fit in
+    ``linalg._STACK_BYTES``, made by one stacked product
+    (``linalg._leaf_outputs``); an output above the bound (D = 256) is made
+    alone. Each output is bit for bit what ``simulate_path`` gives.
     """
     t0 = _input_trace(c, rho)
-    for prefix, g, _, v in _walk(c, c._isometry, follow):
-        if g is None:
-            yield prefix, *_branch_output(v, rho.matrix, t0)
+    leaves = ((prefix, v) for prefix, g, _, v in _walk(c, c._isometry, follow) if g is None)
+    yield from _leaf_outputs(leaves, rho.matrix, t0)
 
 
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:
@@ -672,5 +678,5 @@ def sample_run(
         i = int(gen.choice(len(probs), p=probs / probs.sum()))
         return {m.labels[i]: images[i]}
 
-    ((prefix, _, sigma),) = _simulate(c, rho, sample)
+    (((prefix,), _, _, (sigma,)),) = _simulate(c, rho, sample)
     return c._path(prefix), sigma

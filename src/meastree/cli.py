@@ -38,6 +38,7 @@ from .independence import _WITNESS_PROBES, _factorization, _independence, _svd, 
 from .linalg import (
     TOL,
     DensityOperator,
+    _partial_traces,
     _walk,
     configure_tolerances,
     embed_principal,
@@ -57,7 +58,7 @@ from .serialize import (
     tree_from_json,
     tree_to_dot,
 )
-from .trees import MeasurementTree, _principal_part, route_label, run_tree, validate_tree
+from .trees import MeasurementTree, _principal_part, _route_labels, route_label, run_tree, validate_tree
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -272,20 +273,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rho = DensityOperator.of(_state_matrix(kind, arr), c.principal_spec)
         follow = _path_follow(c, args.path) if args.path else None
         order, prefixes = flattened_gates(c), []
-        for p, prob, sigma in _simulate(c, rho, follow):
-            prefixes.append(p)
-            reduced = partial_trace_matrix(sigma, c.space, c.output_principal)
-            rows.append(
-                {
-                    "path": _path_json(order, p),
-                    "probability": prob,
-                    "output_trace": float(sigma.trace().real),
-                    "principal_output": reduced,
-                    "_label": _path_text(order, p),
-                }
-            )
+        # each chunk of paths is reduced before the next is made: at most one chunk of outputs is held
+        for chunk, probabilities, traces, sigmas in _simulate(c, rho, follow):
+            prefixes += chunk
+            reduced = _partial_traces(sigmas, c.space, c.output_principal)
+            rows += [
+                {"path": _path_json(order, p), "probability": prob, "output_trace": trace, "principal_output": r}
+                for p, prob, trace, r in zip(chunk, probabilities, traces, reduced)
+            ]
         if args.format == "table":
             _require_path_texts("simulate", order, prefixes)
+            labels = [_path_text(order, p) for p in prefixes]
     else:
         t = tree_from_json(_load_json(args.tree))
         problems = validate_tree(t)
@@ -294,31 +292,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 print(line, file=sys.stderr)
             return EXIT_INVALID
         sigma0 = _tree_input(t, kind, arr)
-        results = run_tree(t, sigma0)
-        for b in t.branches():
-            prob, sigma = results[b]
-            row: dict[str, Any] = {
-                "branch": route_label(b),
-                "probability": prob,
-                "output_trace": float(sigma.trace().real),
-                "_label": route_label(b) or "(root)",
-            }
+        results = run_tree(t, sigma0)  # in walk order, the order of t.branches()
+        labels = _route_labels(list(results))
+        for label, (prob, sigma) in zip(labels, results.values()):
+            row: dict[str, Any] = {"branch": label, "probability": prob, "output_trace": float(sigma.trace().real)}
             if t.has_roles():
-                reduced = partial_trace_matrix(sigma, t.space, t.output_principal)
-                row["principal_output"] = reduced
+                row["principal_output"] = partial_trace_matrix(sigma, t.space, t.output_principal)
             rows.append(row)
+        labels = [label or "(root)" for label in labels]
 
     if args.format == "table":
         table_rows = [
-            [r["_label"], f"{r['probability']:.9f}", f"{r['output_trace']:.9f}"] for r in rows
+            [label, f"{r['probability']:.9f}", f"{r['output_trace']:.9f}"] for label, r in zip(labels, rows)
         ]
         print("\n".join(_table(table_rows, ["route", "probability", "output_trace"])))
-        for r in rows:
+        for label, r in zip(labels, rows):
             if "principal_output" in r:
-                print(f"{r['_label']}: principal output")
+                print(f"{label}: principal output")
                 print("\n".join(_matrix_lines(r["principal_output"])))
     else:
-        _print_json([{k: v for k, v in r.items() if not k.startswith("_")} for r in rows])
+        _print_json(rows)
     return EXIT_OK
 
 

@@ -27,6 +27,14 @@ stacked only while its ``n`` images and ``n`` operators fit in
 ``_STACK_BYTES``; above that a stacked product misses cache and is
 slower than ``n`` single ones, and edges are applied one by one, each
 operator through the same kernel as a one-row stack.
+
+Leaves are finished the same way: ``_chunks`` cuts a walk's leaves into
+runs of consecutive blocks that fit in ``_STACK_BYTES`` with their
+``D x D`` outputs, ``_outputs`` makes a run's outputs ``V rho V^dag``
+in one matmul pair (``_branch_output`` is its single-block case) and
+``_probabilities`` their traces in one batched trace, as
+``_partial_traces`` reduces a stack of outputs in one einsum
+(``partial_trace_matrix`` is its one-row case).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +83,25 @@ __all__ = [
     "CNOT",
     "SWAP",
 ]
+
+
+class _cached_property:
+    """``functools.cached_property`` without its per-class lock (as on Python 3.12): the value
+    is computed on first read and stored in the instance ``__dict__``, where every later
+    read finds it before the descriptor, so it is computed once per instance."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass
@@ -172,7 +199,7 @@ class HilbertSpec:
                 raise ValueError(f"wire {w!r} has dimension {d} < 1")
         return cls(fs)
 
-    @cached_property
+    @_cached_property
     def wires(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.factors)
 
@@ -180,11 +207,11 @@ class HilbertSpec:
         # computed once: the kernel's plan cache hashes the spec on every call
         return self._hash
 
-    @cached_property
+    @_cached_property
     def _hash(self) -> int:
         return hash(self.factors)
 
-    @cached_property
+    @_cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
 
@@ -327,7 +354,7 @@ class Measurement:
         total = sum(dagger(op) @ op for op in self.outcomes.values())
         return frob_norm(total - identity(self.dim))
 
-    @cached_property
+    @_cached_property
     def _stack(self) -> np.ndarray:
         """The outcome operators in label order as one read-only ``(n, d, d)`` stack, built on first use."""
         stack = np.array(list(self.outcomes.values()))
@@ -404,9 +431,25 @@ def outcome_probability(op: np.ndarray, rho: DensityOperator) -> float:
 
 def _branch_output(v: np.ndarray, rho: np.ndarray, t0: float) -> tuple[float, np.ndarray]:
     """A branch's probability and output from its carried block ``V = C E``:
-    the output is ``V rho V^dag`` and the probability its trace over ``t0``."""
-    sigma = v @ rho @ dagger(v)
+    the output is ``V rho V^dag`` and the probability its trace over ``t0``.
+    The single-block case of ``_outputs``, without a stack around it."""
+    sigma = _outputs(v, rho)
     return _clamp_probability(float(sigma.trace().real) / t0), sigma
+
+
+def _outputs(vs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The output ``V rho V^dag`` of a carried block ``V = C E``, or the ``(m, D, D)``
+    stack of outputs of an ``(m, D, k)`` stack of blocks, from one matmul pair. A
+    stacked ``np.matmul`` runs each slice's own product, so each output equals
+    its block's alone bit for bit."""
+    return vs @ rho @ vs.conj().swapaxes(-1, -2)
+
+
+def _probabilities(sigmas: np.ndarray, t0: float) -> tuple[list[float], list[float]]:
+    """The traces of an ``(m, D, D)`` stack of outputs, from one batched trace, and
+    each over ``t0`` as a probability."""
+    traces = sigmas.trace(axis1=1, axis2=2).real.tolist()
+    return [_clamp_probability(t / t0) for t in traces], traces
 
 
 def _clamp_probability(p: float, slack: float = 1e-9) -> float:
@@ -480,14 +523,22 @@ def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.n
 
 
 # The largest fan of images, in bytes, that one stacked kernel call may
-# write. Above it the stacked product misses cache and is slower than
-# applying the edges one by one. Measured with single-threaded BLAS on a
+# write, and the largest chunk of leaf blocks, with their outputs, that
+# one stacked output product may read and write (``_chunks``). Above it
+# the stacked product misses cache and is slower than applying the
+# edges one by one. Measured with single-threaded BLAS on a
 # 2-core VM: on a 256 x 256 two-sided block, a 4-wire node with 16
 # outcomes (a 16 MiB fan) took 24.1 ms stacked against 16.6 ms edge by
 # edge; 1-2 MiB fans broke even; a 256 KiB fan (64 x 64, 4 outcomes)
 # took 0.73 of the edge-by-edge time. Without the bound, run_tree on the
 # d_P = 128 tree of the ``wide`` benchmark took 19.1 ms against 13.8 ms.
 # Blocks of the narrow carry and of small spaces stay far below it.
+# Chunked leaves, on six random circuits of up to 48 paths per size:
+# ``_simulate`` took 0.52, 0.70, 0.72, 0.98 and 0.94 of its one-by-one
+# time at D = 8, 16, 32, 64 and 128, and the two-sided carry of
+# run_tree 0.41 to 0.99; a 4 MiB bound gained more at D = 16 to 64 but
+# took 1.17 and 1.25 of the one-by-one time at D = 128. A D = 256 output
+# is 1 MiB, so each is made alone.
 _STACK_BYTES = 256 * 1024
 
 
@@ -552,6 +603,39 @@ def _images(m: Measurement, wires: Sequence[str], x: np.ndarray, space: HilbertS
     if _fans(m, x):
         return _apply_stack(m._stack, wires, x, space)
     return [_apply_stack(op[None], wires, x, space)[0] for op in m.outcomes.values()]
+
+
+def _chunks(leaves: Iterable[tuple[object, np.ndarray]], outputs: bool = False):
+    """Runs of consecutive ``(key, block)`` pairs of ``leaves``, each yielded as ``(keys, blocks)``
+    with the blocks stacked ``(m,) + block.shape``. A run grows while its blocks, and with
+    ``outputs`` one ``D x D`` output per block of ``D`` rows, fit in ``_STACK_BYTES``; a block
+    that does not fit alone is a run of its own, whose stack is a view of it, not a copy."""
+    run: list[tuple[object, np.ndarray]] = []
+    size = 0
+
+    def stacked():
+        keys, blocks = zip(*run)
+        return list(keys), blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+
+    for key, block in leaves:
+        row = block.nbytes + (block.shape[0] ** 2 * block.itemsize if outputs else 0)
+        if run and size + row > _STACK_BYTES:
+            yield stacked()
+            run, size = [], 0
+        run.append((key, block))
+        size += row
+    if run:
+        yield stacked()
+
+
+def _leaf_outputs(leaves: Iterable[tuple[object, np.ndarray]], rho: np.ndarray, t0: float):
+    """``(keys, probabilities, traces, outputs)`` per run of ``leaves``, consecutive pairs
+    ``(key, V)`` of carried blocks ``V = C E`` chunked by ``_chunks``: one ``_outputs``
+    product per run, so never more than ``_STACK_BYTES`` of outputs are made at once,
+    and a ``D x D`` output above the bound is made alone, as ``_branch_output`` makes it."""
+    for keys, vs in _chunks(leaves, outputs=True):
+        sigmas = _outputs(vs, rho)
+        yield keys, *_probabilities(sigmas, t0), sigmas
 
 
 def _walk(roles, x=None, follow=None, apply=None):
@@ -655,34 +739,43 @@ def partial_trace_matrix(mat: np.ndarray, space: HilbertSpec, keep: Iterable[str
     """Trace out every wire not named in ``keep`` (raw-matrix version).
 
     Tracing out everything leaves a 1x1 matrix holding the trace. Kept
-    factors stay in ``space`` order.
+    factors stay in ``space`` order. The one-row case of ``_partial_traces``.
     """
-    keep_set = set(keep)
-    unknown = keep_set - set(space.wires)
+    return _partial_traces(np.asarray(mat, dtype=complex)[None], space, keep)[0]
+
+
+def _partial_traces(mats: np.ndarray, space: HilbertSpec, keep: Iterable[str]) -> np.ndarray:
+    """``partial_trace_matrix`` of each matrix of an ``(m, D, D)`` stack, in one einsum
+    over a leading stack axis; each equals its matrix's own partial trace bit for bit."""
+    sub, d_keep = _trace_plan(space, frozenset(keep))
+    if sub is None:
+        return mats.reshape(len(mats), 1, 1)
+    return np.einsum(sub, mats.reshape((len(mats),) + space.dims * 2)).reshape(len(mats), d_keep, d_keep)
+
+
+@lru_cache(maxsize=256)
+def _trace_plan(space: HilbertSpec, keep: frozenset[str]) -> tuple[str | None, int]:
+    """``_partial_traces``' einsum subscripts for ``space`` and the wires in ``keep``, the
+    stack axis first (None for a space with no wires), and the kept dimension."""
+    unknown = keep - set(space.wires)
     if unknown:
         raise ValueError(f"unknown wires {sorted(unknown)}")
     if not space.wires:
-        return np.asarray(mat, dtype=complex).reshape(1, 1)
-    dims = list(space.dims)
-    n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        return None, 1
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    stack = next(letters)
     row, col, out_row, out_col = [], [], [], []
-    next_letter = 0
-    for i, (w, _) in enumerate(space.factors):
-        if w in keep_set:
-            r, c = letters[next_letter], letters[next_letter + 1]
-            next_letter += 2
+    for w, _ in space.factors:
+        if w in keep:
+            r, c = next(letters), next(letters)
             out_row.append(r)
             out_col.append(c)
         else:
-            r = c = letters[next_letter]
-            next_letter += 1
+            r = c = next(letters)
         row.append(r)
         col.append(c)
-    sub = "".join(row + col) + "->" + "".join(out_row + out_col)
-    d_keep = math.prod(d for w, d in space.factors if w in keep_set) if keep_set else 1
-    return np.einsum(sub, t).reshape(d_keep, d_keep)
+    sub = stack + "".join(row + col) + "->" + stack + "".join(out_row + out_col)
+    return sub, math.prod(d for w, d in space.factors if w in keep)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:

@@ -10,6 +10,7 @@ can be inspected for violations.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, Selection
 from .linalg import HilbertSpec, Ket, Measurement, _walk, lift_operator
-from .trees import Branch, MeasurementTree, TreeNode
+from .trees import Branch, MeasurementTree, TreeNode, _unique
 
 __all__ = [
     "matrix_to_json",
@@ -64,16 +65,23 @@ def _array_text(a: np.ndarray, level: int) -> str:
     if a.ndim not in (1, 2):
         raise TypeError(f"cannot write a {a.ndim}-D array as JSON")
     pairs = _pairs(a)
+    floats = pairs.reshape(-1).tolist()
+    return _template(pairs.shape, level) % tuple(map(float.__repr__ if np.isfinite(pairs).all() else _float_text, floats))
+
+
+@lru_cache(maxsize=256)
+def _template(shape: tuple[int, ...], level: int) -> str:
+    """``_array_text``'s layout for an array of [re, im] pairs of ``shape`` at ``level``:
+    one ``%s`` per float. Built once per shape and level: a report repeats a few shapes."""
     template = "%s"
-    for depth in range(pairs.ndim - 1, -1, -1):
-        if not pairs.shape[depth]:
+    for depth in range(len(shape) - 1, -1, -1):
+        if not shape[depth]:
             template = "[]"
             continue
         inner = "\n" + "  " * (level + depth + 1)
-        items = ("," + inner).join([template] * pairs.shape[depth])
+        items = ("," + inner).join([template] * shape[depth])
         template = f"[{inner}{items}\n{'  ' * (level + depth)}]"
-    floats = pairs.reshape(-1).tolist()
-    return template % tuple(map(float.__repr__ if np.isfinite(pairs).all() else _float_text, floats))
+    return template
 
 
 def _json_text(x: Any, level: int = 0) -> str:
@@ -367,17 +375,9 @@ def circuit_from_json(obj: Any) -> Circuit:
 
 
 def _tree_node_ids(t: MeasurementTree) -> dict[Branch, str]:
-    """Readable, unique node ids: the route joined with slashes."""
-    ids: dict[Branch, str] = {}
-    used: set[str] = set()
-    for key, _, _, _ in _walk(t):
-        base = name = "/" + "/".join(key)
-        k = 2
-        while name in used:
-            name, k = f"{base}#{k}", k + 1
-        used.add(name)
-        ids[key] = name
-    return ids
+    """Readable, unique node ids: the route joined with slashes, made unique by ``trees._unique``."""
+    keys = [key for key, _, _, _ in _walk(t)]
+    return dict(zip(keys, _unique("/" + "/".join(key) for key in keys)))
 
 
 def tree_to_json(t: MeasurementTree) -> dict[str, Any]:

@@ -17,9 +17,8 @@ input carries the ``D x D`` state itself.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import KW_ONLY, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +28,12 @@ from .linalg import (
     HilbertSpec,
     Ket,
     Measurement,
-    _branch_output,
-    _clamp_probability,
+    _cached_property,
+    _chunks,
     _edges,
     _input_isometry,
+    _leaf_outputs,
+    _probabilities,
     _resume,
     _sandwich,
     _walk,
@@ -115,28 +116,28 @@ class MeasurementTree:
     def has_roles(self) -> bool:
         return self.principal_wires is not None and self.ancilla_init is not None
 
-    @cached_property
+    @_cached_property
     def _isometry(self) -> np.ndarray:
         """The input isometry ``E`` of a tree with roles, read-only, built on first use."""
         return _input_isometry(self)
 
-    @cached_property
+    @_cached_property
     def _ancilla_norm(self) -> float:
         """``|a|`` for the ancilla vector a of a tree with roles."""
         return self.ancilla_init.norm()
 
-    @cached_property
+    @_cached_property
     def _spine(self) -> list[list]:
         """``[label, C E, fan]`` after each edge of the route walked last, from ``[None, E, None]``:
         one block per level, and the images of it under the level's outcomes, if computed."""
         return [[None, self._isometry, None]]
 
-    @cached_property
+    @_cached_property
     def _leaf_isometries(self) -> dict[Branch, np.ndarray]:
         """``V_b`` of each branch analysed so far: one ``D x d_P`` block per leaf."""
         return {}
 
-    @cached_property
+    @_cached_property
     def _branch_svds(self) -> dict[Branch, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per branch, the singular values and leading singular vectors of its reshaped ``V_b``,
         kept by the independence analysis; no tolerance enters them."""
@@ -253,18 +254,28 @@ def run_tree(
     space is at most an eighth of the whole carries the ``D x d_P`` block
     ``V = C E`` down each edge and gives ``V rho V^dag`` at each leaf, as
     the circuit simulator does. Any other input carries the ``D x D``
-    state and applies each edge on both sides.
+    state and applies each edge on both sides. Either way the leaves are
+    taken in chunks of consecutive leaves that fit in
+    ``linalg._STACK_BYTES`` (``linalg._chunks``): each chunk's outputs come
+    from one stacked product, or its traces from one batched trace, and a
+    leaf above the bound is taken alone.
     """
     if sigma0.matrix.shape[0] != t.space.dim:
         raise ValueError(f"input dim {sigma0.matrix.shape[0]} != tree space dim {t.space.dim}")
     if (t0 := sigma0.trace()) <= TOL.zero:
         raise ValueError("input state has zero trace")
     sigma = np.asarray(sigma0.matrix, dtype=complex)
+    out: dict[Branch, tuple[float, np.ndarray]] = {}
     if (rho := _principal_part(t, sigma)) is not None:
-        walk = _walk(t, t._isometry)
-        return {key: _branch_output(v, rho, t0) for key, _, m, v in walk if m is None}
-    walk = _walk(t, sigma, apply=_sandwich)
-    return {key: (_clamp_probability(float(s.trace().real) / t0), s) for key, _, m, s in walk if m is None}
+        leaves = ((key, v) for key, _, m, v in _walk(t, t._isometry) if m is None)
+        for keys, probabilities, _, sigmas in _leaf_outputs(leaves, rho, t0):
+            out.update(zip(keys, zip(probabilities, sigmas)))
+        return out
+    leaves = ((key, s) for key, _, m, s in _walk(t, sigma, apply=_sandwich) if m is None)
+    for keys, sigmas in _chunks(leaves):
+        probabilities, _ = _probabilities(sigmas, t0)
+        out.update(zip(keys, zip(probabilities, sigmas)))
+    return out
 
 
 def _principal_part(t: MeasurementTree, sigma: np.ndarray) -> np.ndarray | None:
@@ -304,14 +315,36 @@ def route_label(branch: Sequence[str]) -> str:
     return "/".join(branch)
 
 
+def _unique(names: Iterable[str]) -> list[str]:
+    """``names`` in order, each name that came earlier renamed to the first free of
+    ``name#2``, ``name#3``, ...: the rule of the tree JSON's node ids."""
+    used: set[str] = set()
+    out = []
+    for base in names:
+        name, k = base, 2
+        while name in used:
+            name, k = f"{base}#{k}", k + 1
+        used.add(name)
+        out.append(name)
+    return out
+
+
+def _route_labels(branches: Sequence[Branch]) -> list[str]:
+    """The ``route_label`` of each of ``branches``, a tree's branches in walk order, made
+    distinct by ``_unique``: outcome labels that hold "/" can join two routes into one
+    text. A tree without such a collision keeps its labels as they are."""
+    return _unique(map(route_label, branches))
+
+
 def branch_measurement(t: MeasurementTree) -> Measurement:
     """One measurement holding every branch's composed operator.
 
-    Labels are serialized branch routes. Individual operators may be zero
-    (orthogonal compositions); the family as a whole is complete.
+    Labels are serialized branch routes (``_route_labels``). Individual
+    operators may be zero (orthogonal compositions); the family as a whole
+    is complete.
     """
-    walk = _walk(t, identity(t.space.dim))
-    return Measurement.of({route_label(key): op for key, _, m, op in walk if m is None})
+    keys, ops = zip(*((key, op) for key, _, m, op in _walk(t, identity(t.space.dim)) if m is None))
+    return Measurement.of(dict(zip(_route_labels(keys), ops)))
 
 
 def branch_probability(t: MeasurementTree, branch: Sequence[str], sigma: DensityOperator) -> float:

@@ -491,7 +491,11 @@ def _demo_and_random_circuits():
 
 def _full_walk(c, rho):
     """Every path's ``(probability, output)`` from one walk of the whole path tree."""
-    return {c._path(prefix): (p, sigma) for prefix, p, sigma in _simulate(c, rho)}
+    return {
+        c._path(prefix): (p, sigma)
+        for prefixes, probs, _, sigmas in _simulate(c, rho)
+        for prefix, p, sigma in zip(prefixes, probs, sigmas)
+    }
 
 
 def test_simulate_path_in_any_order_equals_the_full_walk_bit_for_bit():

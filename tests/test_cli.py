@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +13,10 @@ from meastree import linalg
 from meastree.circuits import enumerate_paths, simulate_path
 from meastree.cli import _matrix_lines, main
 from meastree.demos import DEMOS, teleportation
-from meastree.linalg import _walk, configure_tolerances, partial_trace_matrix
+from meastree.linalg import HilbertSpec, Measurement, _walk, configure_tolerances, partial_trace_matrix
 from meastree.rand import random_circuit, random_density
-from meastree.serialize import circuit_from_json, circuit_to_json, matrix_to_json, vector_to_json
+from meastree.serialize import circuit_from_json, circuit_to_json, matrix_to_json, tree_to_json, vector_to_json
+from meastree.trees import build_tree
 
 
 @pytest.fixture(autouse=True)
@@ -532,6 +535,48 @@ def test_simulate_circuit_rows_equal_simulate_path(tmp_path, capsys):
                 "output_trace": float(sigma.trace().real),
                 "principal_output": matrix_to_json(reduced),
             }
+
+
+def test_simulate_prints_the_same_bytes_at_every_chunk_bound(tmp_path, capsys, monkeypatch):
+    """``simulate`` on a circuit and on its tree prints the same stdout, in json and table
+    format, whether leaves are taken one by one (bound 0), in runs of a few (4 KiB), at the
+    default bound or all at once: on the five demos and on random draws, and on the
+    circuit of a draw of 324 paths."""
+    rng = np.random.default_rng(17)
+    cases = [(name, make()) for name, make in sorted(DEMOS.items())]
+    cases += [(f"random{s}", random_circuit(np.random.default_rng(s))) for s in range(3)]
+    many = random_circuit(np.random.default_rng(9), n_wires=3, max_paths=216)
+    bounds = (0, 4096, linalg._STACK_BYTES, math.inf)
+    for name, c in cases + [("many", many)]:
+        circuit, state, _ = _circuit_and_state(tmp_path, name, c, rng)
+        sources = [["--circuit", circuit]]
+        if c is not many:
+            sources.append(["--tree", tree := str(tmp_path / f"{name}_tree.json")])
+            assert run_cli(capsys, ["tree", "--circuit", circuit, "-o", tree])[0] == 0
+        for fmt, source in itertools.product(("json", "table"), sources):
+            outs = []
+            for bound in bounds:
+                monkeypatch.setattr(linalg, "_STACK_BYTES", bound)
+                outs.append(run_cli(capsys, ["simulate", *source, "--input", state, "--format", fmt]))
+            assert outs[0][0] == 0 and all(out == outs[0] for out in outs)
+    assert len(enumerate_paths(many)) == 324  # two chunks at the default bound
+
+
+def test_simulate_tree_gives_colliding_routes_distinct_labels(tmp_path, capsys):
+    """Routes whose labels join to the same text get the suffixes of the tree JSON's node ids."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    inner = Measurement.of({"b": p0, "b#2": p1})
+    root = Measurement.of({"a/b": p0, "a": p1})
+    t = build_tree(HilbertSpec.of([("q", 2)]), (root, {"a/b": None, "a": (inner, {"b": None, "b#2": None})}))
+    tree, state = tmp_path / "tree.json", tmp_path / "state.json"
+    tree.write_text(json.dumps(tree_to_json(t)))
+    state.write_text(json.dumps({"matrix": matrix_to_json(np.eye(2) / 2)}))
+    code, out, _ = run_cli(capsys, ["simulate", "--tree", str(tree), "--input", str(state)])
+    assert code == 0
+    assert [(r["branch"], r["probability"]) for r in json.loads(out)] == [("a/b", 0.5), ("a/b#2", 0.0), ("a/b#2#2", 0.5)]
+    code, out, _ = run_cli(capsys, ["simulate", "--tree", str(tree), "--input", str(state), "--format", "table"])
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["a/b", "a/b#2", "a/b#2#2"]
 
 
 def test_simulate_circuit_shares_prefixes(tmp_path, capsys, kernel_calls):

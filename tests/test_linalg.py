@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meastree.demos import teleportation
 from meastree.linalg import (
     CNOT,
     HADAMARD,
@@ -12,6 +13,7 @@ from meastree.linalg import (
     HilbertSpec,
     Ket,
     Measurement,
+    _cached_property,
     apply_kraus,
     apply_local,
     basis_ket,
@@ -30,6 +32,7 @@ from meastree.linalg import (
     tensor_measurements,
     tensor_product,
 )
+from meastree.reduction import reduce_circuit
 
 # kron(X, Z) written out by hand
 X_KRON_Z = np.array(
@@ -350,3 +353,25 @@ def test_kron_broadcast_is_np_kron_bit_for_bit():
             assert got.shape[0] == len(x) * len(b)
             for i, j in np.ndindex(len(x), len(b)):
                 assert np.array_equal(got[i * len(b) + j], np.kron(x[i], b[j]))
+
+
+def test_cached_properties_are_computed_once_per_instance(monkeypatch):
+    """Each lazily cached attribute runs its function on the first read only and keeps the
+    value in the instance ``__dict__``, where every later read finds the same object."""
+    c = teleportation()
+    t, _ = reduce_circuit(c)
+    seen = set()
+    for obj in (c.space, measure_z(), c, t):
+        cls = type(obj)
+        names = [name for name, attr in vars(cls).items() if isinstance(attr, _cached_property)]
+        seen.update(f"{cls.__name__}.{name}" for name in names)
+        for name in names:
+            prop, calls = vars(cls)[name], []
+            assert getattr(cls, name) is prop and prop.__doc__ == prop.func.__doc__
+            monkeypatch.setattr(prop, "func", lambda self, f=prop.func: calls.append(self) or f(self))
+            vars(obj).pop(name, None)
+            first = getattr(obj, name)
+            assert getattr(obj, name) is first and vars(obj)[name] is first
+            assert [x for x in calls if x is obj] == [obj]
+    assert len(seen) == 16
+    assert not measure_z()._stack.flags.writeable

@@ -185,6 +185,23 @@ def test_random_circuits_round_trip():
         assert circuit_to_json(back) == doc
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_wires=st.sampled_from([None, 4]))
+def test_circuit_json_text_round_trip_keeps_every_path_and_output(seed, n_wires):
+    """A random circuit read back from its JSON text has the same paths in the same order,
+    and each path the same probability and output bit for bit."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_wires=n_wires, max_paths=24)
+    back = circuit_from_json(json.loads(json.dumps(circuit_to_json(c))))
+    paths = enumerate_paths(c)
+    assert enumerate_paths(back) == paths
+    rho = random_density(c.principal_spec, rng)
+    for path in paths:
+        p0, s0 = simulate_path(c, path, rho)
+        p1, s1 = simulate_path(back, path, rho)
+        assert p0 == p1 and np.array_equal(s0, s1)
+
+
 def test_circuit_json_shape():
     doc = circuit_to_json(teleportation())
     assert [w["id"] for w in doc["wires"]] == ["q0", "q1", "q2"]

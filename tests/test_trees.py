@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from meastree import linalg
 
-from meastree.circuits import enumerate_paths, simulate_path
+from meastree.circuits import _simulate, enumerate_paths, simulate_path
 from meastree.linalg import (
     HADAMARD,
     PAULI_X,
@@ -30,6 +30,7 @@ from meastree.reduction import reduce_circuit
 from meastree.trees import (
     MeasurementTree,
     TreeNode,
+    _route_labels,
     attainable,
     branch_measurement,
     branch_operator,
@@ -123,6 +124,23 @@ def test_branch_measurement_collects_all_leaf_operators():
 def test_route_label():
     assert route_label(("0", "1", "0")) == "0/1/0"
     assert route_label(()) == ""
+
+
+def test_branch_measurement_labels_colliding_routes_apart():
+    """Routes "a/b" and ("a", "b") join to one text: the later one gets the tree JSON's
+    node-id suffix, so every branch keeps its operator and the family stays complete."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    inner = Measurement.of({"b": p0, "b#2": p1})
+    root = Measurement.of({"a/b": p0, "a": p1})
+    t = build_tree(Q, (root, {"a/b": None, "a": (inner, {"b": None, "b#2": None})}))
+    assert [route_label(b) for b in t.branches()] == ["a/b", "a/b", "a/b#2"]
+    assert _route_labels(t.branches()) == ["a/b", "a/b#2", "a/b#2#2"]
+    m = branch_measurement(t)
+    assert m.labels == ("a/b", "a/b#2", "a/b#2#2")
+    for label, b in zip(m.labels, t.branches()):
+        assert np.array_equal(m.operator(label), branch_operator(t, b))
+    plain = h_then_z_tree()
+    assert _route_labels(plain.branches()) == [route_label(b) for b in plain.branches()] == ["u/0", "u/1"]
 
 
 def test_run_tree_matches_branch_operator_action():
@@ -563,3 +581,75 @@ def test_stacked_and_edge_by_edge_kernel_calls_give_the_same_blocks(seed, n_wire
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
     fans = any(len(m.outcomes) > 1 for g in c.gates.values() for m in g.measurements)
     assert stacked == [False, fans]
+
+
+def _leaf_results(c, t, rho, sigma0, full):
+    """Every path's ``(prefix, probability, trace, output)`` from ``_simulate``, each path's
+    ``simulate_path``, and ``run_tree`` on the principal input ``sigma0`` and the full-rank ``full``."""
+    sims = [row for chunk in _simulate(c, rho) for row in zip(*chunk)]
+    paths = [simulate_path(c, c._path(prefix), rho) for prefix, *_ in sims]
+    trees = [list(run_tree(t, sigma).items()) for sigma in (sigma0, full)]
+    return sims, paths, trees
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_wires=st.sampled_from([2, 3, 4, 6]))
+def test_leaf_outputs_in_chunks_and_one_by_one_are_the_same_bit_for_bit(seed, n_wires):
+    """With no chunk stacked (bound 0) and every leaf of a walk in one chunk (bound inf),
+    ``_simulate``, ``simulate_path`` and both carries of ``run_tree`` give the same paths and
+    branches in the same order, equal probabilities and traces, and outputs equal bit for bit;
+    one by one, each output is its block's own ``V rho V^dag``."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_wires=n_wires, max_paths=24)
+    t, _ = reduce_circuit(c)
+    rho = random_density(c.principal_spec, rng)
+    sigma0 = DensityOperator(embed_principal(c, rho.matrix), c.space)
+    full = random_density(c.space, rng)
+    runs = []
+    for bound in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_STACK_BYTES", bound)
+            runs.append(_leaf_results(dataclasses.replace(c), dataclasses.replace(t), rho, sigma0, full))
+    (sims, paths, trees), (sims_inf, paths_inf, trees_inf) = runs
+    assert [row[:3] for row in sims] == [row[:3] for row in sims_inf]
+    assert all(np.array_equal(a[3], b[3]) for a, b in zip(sims, sims_inf))
+    for (p, sigma), (p_inf, sigma_inf), row in zip(paths, paths_inf, sims):
+        assert p == p_inf == row[1] and np.array_equal(sigma, sigma_inf) and np.array_equal(sigma, row[3])
+    for run, run_inf in zip(trees, trees_inf):
+        assert [(key, p) for key, (p, _) in run] == [(key, p) for key, (p, _) in run_inf]
+        assert all(np.array_equal(a, b) for (_, (_, a)), (_, (_, b)) in zip(run, run_inf))
+    blocks = [v for prefix, g, _, v in _walk(c, c._isometry) if g is None]
+    for v, row in zip(blocks, sims, strict=True):
+        assert np.array_equal(v @ rho.matrix @ v.conj().T, row[3])
+
+
+def _chunk_sizes(n_leaves, block, d):
+    """The run lengths ``linalg._chunks`` makes of ``n_leaves`` blocks of ``block`` bytes with ``d x d`` outputs."""
+    per = max(1, linalg._STACK_BYTES // (block + 16 * d * d))
+    return [per] * (n_leaves // per) + [n_leaves % per] * (n_leaves % per > 0)
+
+
+@pytest.mark.parametrize("n_wires, max_paths", [(3, 216), (8, 6)])
+def test_one_output_product_per_chunk_of_leaves(monkeypatch, n_wires, max_paths):
+    """A ``paths``-sized circuit (D = 8) makes its outputs in runs of over a hundred
+    paths, one stacked product each; at D = 256 an output outgrows the bound and each
+    path and branch makes its own. The tree's principal carry chunks the same way."""
+    rows, outputs = [], linalg._outputs
+    monkeypatch.setattr(linalg, "_outputs", lambda vs, *a: rows.append(len(vs)) or outputs(vs, *a))
+    rng = np.random.default_rng(3)
+    draws = [random_circuit(rng, n_wires=n_wires, max_paths=max_paths) for _ in range(8)]
+    # the most paths, among the draws whose tree carries V if there are any
+    c = max(draws, key=lambda c: (8 * c._isometry.shape[1] <= c.space.dim, len(enumerate_paths(c))))
+    rho = random_density(c.principal_spec, rng)
+    n_paths, d = len(enumerate_paths(c)), c.space.dim
+    want = _chunk_sizes(n_paths, c._isometry.nbytes, d)
+    assert sum(len(chunk[0]) for chunk in _simulate(c, rho)) == n_paths
+    assert rows == want
+    if n_wires == 3:
+        assert len(want) < n_paths / 100
+    else:
+        assert want == [1] * n_paths
+    t, _ = reduce_circuit(c)
+    rows.clear()
+    run_tree(t, DensityOperator(embed_principal(c, rho.matrix), c.space))
+    assert rows == (want if 8 * c._isometry.shape[1] <= d else [])
