@@ -356,14 +356,14 @@ class Circuit:
 
     @_cached_property
     def _spine(self) -> list[list]:
-        """``[label, C E, fan]`` after each gate of the path simulated last, from ``[None, E, None]``:
+        """``[label, C E, fan]`` after each gate of the path walked last, from ``[None, E, None]``:
         one block per depth, and the images of it under the next gate's outcomes, if computed."""
         return [[None, self._isometry, None]]
 
     @_cached_property
-    def _ancilla_norm2(self) -> float:
-        """``|a|^2`` for the ancilla vector a."""
-        return self.ancilla_init.norm() ** 2
+    def _ancilla_norm(self) -> float:
+        """``|a|`` for the ancilla vector a."""
+        return self.ancilla_init.norm()
 
     def require_valid(self) -> None:
         if self.violations:
@@ -616,7 +616,7 @@ def _input_trace(c: Circuit, rho: DensityOperator) -> float:
     c.require_valid()
     if rho.matrix.shape[0] != (d := c._isometry.shape[1]):
         raise ValueError(f"principal input has dimension {rho.matrix.shape[0]}, circuit expects {d}")
-    return float(rho.matrix.trace().real) * c._ancilla_norm2
+    return float(rho.matrix.trace().real) * c._ancilla_norm ** 2
 
 
 def _simulate(c: Circuit, rho: DensityOperator, follow=None):
@@ -642,7 +642,7 @@ def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> 
     The output matrix lives on the full space and is the zero matrix
     exactly when the path has probability zero; it is never renormalized.
     ``V = C E`` resumes from the longest prefix the path shares with the
-    path simulated last on ``c``, whatever its input.
+    path simulated or analysed last on ``c``, whatever its input.
     """
     if set(path) == set(c.gates):
         t0 = _input_trace(c, rho)

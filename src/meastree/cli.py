@@ -34,7 +34,7 @@ from .circuits import (
     validate_circuit,
 )
 from .demos import DEMOS
-from .independence import _WITNESS_PROBES, _factorization, _independence, _svd, _unitary
+from .independence import check_computes, check_independence, check_isometry_scaling, factor_branch
 from .linalg import (
     TOL,
     DensityOperator,
@@ -58,7 +58,7 @@ from .serialize import (
     tree_from_json,
     tree_to_dot,
 )
-from .trees import MeasurementTree, _principal_part, _route_labels, route_label, run_tree, validate_tree
+from .trees import MeasurementTree, _principal_part, _route_labels, run_tree, validate_tree
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -154,15 +154,21 @@ def _require_path_texts(verb: str, order: Sequence[str], prefixes: Sequence[Sequ
             raise ValueError(f"{verb}: gate {gid!r} outcome {label!r} cannot be written as a --path spec")
 
 
-def _branch_walk(c: Circuit, path: str | None):
-    """``(prefix, branch, V)`` at each path of one walk of ``c``, or at the one path
-    that ``path`` specifies: the branch of ``reduce_circuit(c)`` it maps to, and
-    ``V = C E / |a|``, the block that the tree analyses read for that branch."""
-    follow = _path_follow(c, path) if path is not None else None
-    bounds, norm = _layer_bounds(c), c.ancilla_init.norm()
-    for p, g, _, v in _walk(c, c._isometry, follow):
-        if g is None:
-            yield p, _branch_of(p, bounds), v / norm
+def _paths(c: Circuit, spec: str | None = None) -> list[tuple[dict[str, str], str]]:
+    """``(path, label)`` for each path of ``c`` in walk order, or for the one path that ``spec``
+    names, resolved first so that its errors come first: its outcomes by gate, and its branch of
+    ``reduce_circuit(c)`` as ``simulate --tree`` labels it on the tree that ``tree --circuit``
+    writes, made distinct over every branch (``_route_labels``). A label holds one "/" per layer
+    boundary plus those in its outcome labels, so only a path whose outcome labels hold one can
+    share its text and needs every path listed. Paths analysed in this order carry ``V = C E``
+    down each edge of the circuit once (``_resume``)."""
+    follow = _path_follow(c, spec) if spec is not None else None
+    named = listed = [p for p, g, _, _ in _walk(c, None, follow) if g is None]
+    if spec is not None and any("/" in label for p in named for label in p):
+        listed = [p for p, g, _, _ in _walk(c) if g is None]
+    bounds = _layer_bounds(c)
+    labels = dict(zip(listed, _route_labels([_branch_of(p, bounds) for p in listed])))
+    return [(_path_json(c._order, p), labels[p]) for p in named]
 
 
 def _load_valid_circuit(path: str) -> Circuit:
@@ -342,38 +348,30 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 def _cmd_check_independence(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    pinned, paths = args.path or None, []  # an empty --path means every path
-
-    def branches():
-        for p, branch, v in _branch_walk(c, pinned):
-            paths.append(p)
-            yield branch, v
-
-    # a pinned path is walked first, so that an error in it is reported before the probe count's
-    reports = _independence(c, list(branches()) if pinned else branches(), args.probes, args.seed)
-    order = flattened_gates(c)
+    paths = _paths(c, args.path or None)  # an empty --path means every path
+    reports = [check_independence(c, path, args.probes, args.seed) for path, _ in paths]
     payload = [
         {
-            "path": _path_json(order, p),
-            "branch": route_label(rep.branch),
+            "path": path,
+            "branch": label,
             "probe_count": rep.probe_count,
             "min_probability": rep.min_probability,
             "max_probability": rep.max_probability,
             "max_deviation": rep.max_deviation,
             "verdict": rep.verdict,
         }
-        for p, rep in zip(paths, reports)
+        for (path, label), rep in zip(paths, reports)
     ]
     if args.format == "table":
         rows = [
             [
-                route_label(rep.branch),
+                label,
                 rep.verdict,
                 f"{rep.min_probability:.9f}",
                 f"{rep.max_probability:.9f}",
                 f"{rep.max_deviation:.3e}",
             ]
-            for rep in reports
+            for (_, label), rep in zip(paths, reports)
         ]
         print("\n".join(_table(rows, ["branch", "verdict", "min p", "max p", "spread"])))
     else:
@@ -385,15 +383,17 @@ def _cmd_check_independence(args: argparse.Namespace) -> int:
 def _cmd_check_unitary(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
     u = matrix_from_json(_load_json(args.operator), "operator")
-    pairs = ((branch, v) for _, branch, v in _branch_walk(c, None))
-    rows, iso = _unitary(c, pairs, u, args.probes, args.seed)
+    iso = check_isometry_scaling(c, u)
+    target = iso.t_scale * u if iso.t_scale is not None else u  # the operator rescaled to an isometry
+    # both checks read each path's V and SVD from one memo, so each path is decomposed once
+    rows = [(label, *check_computes(c, path, target, args.probes, args.seed)) for path, label in _paths(c)]
     branch_rows = [
         {
-            "branch": route_label(b),
+            "branch": label,
             "computes": holds,
             "residual": residual if math.isfinite(residual) else None,
         }
-        for b, holds, residual in rows
+        for label, holds, residual in rows
     ]
     payload = {
         "branches": branch_rows,
@@ -419,19 +419,17 @@ def _cmd_check_unitary(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    ((p, branch, v),) = _branch_walk(c, args.path)
-    path = _path_json(flattened_gates(c), p)
-    f = _factorization(c, branch, v, _svd(c, v), _WITNESS_PROBES, args.seed)
+    ((path, label),) = _paths(c, args.path)
+    f = factor_branch(c, path, seed=args.seed)
     if f is None:
-        payload = {"path": path, "branch": route_label(branch), "factored": False}
         if args.format == "table":
-            print(f"{route_label(branch)}: does not factor")
+            print(f"{label}: does not factor")
         else:
-            _print_json(payload)
+            _print_json({"path": path, "branch": label, "factored": False})
         return EXIT_CHECK_FAILED
     payload = {
         "path": path,
-        "branch": route_label(branch),
+        "branch": label,
         "factored": True,
         "kind": f.kind,
         "probability": f.probability,
@@ -440,7 +438,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         "b": f.ancilla_vector,
     }
     if args.format == "table":
-        print(f"branch:      {route_label(branch)}")
+        print(f"branch:      {label}")
         print(f"kind:        {f.kind}")
         print(f"probability: {f.probability:.9f}")
         print(f"residual:    {f.residual:.3e}")

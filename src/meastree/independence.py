@@ -1,21 +1,23 @@
-"""Input-independence analysis of measurement-tree branches.
+"""Input-independence analysis of the branches of a circuit or a measurement tree.
 
-Every verdict is exact and read off the branch isometry ``V_b = C_b E``,
+Every public function takes a ``Circuit`` or a ``MeasurementTree`` with
+wire roles. A branch of a tree is its route, the outcome labels from the
+root. A branch of a circuit is a path: a ``{gate: outcome}`` mapping, as
+``simulate_path`` takes it, such as an item of ``enumerate_paths``; a
+report names it by the branch of ``reduce_circuit(c)`` that the path
+maps to, so a report on a circuit and the report on its reduced tree
+carry the same key.
+
+Every verdict is exact and read off the branch isometry ``V_b = C_b E / |a|``,
 where ``C_b`` is the branch's composed operator and the columns of ``E``
 are the joint inputs ``e_i (x) ancilla``. The D x d_P matrix ``V_b`` is
 built by carrying ``E`` down the branch one outcome operator at a time,
-so the D x D operator ``C_b`` is never formed. Each tree keeps, read-only,
-the ``V_b`` of every branch it has analysed (one D x d_P block per leaf,
-plus one per level of the route walked last) and the SVD that factoring
-needs, so each branch is walked and decomposed once per tree; the
-tolerances and the probe cross-checks still apply on every call. The
-seeded probe matrix is kept per ``(d_P, probes, seed)``. The public
-functions are thin wrappers over internals that read ``(key, V)`` pairs
-as a stream, with the wire roles of a tree or of a circuit: the CLI
-feeds them every path's ``V = C E`` from one walk of the circuit, with
-no tree, and ``check_independence`` keeps only each pair's d_P x d_P
-Gram and probe sums, for one batched ``eigvalsh`` per ``_GRAM_BYTES`` of
-Grams. A branch fires on a principal
+so the D x D operator ``C_b`` is never formed. For as long as a circuit
+or tree lives, this module keeps, read-only, the ``V_b`` of every branch
+analysed on it and the SVD that factoring needs (``_MEMO``), so each
+branch is walked and decomposed once; the tolerances and the probe
+cross-checks still apply on every call. The seeded probe matrix is kept
+per ``(d_P, probes, seed)``. A branch fires on a principal
 state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
 over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
 set of branches is input-independent iff the sum of those is ``p I``.
@@ -31,21 +33,25 @@ the ket level and raise AssertionError on a disagreement.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from .circuits import Circuit
 from .linalg import (
     TOL,
     _clamp_probability,
+    _resume,
+    _walk,
     bipartition_ket,
     dagger,
     frob_norm,
     identity,
 )
+from .reduction import _branch_of, _layer_bounds
 from .trees import Branch, MeasurementTree
 
 __all__ = [
@@ -69,9 +75,9 @@ EPS_FACT = 1e-8
 EPS_CHECK = 1e-7
 # Seeded Haar kets that cross-check a factorization by default.
 _WITNESS_PROBES = 4
-# Bytes of stacked d_P x d_P Grams that one batched eigvalsh reads: 64 MB
-# holds about 2,000 Grams at d_P = 32, and 16 at d_P = 512.
-_GRAM_BYTES = 64 << 20
+# Per circuit or tree, for as long as it lives: per route analysed, the branch its
+# reports name and its read-only V, and the SVD of V that factoring needs (``_memo``).
+_MEMO: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +126,56 @@ class IsometryScalingReport:
     detail: str = ""
 
 
-def _principal_dim(t: MeasurementTree) -> int:
-    if not t.has_roles():
+def _principal_dim(roles: Circuit | MeasurementTree) -> int:
+    """d_P; InvalidCircuitError for an invalid circuit, ValueError for a tree without wire roles
+    or for a zero ancilla vector."""
+    if isinstance(roles, Circuit):
+        roles.require_valid()
+    elif not roles.has_roles():
         raise ValueError("tree carries no principal/ancilla wire roles; analysis needs them")
-    if t._ancilla_norm <= TOL.zero:
+    if roles._ancilla_norm <= TOL.zero:
         raise ValueError("state has zero trace")
-    return math.prod(t.space.dim_of(w) for w in t.principal_wires)
+    return roles._isometry.shape[1]
 
 
-def _isometries(t: MeasurementTree, branches: Sequence[Sequence[str]]):
-    """``V_b = C_b E / |a|`` (D x d_P) per branch, from the tree's memo: each is carried
-    down its branch from E once per tree, without forming ``C_b``, and is read-only."""
-    _principal_dim(t)  # checks the wire roles and the ancilla norm
-    return (t._branch_isometry(branch) for branch in branches)
+def _memo(roles: Circuit | MeasurementTree) -> tuple[dict, dict, list[int] | None]:
+    """``roles``' entry of ``_MEMO``: ``{route: (branch, V)}``, ``{route: _svd(roles, V)}``
+    and, for a circuit, the ``_layer_bounds`` that map its paths to branches."""
+    if (memo := _MEMO.get(roles)) is None:
+        memo = _MEMO[roles] = ({}, {}, _layer_bounds(roles) if isinstance(roles, Circuit) else None)
+    return memo
+
+
+def _block(roles: Circuit | MeasurementTree, key) -> tuple[Branch, Branch, np.ndarray]:
+    """``(route, branch, V)`` of ``key``, a branch of a tree or a path of a circuit, after
+    ``_principal_dim``'s checks: the outcome labels from the root and ``_known`` there.
+    ValueError if ``key`` is not a branch of the tree, or not a coherent path of the circuit."""
+    _principal_dim(roles)
+    if not (circuit := isinstance(roles, Circuit)):
+        route = tuple(key)
+    else:
+        route = roles._prefix(key) if set(key) == set(roles.gates) else None
+    if route is None or (known := _known(roles, route)) is None:
+        raise ValueError(f"not a coherent path: {dict(key)}" if circuit else f"{route!r} is not a branch of the tree")
+    return route, *known
+
+
+def _known(roles: Circuit | MeasurementTree, route: Branch) -> tuple[Branch, np.ndarray] | None:
+    """``(branch, V)`` at ``route``, kept in ``_MEMO``: the branch that reports name and
+    ``V = C E / |a|`` (D x d_P), read-only; None unless ``route`` ends a path or a branch.
+
+    V is carried down from the blocks that ``route`` shares with the route walked
+    last (``linalg._resume``), without forming ``C``, so routes taken in walk
+    order apply each edge once.
+    """
+    blocks, _, bounds = _memo(roles)
+    if (known := blocks.get(route)) is None:
+        if (v := _resume(roles, route)) is None:
+            return None
+        v = v / roles._ancilla_norm  # probabilities per unit input norm
+        v.flags.writeable = False
+        known = blocks[route] = (route if bounds is None else _branch_of(route, bounds), v)
+    return known
 
 
 def _svd(roles, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,10 +190,11 @@ def _svd(roles, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return svd
 
 
-def _branch_svd(t: MeasurementTree, branch: Branch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_svd`` of the branch's ``V_b``, computed once per branch and tree."""
-    if (svd := t._branch_svds.get(branch)) is None:
-        svd = t._branch_svds[branch] = _svd(t, t._branch_isometry(branch))
+def _branch_svd(roles: Circuit | MeasurementTree, route: Branch, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_svd`` of the ``V`` at ``route``, computed once per route and kept in ``_MEMO``."""
+    _, svds, _ = _memo(roles)
+    if (svd := svds.get(route)) is None:
+        svd = svds[route] = _svd(roles, v)
     return svd
 
 
@@ -207,55 +251,27 @@ def _seeded_probes(d_in: int, probes: int, seed: int) -> np.ndarray:
     return kets
 
 
-def _grams(pairs, kets: np.ndarray):
-    """``keys, grams, sums`` per chunk of the ``(key, V)`` pairs: per pair, ``V^dag V`` and each
-    probe column psi's ``|V psi|^2``. Only these are kept, never a V, and a chunk's stacked
-    Grams take at most ``_GRAM_BYTES``, or one Gram."""
-    pairs, size = iter(pairs), max(1, _GRAM_BYTES // (16 * len(kets) ** 2))  # 16 bytes per complex entry
-    while chunk := [(key, dagger(v) @ v, (np.abs(v @ kets) ** 2).sum(axis=0)) for key, v in islice(pairs, size)]:
-        keys, grams, sums = zip(*chunk)
-        yield keys, np.array(grams), np.array(sums)
-
-
-def _spectral_ranges(grams: np.ndarray, sums: np.ndarray) -> tuple[list[float], list[float]]:
-    """``lo, hi``: the extreme eigenvalues of each Gram, from one batched ``eigvalsh``.
-    Each probe's ``|V psi|^2`` in ``sums`` must lie in its Gram's ``[lo, hi]``, else AssertionError."""
-    lam = np.linalg.eigvalsh(grams)
-    lo = [_clamp_probability(x) for x in lam[:, 0].tolist()]
-    hi = [_clamp_probability(x) for x in lam[:, -1].tolist()]
-    for i, (p_min, p_max) in enumerate(zip(sums.min(axis=1).tolist(), sums.max(axis=1).tolist())):
-        if p_min < lo[i] - EPS_CHECK or p_max > hi[i] + EPS_CHECK:
-            raise AssertionError(f"probe probabilities {p_min:.12f}-{p_max:.12f} leave the exact range {(lo[i], hi[i])}")
+def _spectral_range(gram: np.ndarray, sums: np.ndarray) -> tuple[float, float]:
+    """``lo, hi``: the extreme eigenvalues of ``gram``, a summed ``V^dag V``, from one ``eigvalsh``.
+    Each probe's summed ``|V psi|^2`` in ``sums`` must lie in ``[lo, hi]``, else AssertionError."""
+    lam = np.linalg.eigvalsh(gram).tolist()
+    lo, hi = _clamp_probability(lam[0]), _clamp_probability(lam[-1])
+    sums = sums.tolist()
+    p_min, p_max = min(sums), max(sums)
+    if p_min < lo - EPS_CHECK or p_max > hi + EPS_CHECK:
+        raise AssertionError(f"probe probabilities {p_min:.12f}-{p_max:.12f} leave the exact range {(lo, hi)}")
     return lo, hi
 
 
 def _range(isos, kets: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """``lo, hi, gram``: the extreme eigenvalues of ``gram``, the summed ``V_b^dag V_b`` over ``isos``.
-    Each probe column psi of ``kets`` must give a summed ``|V_b psi|^2`` in ``[lo, hi]``, else AssertionError."""
+    """``lo, hi, gram``: ``_spectral_range`` of ``gram``, the summed ``V_b^dag V_b`` over ``isos``,
+    cross-checked by the probe columns of ``kets``."""
     gram = np.zeros((len(kets), len(kets)), dtype=complex)
     p = np.zeros(kets.shape[1])
     for v in isos:
         gram += dagger(v) @ v
         p += np.sum(np.abs(v @ kets) ** 2, axis=0)
-    (lo,), (hi,) = _spectral_ranges(gram[None], p[None])
-    return lo, hi, gram
-
-
-def _independence(roles, pairs, probes: int, seed: int, extra=None) -> list[IndependenceReport]:
-    """One ``IndependenceReport`` per ``(key, V)`` pair, the key as its branch.
-
-    ``roles`` is a circuit or a tree with roles. The pairs are read once, as a
-    stream: only their Grams and probe sums are kept, and one batched
-    ``eigvalsh`` per chunk of ``_GRAM_BYTES`` gives their ranges.
-    """
-    kets = _probe_kets(roles._isometry.shape[1], probes, seed, extra)
-    reports = []
-    for keys, grams, sums in _grams(pairs, kets):
-        for key, lo, hi in zip(keys, *_spectral_ranges(grams, sums)):
-            spread = hi - lo
-            verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
-            reports.append(IndependenceReport(tuple(key), kets.shape[1], lo, hi, spread, verdict))
-    return reports
+    return *_spectral_range(gram, p), gram
 
 
 def _witness_miss(roles, v: np.ndarray, kets: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
@@ -265,18 +281,6 @@ def _witness_miss(roles, v: np.ndarray, kets: np.ndarray, u: np.ndarray, b: np.n
     if miss > EPS_CHECK * max(frob_norm(u) * frob_norm(b), 1.0):
         raise AssertionError(f"probe images miss the factorization by {miss:.3e}")
     return miss
-
-
-def _factorization(roles, key, v: np.ndarray, svd, random_probes: int, seed: int) -> BranchFactorization | None:
-    """``factor_branch`` of the branch ``key`` from its ``V`` and ``_svd(roles, V)``."""
-    kets = _probe_kets(v.shape[1], random_probes, seed)
-    fact = _factor(roles, svd)
-    if fact is None:
-        return None
-    u, b = fact
-    residual = _witness_miss(roles, v, kets, u, b)
-    kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
-    return BranchFactorization(tuple(key), u, b, residual, float(np.vdot(b, b).real), kind)
 
 
 def _operator(roles, operator: np.ndarray) -> np.ndarray:
@@ -326,72 +330,60 @@ def _scaling(factors, u: np.ndarray, eps: float) -> IsometryScalingReport:
     return IsometryScalingReport(t_scale, "unitary" if u.shape[0] == u.shape[1] else "isometry", "")
 
 
-def _unitary(
-    roles, pairs, operator: np.ndarray, probes: int, seed: int
-) -> tuple[list[tuple[Branch, bool, float]], IsometryScalingReport]:
-    """``check_isometry_scaling`` and, per ``(branch, V)`` pair, ``check_computes`` of the
-    operator that the scaling rescales, with each branch factored once.
-
-    Returns the rows ``(branch, holds, residual)`` and the scaling report.
-    The pairs are read once, as a stream, and no V is kept.
-    """
-    u = _operator(roles, operator)
-    kets = _probe_kets(u.shape[1], probes, seed)
-    factored = []
-    for key, v in pairs:
-        fact = _factor(roles, _svd(roles, v))
-        factored.append((tuple(key), fact, None if fact is None else _witness_miss(roles, v, kets, *fact)))
-    iso = _scaling(((b, fact) for b, fact, _ in factored), u, 1e-9)
-    # the supplied operator may carry an overall scale; once the scaling
-    # check pins t_scale, the branches are tested against the rescaled
-    # (isometric) operator
-    target = iso.t_scale * u if iso.t_scale is not None else u
-    rows = [(b, True, miss) if _computes(fact, target) else (b, False, float("inf")) for b, fact, miss in factored]
-    return rows, iso
-
-
 def factor_branch(
-    t: MeasurementTree,
-    branch: Sequence[str],
+    roles: Circuit | MeasurementTree,
+    branch: Sequence[str] | Mapping[str, str],
     *,
     random_probes: int = _WITNESS_PROBES,
     seed: int = 0,
 ) -> BranchFactorization | None:
     """Extract the product-form witness (U, b) of a branch, if one exists.
 
-    The branch factors iff its isometry ``V_b``, reshaped to (output
-    ancilla) x (output principal . input), has rank 1; U is normalized to
-    be isometric and b holds the branch weight. Returns None otherwise,
-    including when no isometric normalization exists. ``residual`` is the
-    witness's largest miss on the basis kets and ``random_probes`` seeded
-    Haar-random kets.
+    ``roles`` is a circuit, whose branches are its paths, or a tree with
+    wire roles (see the module docstring). The branch factors iff its
+    isometry ``V_b``, reshaped to (output ancilla) x (output principal .
+    input), has rank 1; U is normalized to be isometric and b holds the
+    branch weight. Returns None otherwise, including when no isometric
+    normalization exists. ``residual`` is the witness's largest miss on
+    the basis kets and ``random_probes`` seeded Haar-random kets.
     """
-    (v,) = _isometries(t, [branch])
-    return _factorization(t, branch, v, _branch_svd(t, tuple(branch)), random_probes, seed)
+    route, key, v = _block(roles, branch)
+    svd = _branch_svd(roles, route, v)
+    kets = _probe_kets(v.shape[1], random_probes, seed)
+    if (fact := _factor(roles, svd)) is None:
+        return None
+    u, b = fact
+    kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
+    return BranchFactorization(key, u, b, _witness_miss(roles, v, kets, u, b), float(np.vdot(b, b).real), kind)
 
 
 def check_independence(
-    t: MeasurementTree,
-    branch: Sequence[str],
+    roles: Circuit | MeasurementTree,
+    branch: Sequence[str] | Mapping[str, str],
     probes: int = 32,
     seed: int = 0,
     extra_probes: Sequence[np.ndarray] | None = None,
 ) -> IndependenceReport:
     """The exact range of a branch's probability over all inputs.
 
-    The range is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``. Verdict
-    "independent" needs its width within 1e-9, "dependent" means above
-    1e-6, anything between is "inconclusive". The probe kets (all
-    principal basis states, optional caller-supplied kets and ``probes``
-    seeded Haar-random kets) cross-check that range.
+    ``roles`` is a circuit, whose branches are its paths, or a tree with
+    wire roles. The range is ``[lambda_min, lambda_max]`` of ``V_b^dag
+    V_b``. Verdict "independent" needs its width within 1e-9,
+    "dependent" means above 1e-6, anything between is "inconclusive".
+    The probe kets (all principal basis states, optional caller-supplied
+    kets and ``probes`` seeded Haar-random kets) cross-check that range.
     """
-    (report,) = _independence(t, zip([branch], _isometries(t, [branch])), probes, seed, extra_probes)
-    return report
+    _, key, v = _block(roles, branch)
+    kets = _probe_kets(v.shape[1], probes, seed, extra_probes)
+    lo, hi = _spectral_range(dagger(v) @ v, (np.abs(v @ kets) ** 2).sum(axis=0))
+    spread = hi - lo
+    verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
+    return IndependenceReport(key, kets.shape[1], lo, hi, spread, verdict)
 
 
 def check_computes(
-    t: MeasurementTree,
-    branch: Sequence[str],
+    roles: Circuit | MeasurementTree,
+    branch: Sequence[str] | Mapping[str, str],
     operator: np.ndarray,
     probes: int = 16,
     seed: int = 0,
@@ -400,40 +392,45 @@ def check_computes(
     to ``U rho U^dag`` on the output principal wires, with the
     proportionality constant equal to the branch probability?
 
-    It does iff the branch factors and the supplied operator is an
-    isometry equal to the factor U up to phase. Returns (holds, the
+    ``roles`` is a circuit, whose branches are its paths, or a tree with
+    wire roles. It does iff the branch factors and the supplied operator
+    is an isometry equal to the factor U up to phase. Returns (holds, the
     witness's largest miss on the basis kets and ``probes`` seeded
-    Haar-random kets), or ``(False, inf)``.
+    Haar-random kets), or ``(False, inf)``. ValueError unless the
+    operator maps the principal input into the output principal space.
     """
-    (v,) = _isometries(t, [branch])
-    u = _operator(t, operator)
+    route, _, v = _block(roles, branch)
+    u = _operator(roles, operator)
     kets = _probe_kets(u.shape[1], probes, seed)
-    fact = _factor(t, _branch_svd(t, tuple(branch)))
+    fact = _factor(roles, _branch_svd(roles, route, v))
     if not _computes(fact, u):
         return False, float("inf")
-    return True, _witness_miss(t, v, kets, *fact)
+    return True, _witness_miss(roles, v, kets, *fact)
 
 
 def check_set_independence(
-    t: MeasurementTree,
-    branches: Sequence[Sequence[str]],
+    roles: Circuit | MeasurementTree,
+    branches: Sequence[Sequence[str] | Mapping[str, str]],
     probes: int = 32,
     seed: int = 0,
 ) -> SetIndependenceReport:
     """Check that a set of branches has input-independent total probability.
 
-    The exact range of the total is ``[lambda_min, lambda_max]`` of the
-    summed ``V_b^dag V_b``; the set is independent, with constant
-    ``trace / d_P``, when its width is within 1e-9, and dependent
-    otherwise. The branches need not factor. The basis kets and
+    ``roles`` is a circuit, whose branches are its paths, or a tree with
+    wire roles. The exact range of the total is ``[lambda_min,
+    lambda_max]`` of the summed ``V_b^dag V_b``; the set is independent,
+    with constant ``trace / d_P``, when its width is within 1e-9, and
+    dependent otherwise. The branches need not factor. The basis kets and
     ``probes`` seeded Haar-random kets cross-check the range.
     """
-    branch_keys = tuple(tuple(b) for b in branches)
-    d_in = _principal_dim(t)
-    lo, hi, gram = _range(_isometries(t, branch_keys), _probe_kets(d_in, probes, seed))
+    d_in = _principal_dim(roles)
+    kets = _probe_kets(d_in, probes, seed)
+    blocks = [_block(roles, b) for b in branches]
+    keys = tuple(key for _, key, _ in blocks)
+    lo, hi, gram = _range((v for _, _, v in blocks), kets)
     if hi - lo > 1e-9:
-        return SetIndependenceReport(branch_keys, "dependent", None, lo, hi, hi - lo)
-    return SetIndependenceReport(branch_keys, "independent", float(np.trace(gram).real) / d_in, lo, hi, hi - lo)
+        return SetIndependenceReport(keys, "dependent", None, lo, hi, hi - lo)
+    return SetIndependenceReport(keys, "independent", float(np.trace(gram).real) / d_in, lo, hi, hi - lo)
 
 
 def constant_factor(
@@ -465,7 +462,7 @@ def constant_factor(
 
 
 def check_isometry_scaling(
-    t: MeasurementTree,
+    roles: Circuit | MeasurementTree,
     operator: np.ndarray,
     *,
     eps: float = 1e-9,
@@ -473,12 +470,18 @@ def check_isometry_scaling(
     """If every branch computes the same given operator, confirm that the
     operator times ``t_scale = sqrt(sum of branch weights)`` is an isometry.
 
-    Each branch must factor on its own as ``U (x) b``, and the supplied
-    operator must be ``alpha U`` for one scalar alpha, which may differ
-    from the canonical witness by an overall scale; otherwise the report
-    is inconclusive. The branch weights are ``|b|^2 / |alpha|^2``. A
-    square rescaled operator that is an isometry is reported "unitary".
+    ``roles`` is a circuit, whose branches are its paths, read in
+    ``enumerate_paths`` order, or a tree with wire roles, whose branches
+    are read in ``branches()`` order. Each branch must factor on its own
+    as ``U (x) b``, and the supplied operator must be ``alpha U`` for one
+    scalar alpha, which may differ from the canonical witness by an
+    overall scale; otherwise the report is inconclusive. The branch
+    weights are ``|b|^2 / |alpha|^2``. A square rescaled operator that is
+    an isometry is reported "unitary". ValueError unless the operator
+    maps the principal input into the output principal space.
     """
-    u = np.asarray(operator, dtype=complex)
-    _principal_dim(t)  # checks the wire roles and the ancilla norm
-    return _scaling(((b, _factor(t, _branch_svd(t, b))) for b in t.branches()), u, eps)
+    _principal_dim(roles)
+    u = _operator(roles, operator)
+    routes = (p for p, _, m, _ in _walk(roles) if m is None)  # a valid circuit has no selection hole
+    known = ((route, *_known(roles, route)) for route in routes)
+    return _scaling(((key, _factor(roles, _branch_svd(roles, route, v))) for route, key, v in known), u, eps)

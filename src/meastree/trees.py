@@ -34,7 +34,6 @@ from .linalg import (
     _input_isometry,
     _leaf_outputs,
     _probabilities,
-    _resume,
     _sandwich,
     _walk,
     apply_local,
@@ -132,33 +131,6 @@ class MeasurementTree:
         one block per level, and the images of it under the level's outcomes, if computed."""
         return [[None, self._isometry, None]]
 
-    @_cached_property
-    def _leaf_isometries(self) -> dict[Branch, np.ndarray]:
-        """``V_b`` of each branch analysed so far: one ``D x d_P`` block per leaf."""
-        return {}
-
-    @_cached_property
-    def _branch_svds(self) -> dict[Branch, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per branch, the singular values and leading singular vectors of its reshaped ``V_b``,
-        kept by the independence analysis; no tolerance enters them."""
-        return {}
-
-    def _branch_isometry(self, branch: Sequence[str]) -> np.ndarray:
-        """``V_b = C_b E / |a|`` (D x d_P) of a tree with roles, read-only, computed once per branch.
-
-        The walk resumes from the longest prefix the route shares with the
-        route walked last, so a lone branch applies only its own edges and
-        the branches taken in ``branches()`` order apply each edge once.
-        ValueError if ``branch`` is not a branch of the tree.
-        """
-        route = tuple(branch)
-        if (v := self._leaf_isometries.get(route)) is None:
-            block = _route(route, _resume(self, route))
-            v = block / self._ancilla_norm  # probabilities per unit input norm
-            v.flags.writeable = False
-            self._leaf_isometries[route] = v
-        return v
-
 
 def build_tree(
     space: HilbertSpec,
@@ -234,7 +206,7 @@ def validate_tree(t: MeasurementTree) -> list[str]:
 
 
 def _route(route: Branch, resolved):
-    """``resolved``, what ``linalg._edges`` or ``linalg._resume`` gave for ``route``;
+    """``resolved``, what ``linalg._edges`` gave for ``route``;
     ValueError if that is None: ``route`` is not a branch, which must end at a leaf."""
     if resolved is None:
         raise ValueError(f"{route!r} is not a branch of the tree")

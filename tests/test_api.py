@@ -62,3 +62,21 @@ def test_removed_members_stay_removed():
     removed = ((Ket, "projector"), (Path, "restrict"), (Circuit, "output_ancilla"), (MeasurementTree, "output_ancilla"))
     for cls, name in removed:
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_the_cli_imports_no_private_name_of_the_analysis():
+    """The verbs are formatters over the public analysis functions: ``cli.py`` takes no
+    ``_``-prefixed name from ``meastree.independence``."""
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(meastree.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("independence", 1), ("meastree.independence", 0))
+        for alias in node.names
+    ]
+    assert imported, "cli.py no longer imports from meastree.independence"
+    assert [name for name in imported if name.startswith("_")] == []

@@ -25,6 +25,7 @@ from meastree.circuits import (
     validate_circuit,
 )
 from meastree.demos import DEMOS, feedforward_x, measure_discard, teleportation
+from meastree.independence import check_independence, check_set_independence, factor_branch
 from meastree.linalg import (
     CNOT,
     HADAMARD,
@@ -568,6 +569,11 @@ def test_incoherent_paths_raise_and_leave_the_spine_exact(kernel_calls):
         simulate_path(c, first, rho)
         with pytest.raises(ValueError, match=re.escape(f"not a coherent path: {bad}")):
             simulate_path(c, bad, rho)
+        # the analysis of a circuit's paths rejects it alike, and a mapping that misses a gate or names no gate
+        for path in (bad, {"spread": "u", "read": "0"}, {**first, "extra": "0"}):
+            for analyse in (factor_branch, check_independence, lambda c, p: check_set_independence(c, [first, p])):
+                with pytest.raises(ValueError, match=re.escape(f"not a coherent path: {path}")):
+                    analyse(c, path)
         for good in (second, first):
             prob, sigma = simulate_path(c, good, rho)
             assert prob == want[Path(good)][0] and np.array_equal(sigma, want[Path(good)][1])

@@ -579,6 +579,47 @@ def test_simulate_tree_gives_colliding_routes_distinct_labels(tmp_path, capsys):
     assert [line.split()[0] for line in out.splitlines()[1:]] == ["a/b", "a/b#2", "a/b#2#2"]
 
 
+def test_analysis_verbs_label_colliding_branches_as_simulate_tree_does(tmp_path, capsys):
+    """Outcome labels "a/b", "a" and then "b", "b/b" join two branches into the text "a/b/b".
+    check-independence, factor and check-unitary label each path's branch as simulate --tree
+    labels the tree that tree --circuit writes, whether the path is pinned or listed with all."""
+    from meastree.circuits import Circuit, measurement_gate
+
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    g1 = measurement_gate("g1", ("q",), Measurement.of({"a/b": p0, "a": p1}))
+    g2 = measurement_gate("g2", ("q",), Measurement.of({"b": p0, "b/b": p1}))
+    circuit, tree, state, op = (str(tmp_path / name) for name in ("c.json", "t.json", "state.json", "op.json"))
+    Path(circuit).write_text(json.dumps(circuit_to_json(Circuit.build(HilbertSpec.of([("p", 2), ("q", 2)]), ["p"], [g1, g2]))))
+    Path(state).write_text(json.dumps({"matrix": matrix_to_json(np.eye(2) / 2)}))
+    Path(op).write_text(json.dumps(matrix_to_json(np.eye(2))))
+    assert run_cli(capsys, ["tree", "--circuit", circuit, "-o", tree])[0] == 0
+    code, out, _ = run_cli(capsys, ["simulate", "--tree", tree, "--input", state])
+    want = ["a/b/b", "a/b/b/b", "a/b", "a/b/b#2"]
+    assert code == 0 and [row["branch"] for row in json.loads(out)] == want
+    specs = ["g1=a/b,g2=b", "g1=a/b,g2=b/b", "g1=a,g2=b", "g1=a,g2=b/b"]
+
+    def run(*argv):
+        """Exit code, JSON document and table lines of one verb."""
+        base = [*argv, "--circuit", circuit, "--seed", "0"]
+        code, out, _ = run_cli(capsys, base)
+        _, table, _ = run_cli(capsys, [*base, "--format", "table"])
+        return code, json.loads(out), table.splitlines()
+
+    def first_column(lines, n):
+        return [line.split()[0] for line in lines[1 : 1 + n]]
+
+    code, rows, lines = run("check-independence", "--all-paths")
+    assert code == 0 and [row["branch"] for row in rows] == first_column(lines, 4) == want
+    code, doc, lines = run("check-unitary", "--operator", op)
+    assert code == 3 and [row["branch"] for row in doc["branches"]] == first_column(lines, 4) == want
+    for spec, label in zip(specs, want):
+        code, rows, lines = run("check-independence", "--path", spec)
+        assert code == 0 and [row["branch"] for row in rows] == first_column(lines, 1) == [label]
+        code, doc, lines = run("factor", "--path", spec)
+        assert doc["branch"] == label
+        assert (code, lines[0]) == ((0, f"branch:      {label}") if spec == specs[0] else (3, f"{label}: does not factor"))
+
+
 def test_simulate_circuit_shares_prefixes(tmp_path, capsys, kernel_calls):
     """One walk serves every path: one kernel call per inner prefix, which applies
     every outcome of the gate fired there, so one operator per non-root prefix."""
@@ -969,7 +1010,7 @@ def test_a_closed_stdout_stops_quietly(tmp_path, read_first_line):
     ids=["code_embedding", "teleportation"],
 )
 def test_a_wrong_operator_shape_is_named_with_the_shape_expected(tmp_path, capsys, name, operator, expected):
-    from meastree.independence import check_computes
+    from meastree.independence import check_computes, check_isometry_scaling
     from meastree.reduction import reduce_circuit
 
     circuit, op = tmp_path / "circuit.json", tmp_path / "operator.json"
@@ -978,10 +1019,17 @@ def test_a_wrong_operator_shape_is_named_with_the_shape_expected(tmp_path, capsy
     message = f"shape mismatch: operator of shape {operator.shape}, expected {expected}"
     argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--seed", "0"]
     assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
-    t, _ = reduce_circuit(DEMOS[name]())
-    with pytest.raises(ValueError) as exc:
-        check_computes(t, t.branches()[0], operator)
-    assert str(exc.value) == message
+    c = DEMOS[name]()
+    t, _ = reduce_circuit(c)
+    for call in (
+        lambda: check_computes(t, t.branches()[0], operator),
+        lambda: check_computes(c, enumerate_paths(c)[0], operator),
+        lambda: check_isometry_scaling(t, operator),
+        lambda: check_isometry_scaling(c, operator),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

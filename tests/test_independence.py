@@ -291,6 +291,7 @@ def inner_measurements(t, branch=None):
 
 
 def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, monkeypatch, kernel_calls):
+    from meastree.circuits import enumerate_paths
     from meastree.cli import main
     from meastree.linalg import _walk
     from meastree.serialize import circuit_to_json, matrix_to_json
@@ -320,8 +321,28 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
     route = inner_measurements(lone, branches[-1])
     assert kernel_calls.edges(route) == kernel_calls.every_edge(route) and len(kernel_calls) == len(route)
 
+    # so does the same analysis of a circuit's paths: one kernel call per inner prefix of its walk,
+    # for all of the outcomes of the gate fired there, and one decomposition per path
+    c = teleportation()
+    paths = enumerate_paths(c)
+    kernel_calls.clear()
+    svds.clear()
+    for path in paths:
+        factor_branch(c, path)
+        check_independence(c, path, probes=4, seed=0)
+        check_computes(c, path, I2, probes=4, seed=0)
+    check_set_independence(c, paths, probes=4, seed=0)
+    check_isometry_scaling(c, I2)
+    assert kernel_calls.rows() == sum(1 for _ in _walk(c)) - 1
+    assert len(kernel_calls) == sum(1 for _, _, m, _ in _walk(c) if m is not None)
+    assert len(svds) == len(paths)
+    lone = teleportation()
+    kernel_calls.clear()
+    factor_branch(lone, paths[-1])
+    assert len(kernel_calls) == len(lone.gates)  # one call per gate on the path
+
     # check-unitary factors each branch once, for the scaling test and the per-branch test alike,
-    # from one walk of the circuit that applies each of its edges once and builds no tree
+    # applies each edge of the circuit once and builds no tree
     circuit = tmp_path / "teleportation.json"
     circuit.write_text(json.dumps(circuit_to_json(teleportation())))
     op = tmp_path / "op.json"
@@ -354,42 +375,55 @@ def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
 
 
 def test_memoised_analysis_is_read_only_and_unchanged_by_callers():
-    from meastree.independence import _branch_svd, _probe_kets
+    from meastree.circuits import enumerate_paths
+    from meastree.independence import _MEMO, _probe_kets
 
-    t = reduced(teleportation)
-    branch = t.branches()[1]
-    first = factor_branch(t, branch)
-    want = factor_branch(reduced(teleportation), branch)
-    first.principal_operator[:] = 7.0
-    first.ancilla_vector[:] = 7.0
-    again = factor_branch(t, branch)
-    assert np.array_equal(again.principal_operator, want.principal_operator)
-    assert np.array_equal(again.ancilla_vector, want.ancilla_vector)
-    assert again.residual == want.residual
-    memo = [t._branch_isometry(branch), *_branch_svd(t, branch), *(a for _, block, fan in t._spine for a in [block, *(fan or {}).values()])]
-    memo.append(_probe_kets(2, 4, seed=0))
-    for a in memo:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = 1.0
+    for make, pick in ((lambda: reduced(teleportation), lambda t: t.branches()[1]), (teleportation, lambda c: enumerate_paths(c)[1])):
+        roles = make()
+        branch = pick(roles)
+        first = factor_branch(roles, branch)
+        want = factor_branch(make(), branch)
+        first.principal_operator[:] = 7.0
+        first.ancilla_vector[:] = 7.0
+        again = factor_branch(roles, branch)
+        assert np.array_equal(again.principal_operator, want.principal_operator)
+        assert np.array_equal(again.ancilla_vector, want.ancilla_vector)
+        assert again.residual == want.residual
+        blocks, svds, _ = _MEMO[roles]
+        assert len(blocks) == len(svds) == 1
+        memo = [v for _, v in blocks.values()] + [a for svd in svds.values() for a in svd]
+        memo += [a for _, block, fan in roles._spine for a in [block, *(fan or {}).values()]]
+        memo.append(_probe_kets(2, 4, seed=0))
+        for a in memo:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+        # the memo goes with the circuit or tree it was made for
+        held = len(_MEMO)
+        del roles
+        assert len(_MEMO) == held - 1
     assert _probe_kets(2, 4, seed=0) is _probe_kets(2, 4, seed=0)
     assert _probe_kets(2, 4, seed=0, extra=[np.ones(2)]).flags.writeable
 
 
 def test_carried_branch_isometry_equals_the_branch_operator_route():
-    # V_b carried down the branch from E equals C_b E / |a| with C_b built in full
-    from meastree.independence import _isometries
+    # V_b carried down the branch from E, on the tree or along the circuit path that maps to
+    # the branch, equals C_b E / |a| with C_b built in full; the path's key is that branch
+    from meastree.independence import _block
     from meastree.linalg import _input_isometry
     from meastree.rand import random_circuit
 
     circuits = [demo() for demo in (teleportation, measure_discard, feedforward_x, coin, code_embedding)]
     circuits += [random_circuit(np.random.default_rng(seed)) for seed in range(20)]
     for c in circuits:
-        t, _ = reduce_circuit(c)
+        t, bij = reduce_circuit(c)
         e = _input_isometry(t)
-        for branch in t.branches():
+        for path, branch in bij.forward.items():
             want = branch_operator(t, branch) @ e / t.ancilla_init.norm()
-            assert np.max(np.abs(next(_isometries(t, [branch])) - want)) <= 1e-12
+            assert np.max(np.abs(_block(t, branch)[2] - want)) <= 1e-12
+            route, key, v = _block(c, path)
+            assert (route, key) == (c._prefix(path), branch)
+            assert np.max(np.abs(v - want)) <= 1e-12
 
 
 def copy_map_tree():
@@ -512,22 +546,23 @@ def test_input_isometry_is_built_once_per_call(monkeypatch):
 
 
 def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():
-    from meastree.independence import _branch_svd, _factor, _isometries, _probe_kets, _range, _witness_miss
+    from meastree.independence import _block, _branch_svd, _factor, _probe_kets, _spectral_range, _witness_miss
     from meastree.linalg import bipartition_ket
 
     t = reduced(teleportation)
     kets = _probe_kets(2, 8, seed=3)
-    for branch, v in zip(t.branches(), _isometries(t, t.branches())):
-        u, b = _factor(t, _branch_svd(t, branch))
+    for branch in t.branches():
+        route, _, v = _block(t, branch)
+        u, b = _factor(t, _branch_svd(t, route, v))
         images = [v @ psi for psi in kets.T]
         misses = [np.linalg.norm(bipartition_ket(x, t.space, t.output_principal) - np.outer(u @ psi, b))
                   for x, psi in zip(images, kets.T)]
         assert _witness_miss(t, v, kets, u, b) == pytest.approx(max(misses), abs=1e-15)
-        lo, hi, _ = _range([v], kets)
-        probs = [np.vdot(x, x).real for x in images]
-        assert lo - 1e-12 <= min(probs) <= max(probs) <= hi + 1e-12
+        probs = np.array([np.vdot(x, x).real for x in images])
+        lo, hi = _spectral_range(dagger(v) @ v, probs)
+        assert lo - 1e-12 <= probs.min() <= probs.max() <= hi + 1e-12
         with pytest.raises(AssertionError, match="exact range"):
-            _range([v], 2 * kets)
+            _spectral_range(dagger(v) @ v, 4 * probs)
         with pytest.raises(AssertionError, match="miss the factorization"):
             _witness_miss(t, v, kets, PAULI_X @ u, b)
 
@@ -548,11 +583,14 @@ def c6():
 
 
 def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_paths=None, operator=None):
-    """check-independence, factor and check-unitary on ``c`` report what the tree functions
-    report on ``reduce_circuit(c)``: the same keys, row order, labels, verdicts, probe counts
-    and exit codes, and floats within 1e-12. check-unitary checks ``operator``, by default
-    the first branch factor found or the identity. Returns the two verdict verbs'
+    """Each public analysis function reports on the paths of ``c`` what it reports on their
+    branches of ``reduce_circuit(c)``, and check-independence, factor and check-unitary on ``c``
+    report what the tree functions report: the same keys, row order, labels, verdicts, kinds,
+    probe counts and exit codes, and floats within 1e-12. check-unitary checks ``operator``,
+    by default the first branch factor found or the identity. Returns the two verdict verbs'
     ``(exit code, JSON)``."""
+    import dataclasses
+
     from meastree.circuits import flattened_gates
     from meastree.cli import main
     from meastree.serialize import circuit_to_json, matrix_from_json, matrix_to_json, vector_from_json
@@ -560,6 +598,8 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
 
     t, bij = reduce_circuit(c)
     e, order = t._isometry, flattened_gates(c)
+    paths, branches = list(bij.forward), t.branches()
+    assert list(bij.forward.values()) == branches
     circuit = tmp_path / "circuit.json"
     circuit.write_text(json.dumps(circuit_to_json(c)))
 
@@ -569,6 +609,24 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
 
     def close(got, want):
         return np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0) <= 1e-12
+
+    def same(got, want):
+        """Reports or results alike: floats and arrays within 1e-12, all else equal."""
+        if dataclasses.is_dataclass(want):
+            fields = dataclasses.fields(want)
+            return type(got) is type(want) and all(same(getattr(got, f.name), getattr(want, f.name)) for f in fields)
+        if isinstance(want, np.ndarray):
+            return got.shape == want.shape and close(got, want)
+        if isinstance(want, float):
+            return isinstance(got, float) and (got == want or abs(got - want) <= 1e-12)
+        if isinstance(want, tuple):
+            return isinstance(got, tuple) and len(got) == len(want) and all(map(same, got, want))
+        return type(got) is type(want) and got == want
+
+    for p, branch in bij.forward.items():
+        assert same(check_independence(c, p, probes=4, seed=seed), check_independence(t, branch, probes=4, seed=seed))
+        assert same(factor_branch(c, p, seed=seed), factor_branch(t, branch, seed=seed))
+    assert same(check_set_independence(c, paths, probes=4, seed=seed), check_set_independence(t, branches, probes=4, seed=seed))
 
     independence_code, rows = run("check-independence", "--probes", "4")
     reports = [check_independence(t, branch, probes=4, seed=seed) for branch in bij.forward.values()]
@@ -581,7 +639,6 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
         got = [row["min_probability"], row["max_probability"], row["max_deviation"]]
         assert close(got, [rep.min_probability, rep.max_probability, rep.max_deviation])
 
-    paths = list(bij.forward)
     for p in factor_paths(paths) if factor_paths else paths:
         spec = ",".join(f"{g}={p[g]}" for g in order)
         code, doc = run("factor", "--path", spec)
@@ -603,8 +660,10 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
     operator_file.write_text(json.dumps(matrix_to_json(u)))
     code, unitary = run("check-unitary", "--operator", str(operator_file), "--probes", "4")
     iso = check_isometry_scaling(t, u)
+    assert same(check_isometry_scaling(c, u), iso)
     target = iso.t_scale * u if iso.t_scale is not None else u
-    computes = [check_computes(t, branch, target, probes=4, seed=seed) for branch in t.branches()]
+    computes = [check_computes(t, branch, target, probes=4, seed=seed) for branch in branches]
+    assert same(tuple(check_computes(c, p, target, probes=4, seed=seed) for p in paths), tuple(computes))
     ok = all(holds for holds, _ in computes) and iso.verdict in ("unitary", "isometry")
     assert code == (0 if ok else 3)
     assert list(unitary) == ["branches", "t_scale", "verdict", "detail"]
@@ -612,7 +671,7 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
     assert (unitary["t_scale"] is None) == (iso.t_scale is None)
     assert iso.t_scale is None or close(unitary["t_scale"], iso.t_scale)
     assert len(unitary["branches"]) == len(computes)
-    for row, branch, (holds, residual) in zip(unitary["branches"], t.branches(), computes):
+    for row, branch, (holds, residual) in zip(unitary["branches"], branches, computes):
         assert list(row) == ["branch", "computes", "residual"]
         assert (row["branch"], row["computes"]) == (route_label(branch), holds)
         assert (row["residual"] is None) == (not np.isfinite(residual))
@@ -622,26 +681,17 @@ def assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed, factor_path
 
 @pytest.mark.parametrize("name", sorted(DEMOS) + [f"random{s}" for s in range(30)])
 def test_analysis_verbs_equal_the_tree_functions(name, tmp_path, capsys):
-    from meastree.cli import _branch_walk
-
     c = DEMOS[name]() if name in DEMOS else random_circuit(np.random.default_rng(int(name.removeprefix("random"))))
-    # the verbs stream, per path, its branch of reduce_circuit and V = C E / |a|
-    t, bij = reduce_circuit(c)
-    streamed = [(c._path(p), branch, v) for p, branch, v in _branch_walk(c, None)]
-    assert [(p, branch) for p, branch, _ in streamed] == list(bij.forward.items())
-    for _, branch, v in streamed:
-        assert np.max(np.abs(v - branch_operator(t, branch) @ t._isometry / t.ancilla_init.norm())) <= 1e-12
     assert_verbs_equal_the_tree_functions(c, tmp_path, capsys, seed=1, factor_paths=lambda ps: ps[:2] + ps[-1:])
 
 
 def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_path, capsys):
-    from meastree.cli import _branch_walk
+    from meastree.independence import _block
     from meastree.linalg import bipartition_ket
     from meastree.trees import route_label
 
     t, bij = reduce_circuit(c6)
-    streamed = {branch: v for _, branch, v in _branch_walk(c6, None)}
-    assert list(streamed) == list(bij.forward.values())
+    paths = dict(zip(bij.forward.values(), bij.forward))
     assert (len(bij.forward), t.space.dim, t._isometry.shape[1]) == (1152, 64, 32)
     (independence_code, rows), (unitary_code, unitary) = assert_verbs_equal_the_tree_functions(
         c6, tmp_path, capsys, seed=0, factor_paths=lambda ps: [ps[0], ps[len(ps) // 2], ps[-1]], operator=np.eye(32)
@@ -656,7 +706,7 @@ def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_
     for i in np.random.default_rng(0).choice(len(branches), size=20, replace=False):
         branch = branches[i]
         v = branch_operator(t, branch) @ e / norm
-        assert np.max(np.abs(streamed[branch] - v)) <= 1e-12
+        assert np.max(np.abs(_block(c6, paths[branch])[2] - v)) <= 1e-12
         lam = np.linalg.eigvalsh(dagger(v) @ v)
         assert ranges[route_label(branch)] == pytest.approx((lam[0], lam[-1]), abs=1e-12)
         blocks = bipartition_ket(v, t.space, t.output_principal)  # output principal x ancilla x input
@@ -665,23 +715,3 @@ def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_
         assert computes[route_label(branch)] is False
         assert factor_branch(t, branch) is None
     assert unitary["verdict"] == "inconclusive" and "does not factor" in unitary["detail"]
-
-
-def test_chunked_grams_give_the_reports_of_one_batch(c6, monkeypatch):
-    """Under a smaller Gram budget the ranges come from several batched eigvalsh calls, bit for bit."""
-    from meastree import independence
-    from meastree.cli import _branch_walk
-
-    batches, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: batches.append(len(m)) or eigvalsh(m))
-
-    def reports(budget):
-        monkeypatch.setattr(independence, "_GRAM_BYTES", budget)
-        batches.clear()
-        pairs = ((branch, v) for _, branch, v in _branch_walk(c6, None))
-        return independence._independence(c6, pairs, 8, 0)
-
-    whole = reports(independence._GRAM_BYTES)
-    assert batches == [1152]
-    assert reports(500 * 16 * 32 * 32) == whole and batches == [500, 500, 152]
-    assert reports(1) == whole and batches == [1] * 1152

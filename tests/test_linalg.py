@@ -373,5 +373,5 @@ def test_cached_properties_are_computed_once_per_instance(monkeypatch):
             first = getattr(obj, name)
             assert getattr(obj, name) is first and vars(obj)[name] is first
             assert [x for x in calls if x is obj] == [obj]
-    assert len(seen) == 16
+    assert len(seen) == 14
     assert not measure_z()._stack.flags.writeable

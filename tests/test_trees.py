@@ -497,24 +497,29 @@ def _reduced_demos_and_randoms():
 def test_branch_isometries_resume_the_same_blocks_in_any_order():
     # V_b taken in reversed branches() order equals V_b of a fresh copy of the tree, and a
     # route that is not a branch raises and leaves the memo of the branches taken as it was
+    from meastree.independence import _MEMO, _block
+
     for t in _reduced_demos_and_randoms():
         for branch in reversed(t.branches()):
-            memo = dict(t._leaf_isometries)
+            memo = dict(_MEMO[t][0]) if t in _MEMO else {}
             inner = [branch[:-1], branch[:-1] + ("not an outcome",)] if branch else []
             for route in [branch + ("x",), *inner]:
                 with pytest.raises(ValueError, match="is not a branch of the tree"):
-                    t._branch_isometry(route)
-            assert t._leaf_isometries.keys() == memo.keys()
-            assert all(t._leaf_isometries[key] is v for key, v in memo.items())
-            assert np.array_equal(t._branch_isometry(branch), dataclasses.replace(t)._branch_isometry(branch))
+                    _block(t, route)
+            blocks = _MEMO[t][0]
+            assert blocks.keys() == memo.keys()
+            assert all(blocks[key] is v for key, v in memo.items())
+            assert np.array_equal(_block(t, branch)[2], _block(dataclasses.replace(t), branch)[2])
 
 
 def test_branch_isometries_expand_each_node_once(expand_calls):
+    from meastree.independence import _block
+
     for t in _reduced_demos_and_randoms():
         branches = t.branches()
         expand_calls.clear()
         for branch in branches:
-            t._branch_isometry(branch)
+            _block(t, branch)
         assert len(expand_calls) <= len(t.nodes) - 1 + len(branches)
         assert {roles for roles, _ in expand_calls} == {t}
 
