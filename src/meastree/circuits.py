@@ -31,11 +31,12 @@ from .linalg import (
     Measurement,
     _branch_output,
     _cached_property,
+    _child,
     _edges,
-    _images,
-    _input_isometry,
     _leaf_outputs,
+    _outputs,
     _resume,
+    _Roles,
     _walk,
     basis_ket,
     embed_principal,
@@ -228,7 +229,7 @@ class InvalidCircuitError(ValueError):
 
 
 @dataclass(eq=False)
-class Circuit:
+class Circuit(_Roles):
     """Gates plus wiring, classical channels, and a layered schedule.
 
     ``principal_wires`` host the variable input state, ``ancilla_wires``
@@ -291,10 +292,6 @@ class Circuit:
         )
 
     @property
-    def output_principal(self) -> tuple[str, ...]:
-        return self.output_principal_wires if self.output_principal_wires is not None else self.principal_wires
-
-    @property
     def principal_spec(self) -> HilbertSpec:
         return self.space.restrict(self.principal_wires)
 
@@ -348,22 +345,6 @@ class Circuit:
     def _prefix(self, path: Mapping[str, str]) -> tuple[str, ...]:
         """The outcomes of ``path``, which names every gate, in execution order."""
         return tuple([path[gid] for gid in self._order])
-
-    @_cached_property
-    def _isometry(self) -> np.ndarray:
-        """The input isometry ``E``, read-only, built on first use."""
-        return _input_isometry(self)
-
-    @_cached_property
-    def _spine(self) -> list[list]:
-        """``[label, C E, fan]`` after each gate of the path walked last, from ``[None, E, None]``:
-        one block per depth, and the images of it under the next gate's outcomes, if computed."""
-        return [[None, self._isometry, None]]
-
-    @_cached_property
-    def _ancilla_norm(self) -> float:
-        """``|a|`` for the ancilla vector a."""
-        return self.ancilla_init.norm()
 
     def require_valid(self) -> None:
         if self.violations:
@@ -619,9 +600,10 @@ def _input_trace(c: Circuit, rho: DensityOperator) -> float:
     return float(rho.matrix.trace().real) * c._ancilla_norm ** 2
 
 
-def _simulate(c: Circuit, rho: DensityOperator, follow=None):
+def _simulate(c: Circuit, rho: DensityOperator, route: tuple[str, ...] | None = None):
     """Yield ``(prefixes, probabilities, traces, outputs)`` per chunk of the complete paths
-    the walk reaches, in walk order: their outcome prefixes, probabilities and output
+    the walk reaches, in walk order, or of the one path ``route``, a complete prefix that
+    ``_resume`` carries ``V`` down: their outcome prefixes, probabilities and output
     traces, and the ``(m, D, D)`` stack of their outputs ``V rho V^dag``.
 
     The walk carries ``V = C E``, so ``V rho V^dag`` is the path's output
@@ -632,7 +614,10 @@ def _simulate(c: Circuit, rho: DensityOperator, follow=None):
     alone. Each output is bit for bit what ``simulate_path`` gives.
     """
     t0 = _input_trace(c, rho)
-    leaves = ((prefix, v) for prefix, g, _, v in _walk(c, c._isometry, follow) if g is None)
+    if route is None:
+        leaves = ((prefix, v) for prefix, g, _, v in _walk(c, c._isometry) if g is None)
+    else:
+        leaves = [(route, _resume(c, route))]
     yield from _leaf_outputs(leaves, rho.matrix, t0)
 
 
@@ -664,19 +649,23 @@ def sample_run(
 ) -> tuple[Path, np.ndarray]:
     """Run once, sampling each gate's outcome with its Born probability.
 
-    Returns the realized path and the unnormalized post-run state.
+    Returns the realized path and the unnormalized post-run state. Each
+    gate's Born weights need every outcome's image of the carried block
+    ``V = C E``; ``linalg._child`` makes them, and the run carries the
+    chosen one.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    _input_trace(c, rho)  # c is valid and rho fits it
     t0 = rho.trace()
-
-    def sample(g: Gate, m: Measurement, v: np.ndarray) -> dict[str, np.ndarray]:
+    prefix, v = (), c._isometry
+    while (step := c._expand(prefix))[0] is not None:
+        _, m, wires = step
         t = float(np.vdot(v, v @ rho.matrix).real)
         if t <= TOL.zero * t0:
             raise ArithmeticError("state trace vanished mid-run")
-        images = _images(m, g.wires, v, c.space)
+        level = [None, v, None]
+        images = [_child(level, label, m, wires, c.space) for label in m.outcomes]
         probs = np.array([max(float(np.vdot(x, x @ rho.matrix).real) / t, 0.0) for x in images])
         i = int(gen.choice(len(probs), p=probs / probs.sum()))
-        return {m.labels[i]: images[i]}
-
-    (((prefix,), _, _, (sigma,)),) = _simulate(c, rho, sample)
-    return c._path(prefix), sigma
+        prefix, v = prefix + (m.labels[i],), images[i]
+    return c._path(prefix), _outputs(v, rho.matrix)

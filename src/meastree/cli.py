@@ -98,11 +98,12 @@ def _matrix_lines(m: np.ndarray, indent: str = "    ") -> list[str]:
     return [indent + line for line in text.splitlines()]
 
 
-def _path_follow(c: Circuit, text: str):
-    """The ``_walk`` follow of the one path that ``text``, "gate=outcome,...", specifies.
+def _path_route(c: Circuit, text: str) -> tuple[str, ...]:
+    """The outcome prefix of the one path that ``text``, "gate=outcome,...", specifies.
 
     A gate left unmentioned is filled in when the measurement selected for
-    it has a single outcome; a gate with a real choice must be pinned.
+    it has a single outcome; a gate with a real choice must be pinned. The
+    text is read whole before the route is stepped through ``c._expand``.
     """
     given: dict[str, str] = {}
     for part in text.split(","):
@@ -118,21 +119,23 @@ def _path_follow(c: Circuit, text: str):
             raise ValueError(f"path: gate {gid!r} pinned twice")
         given[gid] = label
 
-    def pick(g, m, x) -> tuple[str, ...]:
+    route: tuple[str, ...] = ()
+    while (step := c._expand(route))[0] is not None:
+        g, m, _ = step
         if g.gate_id in given:
             if given[g.gate_id] not in m.outcomes:
                 raise ValueError(
                     f"path: gate {g.gate_id!r} has no outcome {given[g.gate_id]!r} here "
                     f"(options: {', '.join(m.labels)})"
                 )
-            return (given[g.gate_id],)
-        if len(m.labels) == 1:
-            return m.labels
-        raise ValueError(
-            f"path: gate {g.gate_id!r} is ambiguous; pin one of: {', '.join(m.labels)}"
-        )
-
-    return pick
+            route += (given[g.gate_id],)
+        elif len(m.labels) == 1:
+            route += m.labels
+        else:
+            raise ValueError(
+                f"path: gate {g.gate_id!r} is ambiguous; pin one of: {', '.join(m.labels)}"
+            )
+    return route
 
 
 def _path_json(order: Sequence[str], prefix: Sequence[str]) -> dict[str, str]:
@@ -162,13 +165,12 @@ def _paths(c: Circuit, spec: str | None = None) -> list[tuple[dict[str, str], st
     boundary plus those in its outcome labels, so only a path whose outcome labels hold one can
     share its text and needs every path listed. Paths analysed in this order carry ``V = C E``
     down each edge of the circuit once (``_resume``)."""
-    follow = _path_follow(c, spec) if spec is not None else None
-    named = listed = [p for p, g, _, _ in _walk(c, None, follow) if g is None]
-    if spec is not None and any("/" in label for p in named for label in p):
+    named = listed = [_path_route(c, spec)] if spec is not None else []
+    if not named or any("/" in label for label in named[0]):
         listed = [p for p, g, _, _ in _walk(c) if g is None]
     bounds = _layer_bounds(c)
     labels = dict(zip(listed, _route_labels([_branch_of(p, bounds) for p in listed])))
-    return [(_path_json(c._order, p), labels[p]) for p in named]
+    return [(_path_json(c._order, p), labels[p]) for p in named or listed]
 
 
 def _load_valid_circuit(path: str) -> Circuit:
@@ -277,10 +279,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.circuit:
         c = _load_valid_circuit(args.circuit)
         rho = DensityOperator.of(_state_matrix(kind, arr), c.principal_spec)
-        follow = _path_follow(c, args.path) if args.path else None
+        route = _path_route(c, args.path) if args.path else None
         order, prefixes = flattened_gates(c), []
         # each chunk of paths is reduced before the next is made: at most one chunk of outputs is held
-        for chunk, probabilities, traces, sigmas in _simulate(c, rho, follow):
+        for chunk, probabilities, traces, sigmas in _simulate(c, rho, route):
             prefixes += chunk
             reduced = _partial_traces(sigmas, c.space, c.output_principal)
             rows += [

@@ -10,9 +10,13 @@ a unitary is the single-outcome special case.
 Circuits and trees share one walker, ``_walk``, and one route
 resolver, ``_edges``. Both read a prefix, the tuple of outcome labels
 from the root, through the circuit's or the tree's ``_expand`` step.
+Both inherit their role memos from ``_Roles``: the input isometry
+``E``, the ancilla norm ``|a|`` and the spine of the route walked last.
+``_walk`` visits every prefix; one route is followed a level at a time
+with ``_child``, which gives one outcome's image of a level's block.
 ``_resume`` carries a block down a route from the route walked last,
-applying the edges that ``_edges`` resolves below the prefix the two
-share.
+stepping ``_child`` along the edges that ``_edges`` resolves below the
+prefix the two share.
 
 Outcome operators are applied by one kernel, ``_apply_stack``: it
 applies a measurement's read-only outcome stack ``(n, d, d)``
@@ -20,13 +24,13 @@ applies a measurement's read-only outcome stack ``(n, d, d)``
 ``O(n * d_local * D * k)``, or row i to block i of a stack of blocks.
 ``apply_local`` is its one-row case. All outcomes of a measurement act
 on the same parent block, so the walk makes one kernel call per inner
-prefix, not one per edge, and each level of ``_resume``'s spine keeps
-that fan of sibling images: a route that parts from the one walked last
-at a level reuses a sibling there and applies nothing. The fan is
-stacked only while its ``n`` images and ``n`` operators fit in
-``_STACK_BYTES``; above that a stacked product misses cache and is
-slower than ``n`` single ones, and edges are applied one by one, each
-operator through the same kernel as a one-row stack.
+prefix, not one per edge, and ``_child`` keeps that fan of sibling
+images on its level: a route that parts from the one walked last at a
+level reuses a sibling there and applies nothing. The fan is stacked
+only while its ``n`` images and ``n`` operators fit in
+``_STACK_BYTES`` (``_fans``); above that a stacked product misses cache
+and is slower than ``n`` single ones, and edges are applied one by one,
+each operator through the same kernel as a one-row stack.
 
 Leaves are finished the same way: ``_chunks`` cuts a walk's leaves into
 runs of consecutive blocks that fit in ``_STACK_BYTES`` with their
@@ -501,6 +505,32 @@ def _input_isometry(roles) -> np.ndarray:
     return e
 
 
+class _Roles:
+    """The memos of the wire roles that circuits and trees share: ``E``, ``|a|`` and the spine
+    that ``_resume`` keeps. A subclass has ``space``, ``principal_wires``, ``ancilla_wires``,
+    ``ancilla_init`` and ``output_principal_wires``."""
+
+    @property
+    def output_principal(self) -> tuple[str, ...] | None:
+        return self.output_principal_wires if self.output_principal_wires is not None else self.principal_wires
+
+    @_cached_property
+    def _isometry(self) -> np.ndarray:
+        """The input isometry ``E``, read-only, built on first use."""
+        return _input_isometry(self)
+
+    @_cached_property
+    def _ancilla_norm(self) -> float:
+        """``|a|`` for the ancilla vector a."""
+        return self.ancilla_init.norm()
+
+    @_cached_property
+    def _spine(self) -> list[list]:
+        """``[label, C E, fan]`` after each edge of the route walked last, from ``[None, E, None]``:
+        one block per level, and the images of it under the level's outcomes, if computed (``_resume``)."""
+        return [[None, self._isometry, None]]
+
+
 def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.ndarray:
     """Embed a local operator into the full space.
 
@@ -598,13 +628,6 @@ def _fans(m: Measurement, x: np.ndarray) -> bool:
     return 1 < n and n * (x.nbytes + next(iter(m.outcomes.values())).nbytes) <= _STACK_BYTES
 
 
-def _images(m: Measurement, wires: Sequence[str], x: np.ndarray, space: HilbertSpec) -> Sequence[np.ndarray]:
-    """Every outcome's image of ``x``, in label order: one stacked call, or edge by edge above the bound."""
-    if _fans(m, x):
-        return _apply_stack(m._stack, wires, x, space)
-    return [_apply_stack(op[None], wires, x, space)[0] for op in m.outcomes.values()]
-
-
 def _chunks(leaves: Iterable[tuple[object, np.ndarray]], outputs: bool = False):
     """Runs of consecutive ``(key, block)`` pairs of ``leaves``, each yielded as ``(keys, blocks)``
     with the blocks stacked ``(m,) + block.shape``. A run grows while its blocks, and with
@@ -638,7 +661,7 @@ def _leaf_outputs(leaves: Iterable[tuple[object, np.ndarray]], rho: np.ndarray, 
         yield keys, *_probabilities(sigmas, t0), sigmas
 
 
-def _walk(roles, x=None, follow=None, apply=None):
+def _walk(roles, x=None, apply=None):
     """Depth first over the prefixes of ``roles``, a circuit or a tree, carrying ``x``.
 
     A prefix is the tuple of outcome labels from the root, ``()``, and
@@ -651,11 +674,8 @@ def _walk(roles, x=None, follow=None, apply=None):
     edges as ``apply(ops, wires, x, space)``, by default ``_apply_stack``,
     for a stack ``ops`` of outcome operators: all of a prefix's children
     in one call when ``_fans`` allows, else each edge lazily, as a
-    one-row view of its operator. Once a prefix has been yielded, ``follow(at,
-    measurement, x)`` names the outcomes to descend into, by default all
-    of them, or maps them to images of x it has computed already; the
-    edges it names are applied one by one. Consumers must not mutate the
-    yielded blocks.
+    one-row view of its operator. Consumers must not mutate the yielded
+    blocks. One route is followed with ``_child`` instead.
     """
     expand, space, apply = roles._expand, roles.space, apply or _apply_stack
     stack: list[tuple] = [((), x, None, None)]
@@ -667,17 +687,30 @@ def _walk(roles, x=None, follow=None, apply=None):
         yield prefix, at, m, x
         if m is None:
             continue
-        if follow is None and x is not None and _fans(m, x):
+        if x is not None and _fans(m, x):
             fan = apply(m._stack, wires, x, space)
             stack.extend((prefix + (label,), image, None, None) for label, image in zip(reversed(m.outcomes), fan[::-1]))
             continue
-        chosen = m.outcomes if follow is None else follow(at, m, x)
-        images = chosen if follow is not None and isinstance(chosen, dict) else {}
-        for label in reversed(chosen):
-            if x is None or label in images:
-                stack.append((prefix + (label,), images.get(label, x), None, None))
-            else:
-                stack.append((prefix + (label,), x, m.outcomes[label][None], wires))
+        for label in reversed(m.outcomes):  # a loop: a generator here made a bare walk 25% slower
+            stack.append((prefix + (label,), x, None if x is None else m.outcomes[label][None], wires))
+
+
+def _child(level: list, label: str, m: Measurement, wires: Sequence[str], space: HilbertSpec) -> np.ndarray:
+    """The read-only image under outcome ``label`` of ``m`` of the block of ``level``, a
+    ``[label, block, fan]`` level of a route: read from the level's ``fan``, which maps every
+    outcome of ``m`` to its read-only image of ``block``; else from the fan made in one
+    kernel call and kept on the level, where ``_fans`` allows; else from the one edge, its
+    operator applied as a one-row view."""
+    _, block, fan = level
+    if fan is None and _fans(m, block):
+        images = _apply_stack(m._stack, wires, block, space)
+        images.flags.writeable = False
+        fan = level[2] = dict(zip(m.outcomes, images))
+    if fan is not None:
+        return fan[label]
+    image = _apply_stack(m.outcomes[label][None], wires, block, space)[0]
+    image.flags.writeable = False
+    return image
 
 
 def _edges(roles, route: Sequence[str], start: int = 0) -> list[tuple[str, Measurement, tuple[str, ...]]] | None:
@@ -699,17 +732,14 @@ def _resume(roles, route: Sequence[str]) -> np.ndarray | None:
     """The block at the end of ``route`` on ``roles``, resumed from the route walked last.
 
     ``roles._spine`` holds ``[label, block, fan]`` per level from ``[None,
-    x0, None]``, the root block, along the route walked last; ``fan`` is
-    None or maps every outcome of the level's measurement to its
-    read-only image of ``block``. The spine is cut back to the
+    x0, None]``, the root block, along the route walked last (``_child``
+    reads and keeps each level's fan). The spine is cut back to the
     longest prefix whose labels match ``route``; ``_edges`` resolves the
-    levels below it. Each of their edges takes its block from the fan of
-    the level above, computing that fan in one kernel call where
-    ``_fans`` allows, or else applies its own operator as a one-row
-    view; each new block is read-only. Returns None, with the spine left
-    at the shared prefix, where ``_edges`` does. So routes taken depth
-    first make one kernel call per inner prefix of their prefix tree, and
-    a route that parts from the one walked last at some level reuses the
+    levels below it, and each of their edges takes its block from
+    ``_child`` of the level above. Returns None, with the spine left at
+    the shared prefix, where ``_edges`` does. So routes taken depth first
+    make one kernel call per inner prefix of their prefix tree, and a
+    route that parts from the one walked last at some level reuses the
     sibling image kept there.
     """
     spine, space = roles._spine, roles.space
@@ -720,18 +750,7 @@ def _resume(roles, route: Sequence[str]) -> np.ndarray | None:
     if (edges := _edges(roles, route, start=k)) is None:
         return None
     for label, m, wires in edges:
-        level = spine[-1]
-        _, block, fan = level
-        if fan is None and _fans(m, block):
-            images = _apply_stack(m._stack, wires, block, space)
-            images.flags.writeable = False
-            fan = level[2] = dict(zip(m.outcomes, images))
-        if fan is None:
-            block = _apply_stack(m.outcomes[label][None], wires, block, space)[0]
-            block.flags.writeable = False
-        else:
-            block = fan[label]
-        spine.append([label, block, None])
+        spine.append([label, _child(spine[-1], label, m, wires, space), None])
     return spine[-1][1]
 
 

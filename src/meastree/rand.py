@@ -126,134 +126,112 @@ def random_circuit(
     measurement outcomes of earlier gates through random selection
     tables. A running path count keeps enumeration tractable by
     forcing single-outcome measurements once ``max_paths`` is reached.
+    A draw that misses a required layer or channel, or has more than
+    ``4 * max_paths`` paths, is dropped and the next one drawn.
     """
     while True:
-        c = _try_random_circuit(
-            rng,
-            n_wires=n_wires,
-            wire_dim=wire_dim,
-            max_layers=max_layers,
-            max_outcomes=max_outcomes,
-            max_paths=max_paths,
-            require_multigate_layer=require_multigate_layer,
-            require_classical_channel=require_classical_channel,
-        )
-        if c is not None:
-            c.require_valid()
-            return c
+        n = int(rng.integers(2, 4)) if n_wires is None else n_wires
+        wires = [f"q{i}" for i in range(n)]
+        n_principal = int(rng.integers(1, n + 1))
+        principal = wires[:n_principal]
+        ancilla = wires[n_principal:]
+        space = HilbertSpec.of([(w, wire_dim) for w in wires])
+        if ancilla:
+            anc_spec = HilbertSpec.of([(w, wire_dim) for w in ancilla])
+            init = Ket.of(haar_ket(anc_spec.dim, rng), anc_spec)
+        else:
+            init = None
 
+        gates: dict[str, Gate] = {}
+        gate_order: list[str] = []
+        schedule: list[list[str]] = []
+        # possible outcome labels per gate in strictly earlier layers, for
+        # building the feedforward tables of later gates
+        finished: dict[str, list[str]] = {}
+        path_count = 1
+        made_multigate = False
+        made_classical = False
 
-def _try_random_circuit(
-    rng: np.random.Generator,
-    *,
-    n_wires: int | None,
-    wire_dim: int,
-    max_layers: int,
-    max_outcomes: int,
-    max_paths: int,
-    require_multigate_layer: bool,
-    require_classical_channel: bool,
-) -> Circuit | None:
-    n = int(rng.integers(2, 4)) if n_wires is None else n_wires
-    wires = [f"q{i}" for i in range(n)]
-    n_principal = int(rng.integers(1, n + 1))
-    principal = wires[:n_principal]
-    ancilla = wires[n_principal:]
-    space = HilbertSpec.of([(w, wire_dim) for w in wires])
-    if ancilla:
-        anc_spec = HilbertSpec.of([(w, wire_dim) for w in ancilla])
-        init = Ket.of(haar_ket(anc_spec.dim, rng), anc_spec)
-    else:
-        init = None
+        n_layers = int(rng.integers(1, max_layers + 1))
+        for li in range(n_layers):
+            free = list(wires)
+            rng.shuffle(free)
+            layer: list[str] = []
+            layer_labels: dict[str, list[str]] = {}
+            want_two = require_multigate_layer and not made_multigate and li == n_layers - 1
+            n_gates = 2 if (want_two and len(free) >= 2) else int(rng.integers(1, 3))
+            for gi in range(n_gates):
+                if not free:
+                    break
+                width = 1 if len(free) == 1 else int(rng.integers(1, 3))
+                gwires, free = free[:width], free[width:]
+                gid = f"g{li}_{gi}"
+                dim = wire_dim**width
 
-    gates: dict[str, Gate] = {}
-    gate_order: list[str] = []
-    schedule: list[list[str]] = []
-    # possible outcome labels per gate in strictly earlier layers, for
-    # building the feedforward tables of later gates
-    finished: dict[str, list[str]] = {}
-    path_count = 1
-    made_multigate = False
-    made_classical = False
+                sources: frozenset[str] = frozenset()
+                pool = [g for g in finished if len(finished[g]) > 1]
+                force_channel = (
+                    require_classical_channel and not made_classical and li == n_layers - 1 and pool
+                )
+                if pool and (force_channel or rng.random() < 0.4):
+                    k = 1 if force_channel else int(rng.integers(1, min(2, len(pool)) + 1))
+                    picked = list(rng.choice(pool, size=k, replace=False))
+                    sources = frozenset(picked)
+                    made_classical = True
 
-    n_layers = int(rng.integers(1, max_layers + 1))
-    for li in range(n_layers):
-        free = list(wires)
-        rng.shuffle(free)
-        layer: list[str] = []
-        layer_labels: dict[str, list[str]] = {}
-        want_two = require_multigate_layer and not made_multigate and li == n_layers - 1
-        n_gates = 2 if (want_two and len(free) >= 2) else int(rng.integers(1, 3))
-        for gi in range(n_gates):
-            if not free:
-                break
-            width = 1 if len(free) == 1 else int(rng.integers(1, 3))
-            gwires, free = free[:width], free[width:]
-            gid = f"g{li}_{gi}"
-            dim = wire_dim**width
-
-            sources: frozenset[str] = frozenset()
-            pool = [g for g in finished if len(finished[g]) > 1]
-            force_channel = (
-                require_classical_channel and not made_classical and li == n_layers - 1 and pool
-            )
-            if pool and (force_channel or rng.random() < 0.4):
-                k = 1 if force_channel else int(rng.integers(1, min(2, len(pool)) + 1))
-                picked = list(rng.choice(pool, size=k, replace=False))
-                sources = frozenset(picked)
-                made_classical = True
-
-            branching = path_count < max_paths
-            n_out = int(rng.integers(2, max_outcomes + 1)) if branching else 1
-            if sources:
-                capacity = 1
-                for g in sources:
-                    capacity *= len(finished[g])
-                n_meas = min(int(rng.integers(2, 4)), capacity)
-                # outcome labels must be disjoint across a gate's measurements
-                measurements = tuple(
-                    random_measurement(
-                        dim, n_out, rng, labels=[f"{k}.{i}" for i in range(n_out)]
+                branching = path_count < max_paths
+                n_out = int(rng.integers(2, max_outcomes + 1)) if branching else 1
+                if sources:
+                    capacity = 1
+                    for g in sources:
+                        capacity *= len(finished[g])
+                    n_meas = min(int(rng.integers(2, 4)), capacity)
+                    # outcome labels must be disjoint across a gate's measurements
+                    measurements = tuple(
+                        random_measurement(
+                            dim, n_out, rng, labels=[f"{k}.{i}" for i in range(n_out)]
+                        )
+                        for k in range(n_meas)
                     )
-                    for k in range(n_meas)
+                    selection = _random_selection(
+                        rng, {g: finished[g] for g in sorted(sources)}, n_meas
+                    )
+                else:
+                    measurements = (random_measurement(dim, n_out, rng),)
+                    selection = Selection.constant(0)
+                gates[gid] = Gate(
+                    gate_id=gid,
+                    wires=tuple(gwires),
+                    classical_sources=sources,
+                    measurements=measurements,
+                    selection=selection,
                 )
-                selection = _random_selection(
-                    rng, {g: finished[g] for g in sorted(sources)}, n_meas
-                )
-            else:
-                measurements = (random_measurement(dim, n_out, rng),)
-                selection = Selection.constant(0)
-            gates[gid] = Gate(
-                gate_id=gid,
-                wires=tuple(gwires),
-                classical_sources=sources,
-                measurements=measurements,
-                selection=selection,
-            )
-            gate_order.append(gid)
-            layer.append(gid)
-            layer_labels[gid] = [lab for m in measurements for lab in m.labels]
-            path_count *= n_out
-        if len(layer) >= 2:
-            made_multigate = True
-        if layer:
-            schedule.append(layer)
-        finished.update(layer_labels)
+                gate_order.append(gid)
+                layer.append(gid)
+                layer_labels[gid] = [lab for m in measurements for lab in m.labels]
+                path_count *= n_out
+            if len(layer) >= 2:
+                made_multigate = True
+            if layer:
+                schedule.append(layer)
+            finished.update(layer_labels)
 
-    if require_multigate_layer and not made_multigate:
-        return None
-    if require_classical_channel and not made_classical:
-        return None
-    # path_count is exact: every measurement of a gate has n_out outcomes and
-    # every selection table is total, so each coherent prefix branches n_out
-    # ways at each gate.
-    if not gates or path_count > 4 * max_paths:
-        return None
-    return Circuit.build(
-        space,
-        principal,
-        list(gates.values()),
-        gate_order=gate_order,
-        schedule=schedule,
-        ancilla_init=init,
-    )
+        if require_multigate_layer and not made_multigate:
+            continue
+        if require_classical_channel and not made_classical:
+            continue
+        # path_count is exact: every measurement of a gate has n_out outcomes and
+        # every selection table is total, so each coherent prefix branches n_out
+        # ways at each gate.
+        if not gates or path_count > 4 * max_paths:
+            continue
+        c = Circuit.build(
+            space,
+            principal,
+            list(gates.values()),
+            gate_order=gate_order,
+            schedule=schedule,
+            ancilla_init=init,
+        )
+        c.require_valid()
+        return c

@@ -28,12 +28,11 @@ from .linalg import (
     HilbertSpec,
     Ket,
     Measurement,
-    _cached_property,
     _chunks,
     _edges,
-    _input_isometry,
     _leaf_outputs,
     _probabilities,
+    _Roles,
     _sandwich,
     _walk,
     apply_local,
@@ -74,7 +73,7 @@ class TreeNode:
 
 
 @dataclass(eq=False)
-class MeasurementTree:
+class MeasurementTree(_Roles):
     """Nodes keyed by their route: the labels from the root ``()`` down.
 
     The optional wire-role fields record which wires host the variable
@@ -106,30 +105,8 @@ class MeasurementTree:
             raise ValueError(f"the tree has no node at {key!r}")
         return node, node.measurement, self.wires_of(node)
 
-    @property
-    def output_principal(self) -> tuple[str, ...] | None:
-        if self.output_principal_wires is not None:
-            return self.output_principal_wires
-        return self.principal_wires
-
     def has_roles(self) -> bool:
         return self.principal_wires is not None and self.ancilla_init is not None
-
-    @_cached_property
-    def _isometry(self) -> np.ndarray:
-        """The input isometry ``E`` of a tree with roles, read-only, built on first use."""
-        return _input_isometry(self)
-
-    @_cached_property
-    def _ancilla_norm(self) -> float:
-        """``|a|`` for the ancilla vector a of a tree with roles."""
-        return self.ancilla_init.norm()
-
-    @_cached_property
-    def _spine(self) -> list[list]:
-        """``[label, C E, fan]`` after each edge of the route walked last, from ``[None, E, None]``:
-        one block per level, and the images of it under the level's outcomes, if computed."""
-        return [[None, self._isometry, None]]
 
 
 def build_tree(

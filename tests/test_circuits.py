@@ -345,6 +345,84 @@ def test_validate_ancilla_init():
     assert "ANCILLA_INIT" in codes(c)
 
 
+def _z_on_q0(**kw):
+    """A valid two-wire circuit, principal q0 and ancilla q1, measuring q0 in Z once."""
+    return Circuit.build(two_wire_space(), ["q0"], [measurement_gate("m", ("q0",), measure_z())], **kw)
+
+
+@pytest.mark.parametrize(
+    "make, code, message",
+    [
+        pytest.param(lambda: dataclasses.replace(_z_on_q0(), ancilla_wires=()), "ROLE_PARTITION", "partition the space", id="roles"),
+        pytest.param(
+            lambda: dataclasses.replace(_z_on_q0(), output_principal_wires=("q9",)), "ROLE_PARTITION", "output principal", id="output-roles"
+        ),
+        pytest.param(
+            lambda: Circuit.build(HilbertSpec.of([("q0", 1), ("q1", 2)]), ["q0"], [measurement_gate("m", ("q1",), measure_z())]),
+            "PRINCIPAL_DIM",
+            "dimension >= 2",
+            id="principal-dim",
+        ),
+        pytest.param(
+            lambda: dataclasses.replace(_z_on_q0(), gates={"x": _z_on_q0().gates["m"]}, gate_order=("x",), schedule=(("x",),)),
+            "GATE_ID",
+            "different id",
+            id="gate-id",
+        ),
+        pytest.param(
+            lambda: Circuit.build(two_wire_space(), ["q0"], [unitary_gate("g", ("q0", "q0"), np.eye(4))]),
+            "GATE_WIRE_DUP",
+            "repeated wires",
+            id="gate-wire-dup",
+        ),
+        pytest.param(
+            lambda: Circuit.build(two_wire_space(), ["q0"], [Gate("g", ("q0",), frozenset(), (), Selection.constant(0))]),
+            "MEASUREMENTS_EMPTY",
+            "no measurements",
+            id="measurements-empty",
+        ),
+        pytest.param(
+            lambda: Circuit.build(two_wire_space(), ["q0"], [selected_gate("g", ("q0",), ["ghost"], [measure_z()], [({"ghost": "0"}, 0)])]),
+            "UNKNOWN_SOURCE",
+            "'ghost'",
+            id="unknown-source",
+        ),
+        pytest.param(lambda: _z_on_q0(schedule=[["m"], []]), "SCHEDULE_EMPTY", "layer 1 is empty", id="schedule-empty"),
+        pytest.param(
+            lambda: Circuit.build(
+                two_wire_space(), ["q0"], [selected_gate("g", ("q0",), ["g"], [measure_z()], [({"g": "0"}, 0), ({"g": "1"}, 0)])]
+            ),
+            "PREREQ_CYCLE",
+            "cycle",
+            id="prereq-cycle",
+        ),
+        pytest.param(lambda: dataclasses.replace(_z_on_q0(), gate_order=()), "GATE_ORDER", "permutation", id="gate-order"),
+        pytest.param(
+            lambda: _z_on_q0(ancilla_init=Ket.of([1, 0, 0, 0])), "ANCILLA_INIT", "does not live on the ancilla wires", id="ancilla-space"
+        ),
+        pytest.param(
+            lambda: dataclasses.replace(_z_on_q0(), ancilla_wires=("q1", "q9")), "ANCILLA_INIT", "unknown wires ['q9']", id="ancilla-wires"
+        ),
+    ],
+)
+def test_validate_reports_each_code_on_a_minimal_circuit(make, code, message):
+    assert validate_circuit(_z_on_q0()) == []
+    found = [v for v in validate_circuit(make()) if v.code == code]
+    assert found and any(message in v.message for v in found), found
+
+
+def test_every_violation_code_is_named_in_this_file():
+    """A code that ``validate_circuit`` can give is tested here: a new one cannot land untested."""
+    import pathlib
+
+    from meastree import circuits
+
+    made = set(re.findall(r'Violation\(\s*"([A-Z_]+)"', pathlib.Path(circuits.__file__).read_text(encoding="utf-8")))
+    here = pathlib.Path(__file__).read_text(encoding="utf-8")
+    assert len(made) >= 20
+    assert sorted(code for code in made if f'"{code}"' not in here) == []
+
+
 @pytest.mark.parametrize("n_gates, exploded", [(14, False), (15, True)])
 def test_validate_path_explosion_counts_prefixes_per_depth(n_gates, exploded):
     # n sequential Z measurements on one wire leave 2^n prefixes after the
@@ -458,11 +536,11 @@ def test_sample_run_is_scale_free():
 
 
 def test_input_isometry_is_built_once_per_circuit(monkeypatch):
-    from meastree import circuits
+    from meastree import linalg
 
     calls = []
-    build = circuits._input_isometry
-    monkeypatch.setattr(circuits, "_input_isometry", lambda c: calls.append(c) or build(c))
+    build = linalg._input_isometry
+    monkeypatch.setattr(linalg, "_input_isometry", lambda c: calls.append(c) or build(c))
     c = teleportation()
     rho = DensityOperator.of(projector(haar_ket(2, np.random.default_rng(2))), c.principal_spec)
     paths = enumerate_paths(c)

@@ -13,7 +13,7 @@ from meastree import linalg
 from meastree.circuits import enumerate_paths, simulate_path
 from meastree.cli import _matrix_lines, main
 from meastree.demos import DEMOS, teleportation
-from meastree.linalg import HilbertSpec, Measurement, _walk, configure_tolerances, partial_trace_matrix
+from meastree.linalg import HilbertSpec, Measurement, _walk, configure_tolerances, measure_z, partial_trace_matrix
 from meastree.rand import random_circuit, random_density
 from meastree.serialize import circuit_from_json, circuit_to_json, matrix_to_json, tree_to_json, vector_to_json
 from meastree.trees import build_tree
@@ -451,6 +451,55 @@ def test_tolerance_env_var_malformed_is_exit_1(demo_files, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["demo"])
     assert code == 1
     assert "MEASTREE_TOL" in err
+
+
+def test_tolerance_env_var_out_of_range_is_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("MEASTREE_TOL", "2")
+    code, out, err = run_cli(capsys, ["demo"])
+    assert (code, out) == (1, "")
+    assert "tolerance must be in (0, 1)" in err
+
+
+def test_validate_a_measurement_file(tmp_path, capsys):
+    from meastree.serialize import measurement_to_json
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(measurement_to_json(measure_z())))
+    bad.write_text(json.dumps(measurement_to_json(Measurement({"0": np.diag([1, 0]), "1": np.diag([0, 0.5])}))))
+    code, out, _ = run_cli(capsys, ["validate", str(good)])
+    assert code == 0 and json.loads(out) == {"kind": "measurement", "valid": True, "problems": []}
+    code, out, _ = run_cli(capsys, ["validate", str(good), "--format", "table"])
+    assert (code, out) == (0, "measurement: OK\n")
+    code, out, _ = run_cli(capsys, ["validate", str(bad)])
+    assert code == 2 and "completeness defect" in out
+
+
+def test_tree_verb_on_a_tree_with_an_incomplete_node_is_exit_2(tmp_path, capsys):
+    space = HilbertSpec.of([("q", 2)])
+    half = Measurement({"0": np.diag([1, 0]), "1": np.diag([0, 0.5])})
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(tree_to_json(build_tree(space, (half, {"0": None, "1": None})))))
+    code, out, err = run_cli(capsys, ["tree", "--tree", str(tree)])
+    assert (code, out) == (2, "")
+    assert "completeness defect" in err
+
+
+def test_demo_table_lists_the_five_demos_and_an_unknown_demo_is_exit_1(capsys):
+    code, out, _ = run_cli(capsys, ["demo", "--format", "table"])
+    assert code == 0
+    assert out.split() == ["code_embedding", "coin", "feedforward_x", "measure_discard", "teleportation"]
+    code, out, err = run_cli(capsys, ["demo", "nope"])
+    assert (code, out) == (1, "")
+    assert "unknown demo" in err
+
+
+def test_a_tree_input_of_neither_size_is_exit_1(tmp_path, capsys):
+    tree, state = tmp_path / "tree.json", tmp_path / "state.json"
+    tree.write_text(json.dumps(tree_to_json(build_tree(HilbertSpec.of([("q", 2)]), (measure_z(), {"0": None, "1": None})))))
+    state.write_text(json.dumps({"vector": vector_to_json(np.ones(3) / np.sqrt(3))}))
+    code, out, err = run_cli(capsys, ["simulate", "--tree", str(tree), "--input", str(state)])
+    assert (code, out) == (1, "")
+    assert "matches neither the principal nor the full space" in err
 
 
 def test_tolerance_env_var_applies(demo_files, capsys, monkeypatch):

@@ -526,16 +526,16 @@ def test_probe_matrix_is_basis_then_extras_then_successive_haar_kets(d):
 
 def test_input_isometry_is_built_once_per_call(monkeypatch):
     """E is built once per tree and shared by every later analysis of it."""
-    from meastree import trees
+    from meastree import linalg
 
     calls = []
-    build = trees._input_isometry
+    build = linalg._input_isometry
 
     def counting(t):
         calls.append(t)
         return build(t)
 
-    monkeypatch.setattr(trees, "_input_isometry", counting)
+    monkeypatch.setattr(linalg, "_input_isometry", counting)
     t = reduced(teleportation)
     assert len(t.branches()) == 4
     check_set_independence(t, t.branches(), probes=4, seed=0)

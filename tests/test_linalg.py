@@ -356,22 +356,25 @@ def test_kron_broadcast_is_np_kron_bit_for_bit():
 
 
 def test_cached_properties_are_computed_once_per_instance(monkeypatch):
-    """Each lazily cached attribute runs its function on the first read only and keeps the
-    value in the instance ``__dict__``, where every later read finds the same object."""
+    """Each lazily cached attribute, of the class or a base it shares, runs its function on
+    the first read only and keeps the value in the instance ``__dict__``, where every later
+    read finds the same object."""
     c = teleportation()
     t, _ = reduce_circuit(c)
     seen = set()
     for obj in (c.space, measure_z(), c, t):
         cls = type(obj)
-        names = [name for name, attr in vars(cls).items() if isinstance(attr, _cached_property)]
+        props = {name: attr for owner in reversed(cls.__mro__) for name, attr in vars(owner).items()}
+        names = [name for name, attr in props.items() if isinstance(attr, _cached_property)]
         seen.update(f"{cls.__name__}.{name}" for name in names)
-        for name in names:
-            prop, calls = vars(cls)[name], []
-            assert getattr(cls, name) is prop and prop.__doc__ == prop.func.__doc__
-            monkeypatch.setattr(prop, "func", lambda self, f=prop.func: calls.append(self) or f(self))
-            vars(obj).pop(name, None)
-            first = getattr(obj, name)
-            assert getattr(obj, name) is first and vars(obj)[name] is first
-            assert [x for x in calls if x is obj] == [obj]
+        with monkeypatch.context() as patch:  # a base's property is patched anew for each class
+            for name in names:
+                prop, calls = props[name], []
+                assert getattr(cls, name) is prop and prop.__doc__ == prop.func.__doc__
+                patch.setattr(prop, "func", lambda self, f=prop.func: calls.append(self) or f(self))
+                vars(obj).pop(name, None)
+                first = getattr(obj, name)
+                assert getattr(obj, name) is first and vars(obj)[name] is first
+                assert [x for x in calls if x is obj] == [obj]
     assert len(seen) == 14
     assert not measure_z()._stack.flags.writeable

@@ -232,6 +232,27 @@ def test_linearize_records_what_validating_the_linear_circuit_finds():
         assert validate_circuit(linear) == linear.violations == []
 
 
+def test_merged_ids_that_collide_get_layer_prefixes_and_keep_every_path():
+    """A gate named "a+b" alone in layer 0, then gates "a" and "b" in layer 1: both layers merge
+    to the id "a+b", so linearize names them by layer, and the reduction keeps all 8 paths."""
+    space = HilbertSpec.of([("p", 2), ("x", 2), ("y", 2)])
+    gates = [measurement_gate(gid, (w,), measure_z()) for gid, w in (("a+b", "p"), ("a", "x"), ("b", "y"))]
+    ancilla = np.array([1, 2, 3, 4j]) / np.sqrt(30)  # every ancilla outcome has weight
+    c = Circuit.build(space, ["p"], gates, schedule=[["a+b"], ["a", "b"]], ancilla_init=ancilla)
+    linear, _ = linearize(c)
+    assert set(linear.gates) == {"L0:a+b", "L1:a+b"} and validate_circuit(linear) == []
+    t, bij = reduce_circuit(c)
+    rho = DensityOperator.of(projector(haar_ket(2, np.random.default_rng(5))), c.principal_spec)
+    tree_out = run_tree(t, DensityOperator.of(np.kron(rho.matrix, projector(ancilla)), t.space))
+    paths = enumerate_paths(c)
+    assert len(paths) == len(tree_out) == 8
+    for path in paths:
+        p_circ, s_circ = simulate_path(c, path, rho)
+        p_tree, s_tree = tree_out[bij.forward[path]]
+        assert p_circ > 0 and p_tree == pytest.approx(p_circ, abs=1e-12)
+        assert np.max(np.abs(s_tree - s_circ)) <= 1e-12
+
+
 def test_completeness_survives_reduction():
     rng = np.random.default_rng(44)
     for _ in range(5):
