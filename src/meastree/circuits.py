@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .linalg import (
     TOL,
+    _ANCILLA_NORM_SLACK,
     DensityOperator,
     HilbertSpec,
     Ket,
@@ -309,6 +311,11 @@ class Circuit(_Roles):
         return tuple(flattened_gates(self))
 
     @_cached_property
+    def _bounds(self) -> tuple[int, ...]:
+        """Where each schedule layer starts in ``_order``, then where the last one ends."""
+        return tuple(accumulate((len(layer) for layer in self.schedule), initial=0))
+
+    @_cached_property
     def _steps(self) -> list[tuple[Gate, tuple[str, ...], tuple[int, ...], dict]]:
         """Per gate in execution order: the gate, its classical sources, their
         positions in a prefix, and the memo from their outcomes to the
@@ -437,7 +444,7 @@ def validate_circuit(c: Circuit) -> list[Violation]:
         anc_spec = c.space.restrict(ancilla)
         if c.ancilla_init.space != anc_spec or len(c.ancilla_init.vector) != anc_spec.dim:
             v.append(Violation("ANCILLA_INIT", None, "ancilla_init does not live on the ancilla wires"))
-        elif not abs(c.ancilla_init.norm() - 1.0) <= 1e-9:
+        elif not abs(c.ancilla_init.norm() - 1.0) <= _ANCILLA_NORM_SLACK:
             v.append(Violation("ANCILLA_INIT", None, f"ancilla_init norm {c.ancilla_init.norm():.6f} != 1"))
     except ValueError as exc:
         v.append(Violation("ANCILLA_INIT", None, str(exc)))

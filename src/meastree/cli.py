@@ -30,7 +30,6 @@ from .circuits import (
     Circuit,
     InvalidCircuitError,
     _simulate,
-    flattened_gates,
     validate_circuit,
 )
 from .demos import DEMOS
@@ -46,7 +45,7 @@ from .linalg import (
     partial_trace_matrix,
     projector,
 )
-from .reduction import _branch_of, _layer_bounds, linearize, reduce_circuit
+from .reduction import _branch_of, linearize, reduce_circuit
 from .serialize import (
     _circuit_payload,
     _json_text,
@@ -168,8 +167,7 @@ def _paths(c: Circuit, spec: str | None = None) -> list[tuple[dict[str, str], st
     named = listed = [_path_route(c, spec)] if spec is not None else []
     if not named or any("/" in label for label in named[0]):
         listed = [p for p, g, _, _ in _walk(c) if g is None]
-    bounds = _layer_bounds(c)
-    labels = dict(zip(listed, _route_labels([_branch_of(p, bounds) for p in listed])))
+    labels = dict(zip(listed, _route_labels([_branch_of(p, c._bounds) for p in listed])))
     return [(_path_json(c._order, p), labels[p]) for p in named or listed]
 
 
@@ -261,7 +259,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_paths(args: argparse.Namespace) -> int:
     c = _load_valid_circuit(args.circuit)
-    paths, order = [p for p, g, _, _ in _walk(c) if g is None], flattened_gates(c)
+    paths, order = [p for p, g, _, _ in _walk(c) if g is None], c._order
     if args.format == "table":
         _require_path_texts("paths", order, paths)
         for p in paths:
@@ -280,7 +278,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         c = _load_valid_circuit(args.circuit)
         rho = DensityOperator.of(_state_matrix(kind, arr), c.principal_spec)
         route = _path_route(c, args.path) if args.path else None
-        order, prefixes = flattened_gates(c), []
+        order, prefixes = c._order, []
         # each chunk of paths is reduced before the next is made: at most one chunk of outputs is held
         for chunk, probabilities, traces, sigmas in _simulate(c, rho, route):
             prefixes += chunk
@@ -387,7 +385,7 @@ def _cmd_check_unitary(args: argparse.Namespace) -> int:
     u = matrix_from_json(_load_json(args.operator), "operator")
     iso = check_isometry_scaling(c, u)
     target = iso.t_scale * u if iso.t_scale is not None else u  # the operator rescaled to an isometry
-    # both checks read each path's V and SVD from one memo, so each path is decomposed once
+    # both checks read each path's factor from its one record, so each path is decomposed and factored once
     rows = [(label, *check_computes(c, path, target, args.probes, args.seed)) for path, label in _paths(c)]
     branch_rows = [
         {

@@ -12,14 +12,15 @@ Every verdict is exact and read off the branch isometry ``V_b = C_b E / |a|``,
 where ``C_b`` is the branch's composed operator and the columns of ``E``
 are the joint inputs ``e_i (x) ancilla``. The D x d_P matrix ``V_b`` is
 built by carrying ``E`` down the branch one outcome operator at a time,
-so the D x D operator ``C_b`` is never formed. For as long as a circuit
-or tree lives, this module keeps, read-only, the ``V_b`` of every branch
-analysed on it and the SVD that factoring needs (``_MEMO``), so each
-branch is walked and decomposed once; the tolerances and the probe
-cross-checks still apply on every call. The seeded probe matrix is kept
-per ``(d_P, probes, seed)``. A branch fires on a principal
-state rho with probability ``Tr(V_b rho V_b^dag)``, so its exact range
-over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
+so the D x D operator ``C_b`` is never formed. Each circuit or tree
+keeps, read-only, one record per branch analysed on it, which goes with
+the object: ``V_b``, and the SVD and the factor U (x) b once factoring
+needs them, so each branch is walked, decomposed and factored once. The
+factor is kept with the zero threshold ``TOL.zero`` it was made under
+and made anew under another; the probe cross-checks still apply on
+every call. The seeded probe matrix is kept per ``(d_P, probes,
+seed)``. A branch fires on a principal state rho with probability
+``Tr(V_b rho V_b^dag)``, so its exact range over inputs is ``[lambda_min, lambda_max]`` of ``V_b^dag V_b``, and a
 set of branches is input-independent iff the sum of those is ``p I``.
 The branch computes an isometry U, sending ``psi (x) ancilla`` to
 ``U psi (x) b``, iff ``V_b`` reshaped to (output ancilla) x (output
@@ -36,7 +37,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .linalg import (
     frob_norm,
     identity,
 )
-from .reduction import _branch_of, _layer_bounds
+from .reduction import _branch_of
 from .trees import Branch, MeasurementTree
 
 __all__ = [
@@ -73,11 +73,15 @@ EPS_RANK = 1e-8
 EPS_FACT = 1e-8
 # Slack of the probe cross-checks, which catch a wrong exact answer, not rounding.
 EPS_CHECK = 1e-7
+# The widest probability range that reads as input-independent, for one branch
+# or a set, and the narrowest that reads as dependent for one branch.
+EPS_FLAT = 1e-9
+EPS_DEPENDENT = 1e-6
+# How closely a supplied operator must match a branch factor U, relative to its
+# scale, and how far from 1 the modulus of the matching scalar may be.
+EPS_COMPUTES = 1e-9
 # Seeded Haar kets that cross-check a factorization by default.
 _WITNESS_PROBES = 4
-# Per circuit or tree, for as long as it lives: per route analysed, the branch its
-# reports name and its read-only V, and the SVD of V that factoring needs (``_memo``).
-_MEMO: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,44 +142,37 @@ def _principal_dim(roles: Circuit | MeasurementTree) -> int:
     return roles._isometry.shape[1]
 
 
-def _memo(roles: Circuit | MeasurementTree) -> tuple[dict, dict, list[int] | None]:
-    """``roles``' entry of ``_MEMO``: ``{route: (branch, V)}``, ``{route: _svd(roles, V)}``
-    and, for a circuit, the ``_layer_bounds`` that map its paths to branches."""
-    if (memo := _MEMO.get(roles)) is None:
-        memo = _MEMO[roles] = ({}, {}, _layer_bounds(roles) if isinstance(roles, Circuit) else None)
-    return memo
-
-
-def _block(roles: Circuit | MeasurementTree, key) -> tuple[Branch, Branch, np.ndarray]:
-    """``(route, branch, V)`` of ``key``, a branch of a tree or a path of a circuit, after
-    ``_principal_dim``'s checks: the outcome labels from the root and ``_known`` there.
+def _block(roles: Circuit | MeasurementTree, key) -> list:
+    """The record ``[branch, V, svd, factor]`` of ``key``, a branch of a tree or a path of a
+    circuit, after ``_principal_dim``'s checks: ``_known`` at its outcome labels from the root.
     ValueError if ``key`` is not a branch of the tree, or not a coherent path of the circuit."""
     _principal_dim(roles)
     if not (circuit := isinstance(roles, Circuit)):
         route = tuple(key)
     else:
         route = roles._prefix(key) if set(key) == set(roles.gates) else None
-    if route is None or (known := _known(roles, route)) is None:
+    if route is None or (record := _known(roles, route)) is None:
         raise ValueError(f"not a coherent path: {dict(key)}" if circuit else f"{route!r} is not a branch of the tree")
-    return route, *known
+    return record
 
 
-def _known(roles: Circuit | MeasurementTree, route: Branch) -> tuple[Branch, np.ndarray] | None:
-    """``(branch, V)`` at ``route``, kept in ``_MEMO``: the branch that reports name and
-    ``V = C E / |a|`` (D x d_P), read-only; None unless ``route`` ends a path or a branch.
+def _known(roles: Circuit | MeasurementTree, route: Branch) -> list | None:
+    """The record ``[branch, V, svd, factor]`` at ``route``, kept in ``roles._analysed``: the
+    branch that reports name, ``V = C E / |a|`` (D x d_P), read-only, and the slots that
+    ``_factored`` fills; None unless ``route`` ends a path or a branch.
 
     V is carried down from the blocks that ``route`` shares with the route walked
     last (``linalg._resume``), without forming ``C``, so routes taken in walk
     order apply each edge once.
     """
-    blocks, _, bounds = _memo(roles)
-    if (known := blocks.get(route)) is None:
+    if (record := roles._analysed.get(route)) is None:
         if (v := _resume(roles, route)) is None:
             return None
         v = v / roles._ancilla_norm  # probabilities per unit input norm
         v.flags.writeable = False
-        known = blocks[route] = (route if bounds is None else _branch_of(route, bounds), v)
-    return known
+        branch = _branch_of(route, roles._bounds) if isinstance(roles, Circuit) else route
+        record = roles._analysed[route] = [branch, v, None, None]
+    return record
 
 
 def _svd(roles, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,19 +187,23 @@ def _svd(roles, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return svd
 
 
-def _branch_svd(roles: Circuit | MeasurementTree, route: Branch, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_svd`` of the ``V`` at ``route``, computed once per route and kept in ``_MEMO``."""
-    _, svds, _ = _memo(roles)
-    if (svd := svds.get(route)) is None:
-        svd = svds[route] = _svd(roles, v)
-    return svd
+def _factored(roles, record: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_factor`` of a record's V, read-only, from its ``_svd`` made once; kept in the record with
+    the ``TOL.zero`` it was made under, the one threshold it reads that a caller can change, and
+    made anew under another."""
+    if record[2] is None:
+        record[2] = _svd(roles, record[1])
+    if record[3] is None or record[3][0] != TOL.zero:
+        record[3] = (TOL.zero, _factor(roles, record[2]))
+        for a in record[3][1] or ():
+            a.flags.writeable = False
+    return record[3][1]
 
 
 def _factor(roles, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
     """``(U, b)`` with ``V = U (x) b`` and ``U^dag U = I``, or None, from ``_svd(roles, V)``.
 
     The first nonzero entry of U, in column order, is real and positive.
-    The tolerances apply on every call.
     """
     s, left, right = svd
     d_in = roles._isometry.shape[1]
@@ -231,13 +232,25 @@ def _scalar(u: np.ndarray, w: np.ndarray, eps: float) -> complex | None:
 def _probe_kets(d_in: int, probes: int, seed: int, extra=None) -> np.ndarray:
     """The d_P x n probe columns: the basis kets, the caller's kets normalized, then seeded
     Haar kets, drawn from the stream that ``probes`` successive ``haar_ket`` calls consume.
-    Without ``extra`` the matrix is shared and read-only."""
+    Without ``extra`` the matrix is shared and read-only. ValueError naming the index of a
+    caller's ket that has not d_P entries, or a non-finite entry, or no finite nonzero norm."""
     if probes < 0:
         raise ValueError(f"probe count must be >= 0, got {probes}")
     kets = _seeded_probes(d_in, probes, seed)
     if extra is None:
         return kets
-    given = [np.asarray(x, dtype=complex).reshape(-1, 1) / np.linalg.norm(x) for x in extra]
+    given = []
+    for i, x in enumerate(extra):
+        x = np.asarray(x, dtype=complex).reshape(-1, 1)
+        if len(x) != d_in:
+            raise ValueError(f"extra probe {i} has {len(x)} entries, the principal input {d_in}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"extra probe {i} has a non-finite entry")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(x)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"extra probe {i} has norm {norm}, which cannot be normalized")
+        given.append(x / norm)
     return np.hstack([kets[:, :d_in], *given, kets[:, d_in:]])
 
 
@@ -251,27 +264,21 @@ def _seeded_probes(d_in: int, probes: int, seed: int) -> np.ndarray:
     return kets
 
 
-def _spectral_range(gram: np.ndarray, sums: np.ndarray) -> tuple[float, float]:
-    """``lo, hi``: the extreme eigenvalues of ``gram``, a summed ``V^dag V``, from one ``eigvalsh``.
-    Each probe's summed ``|V psi|^2`` in ``sums`` must lie in ``[lo, hi]``, else AssertionError."""
-    lam = np.linalg.eigvalsh(gram).tolist()
-    lo, hi = _clamp_probability(lam[0]), _clamp_probability(lam[-1])
-    sums = sums.tolist()
-    p_min, p_max = min(sums), max(sums)
-    if p_min < lo - EPS_CHECK or p_max > hi + EPS_CHECK:
-        raise AssertionError(f"probe probabilities {p_min:.12f}-{p_max:.12f} leave the exact range {(lo, hi)}")
-    return lo, hi
-
-
 def _range(isos, kets: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """``lo, hi, gram``: ``_spectral_range`` of ``gram``, the summed ``V_b^dag V_b`` over ``isos``,
-    cross-checked by the probe columns of ``kets``."""
+    """``lo, hi, gram``: the extreme eigenvalues, from one ``eigvalsh``, of ``gram``, the summed
+    ``V_b^dag V_b`` over ``isos``. Each probe column of ``kets`` must have its summed
+    ``|V_b psi|^2`` in ``[lo, hi]``, else AssertionError."""
     gram = np.zeros((len(kets), len(kets)), dtype=complex)
     p = np.zeros(kets.shape[1])
     for v in isos:
         gram += dagger(v) @ v
-        p += np.sum(np.abs(v @ kets) ** 2, axis=0)
-    return *_spectral_range(gram, p), gram
+        p += (np.abs(v @ kets) ** 2).sum(axis=0)
+    lam, sums = np.linalg.eigvalsh(gram).tolist(), p.tolist()
+    lo, hi = _clamp_probability(lam[0]), _clamp_probability(lam[-1])
+    p_min, p_max = min(sums), max(sums)
+    if p_min < lo - EPS_CHECK or p_max > hi + EPS_CHECK:
+        raise AssertionError(f"probe probabilities {p_min:.12f}-{p_max:.12f} leave the exact range {(lo, hi)}")
+    return lo, hi, gram
 
 
 def _witness_miss(roles, v: np.ndarray, kets: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
@@ -298,8 +305,8 @@ def _operator(roles, operator: np.ndarray) -> np.ndarray:
 
 def _computes(fact: tuple[np.ndarray, np.ndarray] | None, u: np.ndarray) -> bool:
     """Is ``u`` the factor U of ``fact`` up to a phase?"""
-    alpha = None if fact is None else _scalar(u, fact[0], 1e-9)
-    return not (alpha is None or abs(abs(alpha) - 1.0) > 1e-9)
+    alpha = None if fact is None else _scalar(u, fact[0], EPS_COMPUTES)
+    return not (alpha is None or abs(abs(alpha) - 1.0) > EPS_COMPUTES)
 
 
 def _scaling(factors, u: np.ndarray, eps: float) -> IsometryScalingReport:
@@ -347,14 +354,15 @@ def factor_branch(
     normalization exists. ``residual`` is the witness's largest miss on
     the basis kets and ``random_probes`` seeded Haar-random kets.
     """
-    route, key, v = _block(roles, branch)
-    svd = _branch_svd(roles, route, v)
+    record = _block(roles, branch)
+    key, v = record[:2]
     kets = _probe_kets(v.shape[1], random_probes, seed)
-    if (fact := _factor(roles, svd)) is None:
+    if (fact := _factored(roles, record)) is None:
         return None
     u, b = fact
     kind = "unitary" if u.shape[0] == u.shape[1] else "isometry-only"
-    return BranchFactorization(key, u, b, _witness_miss(roles, v, kets, u, b), float(np.vdot(b, b).real), kind)
+    miss = _witness_miss(roles, v, kets, u, b)
+    return BranchFactorization(key, u.copy(), b.copy(), miss, float(np.vdot(b, b).real), kind)
 
 
 def check_independence(
@@ -368,16 +376,17 @@ def check_independence(
 
     ``roles`` is a circuit, whose branches are its paths, or a tree with
     wire roles. The range is ``[lambda_min, lambda_max]`` of ``V_b^dag
-    V_b``. Verdict "independent" needs its width within 1e-9,
-    "dependent" means above 1e-6, anything between is "inconclusive".
+    V_b``. Verdict "independent" needs its width within ``EPS_FLAT``,
+    "dependent" means above ``EPS_DEPENDENT``, anything between is
+    "inconclusive".
     The probe kets (all principal basis states, optional caller-supplied
     kets and ``probes`` seeded Haar-random kets) cross-check that range.
     """
-    _, key, v = _block(roles, branch)
+    key, v, _, _ = _block(roles, branch)
     kets = _probe_kets(v.shape[1], probes, seed, extra_probes)
-    lo, hi = _spectral_range(dagger(v) @ v, (np.abs(v @ kets) ** 2).sum(axis=0))
+    lo, hi, _ = _range((v,), kets)
     spread = hi - lo
-    verdict = "independent" if spread <= 1e-9 else "dependent" if spread > 1e-6 else "inconclusive"
+    verdict = "independent" if spread <= EPS_FLAT else "dependent" if spread > EPS_DEPENDENT else "inconclusive"
     return IndependenceReport(key, kets.shape[1], lo, hi, spread, verdict)
 
 
@@ -399,13 +408,13 @@ def check_computes(
     Haar-random kets), or ``(False, inf)``. ValueError unless the
     operator maps the principal input into the output principal space.
     """
-    route, _, v = _block(roles, branch)
+    record = _block(roles, branch)
     u = _operator(roles, operator)
     kets = _probe_kets(u.shape[1], probes, seed)
-    fact = _factor(roles, _branch_svd(roles, route, v))
+    fact = _factored(roles, record)
     if not _computes(fact, u):
         return False, float("inf")
-    return True, _witness_miss(roles, v, kets, *fact)
+    return True, _witness_miss(roles, record[1], kets, *fact)
 
 
 def check_set_independence(
@@ -419,16 +428,16 @@ def check_set_independence(
     ``roles`` is a circuit, whose branches are its paths, or a tree with
     wire roles. The exact range of the total is ``[lambda_min,
     lambda_max]`` of the summed ``V_b^dag V_b``; the set is independent,
-    with constant ``trace / d_P``, when its width is within 1e-9, and
+    with constant ``trace / d_P``, when its width is within ``EPS_FLAT``, and
     dependent otherwise. The branches need not factor. The basis kets and
     ``probes`` seeded Haar-random kets cross-check the range.
     """
     d_in = _principal_dim(roles)
     kets = _probe_kets(d_in, probes, seed)
-    blocks = [_block(roles, b) for b in branches]
-    keys = tuple(key for _, key, _ in blocks)
-    lo, hi, gram = _range((v for _, _, v in blocks), kets)
-    if hi - lo > 1e-9:
+    records = [_block(roles, b) for b in branches]
+    keys = tuple(key for key, *_ in records)
+    lo, hi, gram = _range((v for _, v, *_ in records), kets)
+    if hi - lo > EPS_FLAT:
         return SetIndependenceReport(keys, "dependent", None, lo, hi, hi - lo)
     return SetIndependenceReport(keys, "independent", float(np.trace(gram).real) / d_in, lo, hi, hi - lo)
 
@@ -483,5 +492,5 @@ def check_isometry_scaling(
     _principal_dim(roles)
     u = _operator(roles, operator)
     routes = (p for p, _, m, _ in _walk(roles) if m is None)  # a valid circuit has no selection hole
-    known = ((route, *_known(roles, route)) for route in routes)
-    return _scaling(((key, _factor(roles, _branch_svd(roles, route, v))) for route, key, v in known), u, eps)
+    records = (_known(roles, route) for route in routes)
+    return _scaling(((record[0], _factored(roles, record)) for record in records), u, eps)

@@ -264,6 +264,10 @@ class Ket:
         return float(np.linalg.norm(self.vector))
 
 
+# How far from 1 the norm of a circuit's or a tree's ancilla vector may be for it to validate.
+_ANCILLA_NORM_SLACK = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unnormalized state: Hermitian, PSD, trace strictly positive.
@@ -456,10 +460,14 @@ def _probabilities(sigmas: np.ndarray, t0: float) -> tuple[list[float], list[flo
     return [_clamp_probability(t / t0) for t in traces], traces
 
 
-def _clamp_probability(p: float, slack: float = 1e-9) -> float:
-    if -slack <= p <= 0.0:  # also turns -0.0 into 0.0
+# How far past [0, 1] rounding may push a probability that ``_clamp_probability`` clamps.
+_CLAMP_SLACK = 1e-9
+
+
+def _clamp_probability(p: float) -> float:
+    if -_CLAMP_SLACK <= p <= 0.0:  # also turns -0.0 into 0.0
         return 0.0
-    if 1.0 < p <= 1.0 + slack:
+    if 1.0 < p <= 1.0 + _CLAMP_SLACK:
         return 1.0
     return p
 
@@ -506,9 +514,9 @@ def _input_isometry(roles) -> np.ndarray:
 
 
 class _Roles:
-    """The memos of the wire roles that circuits and trees share: ``E``, ``|a|`` and the spine
-    that ``_resume`` keeps. A subclass has ``space``, ``principal_wires``, ``ancilla_wires``,
-    ``ancilla_init`` and ``output_principal_wires``."""
+    """The memos of the wire roles that circuits and trees share: ``E``, ``|a|``, the spine
+    that ``_resume`` keeps and the records of ``independence``. A subclass has ``space``,
+    ``principal_wires``, ``ancilla_wires``, ``ancilla_init`` and ``output_principal_wires``."""
 
     @property
     def output_principal(self) -> tuple[str, ...] | None:
@@ -529,6 +537,11 @@ class _Roles:
         """``[label, C E, fan]`` after each edge of the route walked last, from ``[None, E, None]``:
         one block per level, and the images of it under the level's outcomes, if computed (``_resume``)."""
         return [[None, self._isometry, None]]
+
+    @_cached_property
+    def _analysed(self) -> dict:
+        """Per route analysed, its record ``[branch, V, svd, factor]`` (``independence._known``)."""
+        return {}
 
 
 def lift_operator(op: np.ndarray, on: Sequence[str], space: HilbertSpec) -> np.ndarray:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .circuits import Circuit, Gate, Path, Selection, _completeness_violations, flattened_gates
+from .circuits import Circuit, Gate, Path, Selection, _completeness_violations
 from .linalg import _joint, _walk
 from .trees import Branch, MeasurementTree, TreeNode
 
@@ -44,11 +43,6 @@ class Bijection:
         return len(self.forward)
 
 
-def _layer_bounds(c: Circuit) -> list[int]:
-    """Where each schedule layer starts in ``flattened_gates(c)``, then where the last one ends."""
-    return list(accumulate((len(layer) for layer in c.schedule), initial=0))
-
-
 def _branch_of(prefix: Sequence[str], bounds: Sequence[int]) -> Branch:
     """The branch of ``reduce_circuit`` that a path takes, or the segment of a prefix that
     ends a layer: each whole layer's outcome labels, in execution order, joined with "|"."""
@@ -67,8 +61,7 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     complete within tolerance can have a product that is not.
     """
     c.require_valid()
-    flat = flattened_gates(c)
-    bounds = _layer_bounds(c)
+    flat, bounds = c._order, c._bounds
     layers = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
     merged_ids = ["+".join(layer) for layer in layers]
     if len(set(merged_ids)) != len(merged_ids):

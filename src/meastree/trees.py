@@ -24,6 +24,7 @@ import numpy as np
 
 from .linalg import (
     TOL,
+    _ANCILLA_NORM_SLACK,
     DensityOperator,
     HilbertSpec,
     Ket,
@@ -152,7 +153,7 @@ def validate_tree(t: MeasurementTree) -> list[str]:
     if init is not None:
         if not set(ancilla) <= set(t.space.wires) or len(init.vector) != t.space.restrict(ancilla).dim:
             problems.append("ancilla_init does not live on the ancilla wires")
-        elif not abs(init.norm() - 1.0) <= 1e-9:
+        elif not abs(init.norm() - 1.0) <= _ANCILLA_NORM_SLACK:
             problems.append(f"ancilla_init norm {init.norm():.6f} != 1")
     seen: set[Branch] = set()
     stack: list[Branch] = [()]  # preorder, each child keyed by its route

@@ -748,3 +748,20 @@ def test_simulate_path_resolves_routes_only_through_edges(monkeypatch, expand_ca
             shared.append(next((i for i, (a, b) in enumerate(zip(before, route)) if a != b), len(route)))
         assert [start for start, _ in resolved] == shared
         assert sum(n for _, n in resolved) == len(expand_calls)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c, path, rho: full_input(c, rho), "principal input has dimension 3, circuit expects 2"),
+        (lambda c, path, rho: embed_principal_ket(c, np.ones(3)), "principal ket has length 3, expected 2"),
+        (lambda c, path, rho: simulate_path(c, path, rho), "principal input has dimension 3, circuit expects 2"),
+        (lambda c, path, rho: Circuit.build(c.space, c.principal_wires, [c.gates["mz0"]] * 2), "duplicate gate ids"),
+    ],
+    ids=["full_input", "embed_principal_ket", "simulate_path", "duplicate-gate-ids"],
+)
+def test_inputs_of_the_wrong_dimension_and_duplicate_gate_ids_raise(call, message):
+    c = teleportation()
+    rho = DensityOperator.of(np.eye(3) / 3)
+    with pytest.raises(ValueError, match=message):
+        call(c, enumerate_paths(c)[0], rho)

@@ -65,6 +65,13 @@ def test_validate_ok(demo_files, capsys):
     assert json.loads(out)["violations"] == []
 
 
+@pytest.mark.parametrize("payload", [[1, 2], {"wires": []}], ids=["array", "no-known-key"])
+def test_validate_a_document_of_no_known_kind_is_exit_1(tmp_path, capsys, payload):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    assert run_cli(capsys, ["validate", str(doc)]) == (1, "", "error: expected a circuit, tree, or measurement JSON object\n")
+
+
 def test_validate_malformed_json_is_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -380,6 +387,47 @@ def test_check_unitary_coin_scale(demo_files, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["t_scale"] == pytest.approx(np.sqrt(2), abs=1e-9)
+
+
+def tilted_coin():
+    """``coin`` with its ``heads`` operator scaled by ``1 + 1e-7``: complete only within 1e-5."""
+    from meastree.circuits import Circuit, measurement_gate
+    from meastree.demos import coin
+
+    c = coin()
+    flip = dict(c.gates["flip"].measurements[0].outcomes)
+    flip["heads"] = flip["heads"] * (1 + 1e-7)
+    return Circuit.build(c.space, c.principal_wires, [measurement_gate("flip", ("q",), Measurement(flip))])
+
+
+def test_scaling_of_a_tilted_coin_is_failed_within_a_loose_tolerance():
+    from meastree.independence import check_isometry_scaling
+    from meastree.linalg import ID2
+
+    configure_tolerances(1e-5)
+    report = check_isometry_scaling(tilted_coin(), ID2)
+    assert report.t_scale == pytest.approx(math.hypot(1 + 1e-7, 1) / math.sqrt(2), rel=1e-12)
+    assert (report.verdict, report.detail) == ("failed", "rescaled operator is not an isometry")
+
+
+@pytest.mark.parametrize("tol, code", [(None, 2), ("1e-5", 3)], ids=["default", "loose"])
+def test_check_unitary_on_a_tilted_coin(tmp_path, capsys, monkeypatch, tol, code):
+    """At the default tolerance the tilted coin is no valid circuit; within 1e-5 it is, and its
+    identity operator rescaled by t_scale misses an isometry: the verdict is failed."""
+    circuit, op = tmp_path / "coin.json", tmp_path / "op.json"
+    circuit.write_text(json.dumps(circuit_to_json(tilted_coin())))
+    op.write_text(json.dumps(matrix_to_json(np.eye(2))))
+    if tol is not None:
+        monkeypatch.setenv("MEASTREE_TOL", tol)
+    got, out, err = run_cli(capsys, ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--seed", "0"])
+    assert got == code
+    if tol is None:
+        assert out == "" and "MEASUREMENT_COMPLETENESS" in err
+        return
+    doc = json.loads(out)
+    assert doc["t_scale"] == pytest.approx(1.00000005, rel=1e-12)
+    assert (doc["verdict"], doc["detail"]) == ("failed", "rescaled operator is not an isometry")
+    assert [row["computes"] for row in doc["branches"]] == [False, False]  # t_scale I is no isometry
 
 
 def test_output_is_deterministic_for_fixed_seed(demo_files, capsys):

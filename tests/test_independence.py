@@ -356,6 +356,47 @@ def test_each_edge_is_applied_once_and_each_branch_decomposed_once(tmp_path, mon
     assert len(kernel_calls) == sum(1 for _, _, m, _ in _walk(teleportation()) if m is not None)
 
 
+def test_check_unitary_factors_each_path_once_and_again_only_under_a_new_zero_threshold(
+    tmp_path, monkeypatch, kernel_calls
+):
+    from meastree import independence
+    from meastree.circuits import enumerate_paths
+    from meastree.cli import main
+    from meastree.linalg import TOL, _walk, configure_tolerances
+    from meastree.serialize import circuit_to_json, matrix_to_json
+
+    monkeypatch.setattr(TOL, "zero", TOL.zero)  # restored after the test
+    factors, factor = [], independence._factor
+    monkeypatch.setattr(independence, "_factor", lambda *args: factors.append(args) or factor(*args))
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
+
+    # check-unitary reads each path's factor twice, for the scaling test and the per-path test,
+    # and makes it once, with the decompositions and kernel calls of a single analysis
+    c = teleportation()
+    circuit, op = tmp_path / "teleportation.json", tmp_path / "op.json"
+    circuit.write_text(json.dumps(circuit_to_json(c)))
+    op.write_text(json.dumps(matrix_to_json(I2)))
+    argv = ["check-unitary", "--circuit", str(circuit), "--operator", str(op), "--probes", "4", "--seed", "0"]
+    assert main(argv) == 0
+    assert len(factors) == len(svds) == len(enumerate_paths(c)) == 4
+    assert kernel_calls.rows() == sum(1 for _ in _walk(c)) - 1
+    assert len(kernel_calls) == sum(1 for _, _, m, _ in _walk(c) if m is not None)
+
+    # a new zero threshold factors each path again from the SVD kept in its record
+    paths = enumerate_paths(c)
+    for path in paths:
+        factor_branch(c, path)
+        check_computes(c, path, I2)
+    check_isometry_scaling(c, I2)
+    assert len(factors) == len(svds) == 8
+    configure_tolerances(zero=1e-13)
+    for path in paths:
+        factor_branch(c, path)
+    check_isometry_scaling(c, I2)
+    assert (len(factors), len(svds)) == (12, 8)
+
+
 def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
     from meastree.linalg import TOL, configure_tolerances
 
@@ -375,8 +416,11 @@ def test_tolerances_set_between_calls_apply_to_a_memoised_tree(monkeypatch):
 
 
 def test_memoised_analysis_is_read_only_and_unchanged_by_callers():
+    import gc
+    import weakref
+
     from meastree.circuits import enumerate_paths
-    from meastree.independence import _MEMO, _probe_kets
+    from meastree.independence import _probe_kets
 
     for make, pick in ((lambda: reduced(teleportation), lambda t: t.branches()[1]), (teleportation, lambda c: enumerate_paths(c)[1])):
         roles = make()
@@ -389,9 +433,8 @@ def test_memoised_analysis_is_read_only_and_unchanged_by_callers():
         assert np.array_equal(again.principal_operator, want.principal_operator)
         assert np.array_equal(again.ancilla_vector, want.ancilla_vector)
         assert again.residual == want.residual
-        blocks, svds, _ = _MEMO[roles]
-        assert len(blocks) == len(svds) == 1
-        memo = [v for _, v in blocks.values()] + [a for svd in svds.values() for a in svd]
+        ((_, v, svd, (_, fact)),) = roles._analysed.values()
+        memo = [v, *svd, *fact]
         memo += [a for _, block, fan in roles._spine for a in [block, *(fan or {}).values()]]
         memo.append(_probe_kets(2, 4, seed=0))
         for a in memo:
@@ -399,11 +442,56 @@ def test_memoised_analysis_is_read_only_and_unchanged_by_callers():
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 1.0
         # the memo goes with the circuit or tree it was made for
-        held = len(_MEMO)
-        del roles
-        assert len(_MEMO) == held - 1
+        held, analysed = weakref.ref(roles), weakref.ref(v)
+        del roles, v, svd, fact, memo, first, again
+        gc.collect()
+        assert held() is None and analysed() is None
     assert _probe_kets(2, 4, seed=0) is _probe_kets(2, 4, seed=0)
     assert _probe_kets(2, 4, seed=0, extra=[np.ones(2)]).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones(3), "extra probe 1 has 3 entries, the principal input 2"),
+        (np.zeros(2), "extra probe 1 has norm 0.0, which cannot be normalized"),
+        (np.array([np.nan, 1.0]), "extra probe 1 has a non-finite entry"),
+        (np.array([1.0, np.inf]), "extra probe 1 has a non-finite entry"),
+        (np.array([1e300, 1e300]), "extra probe 1 has norm inf, which cannot be normalized"),
+    ],
+    ids=["wrong-size", "zero", "nan", "inf", "norm-overflows"],
+)
+def test_an_extra_probe_that_is_no_principal_ket_is_named(bad, message):
+    from meastree.circuits import enumerate_paths
+
+    c = teleportation()
+    plus = (basis_ket(2, 0) + basis_ket(2, 1)) / np.sqrt(2)
+    with pytest.raises(ValueError) as exc:
+        check_independence(c, enumerate_paths(c)[0], probes=2, extra_probes=[plus, bad])
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda roles, branch: factor_branch(roles, branch), "state has zero trace"),
+        (lambda roles, branch: check_set_independence(roles, [branch]), "state has zero trace"),
+        (lambda roles, branch: check_computes(roles, branch, np.eye(4)), "does not act on the principal input"),
+        (lambda roles, branch: check_isometry_scaling(roles, np.ones(2)), "does not act on the principal input"),
+    ],
+    ids=["factor-zero-ancilla", "set-zero-ancilla", "computes-wrong-input", "scaling-not-a-matrix"],
+)
+def test_analysis_rejects_a_zero_ancilla_vector_and_an_operator_off_the_principal_input(call, message):
+    import dataclasses
+
+    from meastree.linalg import Ket
+
+    t = reduced(teleportation)
+    if message == "state has zero trace":
+        anc = t.ancilla_init
+        t = dataclasses.replace(t, ancilla_init=Ket(np.zeros_like(anc.vector), anc.space))
+    with pytest.raises(ValueError, match=message):
+        call(t, t.branches()[0])
 
 
 def test_carried_branch_isometry_equals_the_branch_operator_route():
@@ -420,9 +508,10 @@ def test_carried_branch_isometry_equals_the_branch_operator_route():
         e = _input_isometry(t)
         for path, branch in bij.forward.items():
             want = branch_operator(t, branch) @ e / t.ancilla_init.norm()
-            assert np.max(np.abs(_block(t, branch)[2] - want)) <= 1e-12
-            route, key, v = _block(c, path)
-            assert (route, key) == (c._prefix(path), branch)
+            assert np.max(np.abs(_block(t, branch)[1] - want)) <= 1e-12
+            record = _block(c, path)
+            key, v = record[:2]
+            assert key == branch and c._analysed[c._prefix(path)] is record
             assert np.max(np.abs(v - want)) <= 1e-12
 
 
@@ -546,23 +635,24 @@ def test_input_isometry_is_built_once_per_call(monkeypatch):
 
 
 def test_probe_cross_checks_match_the_per_ket_loop_and_catch_a_wrong_answer():
-    from meastree.independence import _block, _branch_svd, _factor, _probe_kets, _spectral_range, _witness_miss
+    from meastree.independence import _block, _factored, _probe_kets, _range, _witness_miss
     from meastree.linalg import bipartition_ket
 
     t = reduced(teleportation)
     kets = _probe_kets(2, 8, seed=3)
     for branch in t.branches():
-        route, _, v = _block(t, branch)
-        u, b = _factor(t, _branch_svd(t, route, v))
+        record = _block(t, branch)
+        v = record[1]
+        u, b = _factored(t, record)
         images = [v @ psi for psi in kets.T]
         misses = [np.linalg.norm(bipartition_ket(x, t.space, t.output_principal) - np.outer(u @ psi, b))
                   for x, psi in zip(images, kets.T)]
         assert _witness_miss(t, v, kets, u, b) == pytest.approx(max(misses), abs=1e-15)
         probs = np.array([np.vdot(x, x).real for x in images])
-        lo, hi = _spectral_range(dagger(v) @ v, probs)
+        lo, hi, _ = _range((v,), kets)
         assert lo - 1e-12 <= probs.min() <= probs.max() <= hi + 1e-12
         with pytest.raises(AssertionError, match="exact range"):
-            _spectral_range(dagger(v) @ v, 4 * probs)
+            _range((v,), 2 * kets)
         with pytest.raises(AssertionError, match="miss the factorization"):
             _witness_miss(t, v, kets, PAULI_X @ u, b)
 
@@ -706,7 +796,7 @@ def test_c6_verbs_report_the_ranges_and_factors_of_the_branch_operators(c6, tmp_
     for i in np.random.default_rng(0).choice(len(branches), size=20, replace=False):
         branch = branches[i]
         v = branch_operator(t, branch) @ e / norm
-        assert np.max(np.abs(_block(c6, paths[branch])[2] - v)) <= 1e-12
+        assert np.max(np.abs(_block(c6, paths[branch])[1] - v)) <= 1e-12
         lam = np.linalg.eigvalsh(dagger(v) @ v)
         assert ranges[route_label(branch)] == pytest.approx((lam[0], lam[-1]), abs=1e-12)
         blocks = bipartition_ket(v, t.space, t.output_principal)  # output principal x ancilla x input

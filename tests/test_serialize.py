@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meastree.circuits import enumerate_paths, full_input, simulate_path, validate_circuit
+from meastree.circuits import Selection, enumerate_paths, full_input, simulate_path, validate_circuit
 from meastree.demos import DEMOS, teleportation
-from meastree.linalg import DensityOperator, HilbertSpec, Measurement, haar_ket, projector
+from meastree.linalg import DensityOperator, HilbertSpec, Measurement, basis_ket, haar_ket, projector
 from meastree.rand import random_circuit, random_density, random_measurement, random_tree
 from meastree.reduction import reduce_circuit
 from meastree.serialize import (
@@ -236,6 +236,58 @@ def test_circuit_from_json_rejects_malformed_documents():
         circuit_from_json(broken)
     with pytest.raises(ValueError):
         circuit_from_json([])
+
+
+_Z = {str(i): projector(basis_ket(2, i)) for i in range(2)}
+
+
+def _edit(doc, path, value):
+    """``doc`` with the entry at ``path``, a list of keys, set to ``value``, or removed for ``...``."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is ...:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "loader, path, value, message",
+    [
+        (circuit_from_json, ["wires", 0, "output_role"], "both", "circuit.wires[0]: output_role must be principal or ancilla"),
+        (circuit_from_json, ["gates", 6, "selection"], {}, "circuit.gates[6].selection: expected an array of rules"),
+        (circuit_from_json, ["gates", 6, "selection", 0, "when"], [], "circuit.gates[6].selection[0].when: expected an object"),
+        (circuit_from_json, ["gates", 6, "selection", 0, "use"], "0", "circuit.gates[6].selection[0].use: expected an integer"),
+        (circuit_from_json, ["gates", 0, "measurements"], [], "circuit.gates[0].measurements: expected a non-empty array"),
+        (tree_from_json, [], [], "tree: expected a JSON object"),
+        (tree_from_json, ["nodes", "/", "children", "1"], ..., "tree.nodes['/']: no child for outcome '1'"),
+    ],
+    ids=["output-role", "selection-not-array", "when-not-object", "use-not-integer", "no-measurements",
+         "tree-not-object", "missing-child"],
+)
+def test_loaders_name_each_malformed_entry(loader, path, value, message):
+    if loader is circuit_from_json:
+        doc = circuit_to_json(teleportation())
+        assert doc["gates"][6]["id"] == "corr_x"
+    else:
+        doc = tree_to_json(build_tree(HilbertSpec.of([("q", 2)]), (Measurement.of(_Z), {"0": None, "1": None})))
+    doc = json.loads(json.dumps(doc))
+    if path:
+        _edit(doc, path, value)
+    else:
+        doc = value
+    with pytest.raises(ValueError) as exc:
+        loader(doc)
+    assert str(exc.value) == message
+
+
+def test_a_gate_without_selection_gets_the_constant_table():
+    doc = json.loads(json.dumps(circuit_to_json(teleportation())))
+    del doc["gates"][0]["selection"]
+    c = circuit_from_json(doc)
+    assert c.gates[doc["gates"][0]["id"]].selection == Selection.constant(0)
+    assert c.violations == []
 
 
 def test_tree_round_trip_for_reduced_demos():

@@ -233,6 +233,12 @@ def test_run_tree_rejects_zero_trace_input():
         run_tree(t, zero)
 
 
+def test_run_tree_rejects_an_input_of_the_wrong_size():
+    t = h_then_z_tree()
+    with pytest.raises(ValueError, match="input dim 4 != tree space dim 2"):
+        run_tree(t, DensityOperator.of(np.eye(4) / 4))
+
+
 def test_build_tree_label_mismatch_raises():
     with pytest.raises(ValueError):
         build_tree(Q, (z_measurement(), {"0": None, "nope": None}))
@@ -497,19 +503,18 @@ def _reduced_demos_and_randoms():
 def test_branch_isometries_resume_the_same_blocks_in_any_order():
     # V_b taken in reversed branches() order equals V_b of a fresh copy of the tree, and a
     # route that is not a branch raises and leaves the memo of the branches taken as it was
-    from meastree.independence import _MEMO, _block
+    from meastree.independence import _block
 
     for t in _reduced_demos_and_randoms():
         for branch in reversed(t.branches()):
-            memo = dict(_MEMO[t][0]) if t in _MEMO else {}
+            memo = dict(t._analysed)
             inner = [branch[:-1], branch[:-1] + ("not an outcome",)] if branch else []
             for route in [branch + ("x",), *inner]:
                 with pytest.raises(ValueError, match="is not a branch of the tree"):
                     _block(t, route)
-            blocks = _MEMO[t][0]
-            assert blocks.keys() == memo.keys()
-            assert all(blocks[key] is v for key, v in memo.items())
-            assert np.array_equal(_block(t, branch)[2], _block(dataclasses.replace(t), branch)[2])
+            assert t._analysed.keys() == memo.keys()
+            assert all(t._analysed[key] is record for key, record in memo.items())
+            assert np.array_equal(_block(t, branch)[1], _block(dataclasses.replace(t), branch)[1])
 
 
 def test_branch_isometries_expand_each_node_once(expand_calls):
