@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate
 
 import numpy as np
@@ -35,10 +36,10 @@ from .linalg import (
     _cached_property,
     _child,
     _edges,
-    _leaf_outputs,
     _outputs,
     _resume,
     _Roles,
+    _run,
     _walk,
     basis_ket,
     embed_principal,
@@ -301,9 +302,14 @@ class Circuit(_Roles):
     def ancilla_spec(self) -> HilbertSpec:
         return self.space.restrict(self.ancilla_wires)
 
-    @_cached_property
+    @property
     def violations(self) -> list[Violation]:
-        return validate_circuit(self)
+        """``validate_circuit(self)``, kept with the ``TOL.complete`` it was found under, the one
+        tolerance it reads, and found again under another."""
+        kept = self.__dict__.get("_verdict")
+        if kept is None or kept[0] != TOL.complete:
+            kept = self._verdict = (TOL.complete, validate_circuit(self))
+        return kept[1]
 
     @_cached_property
     def _order(self) -> tuple[str, ...]:
@@ -379,29 +385,13 @@ def _prerequisite_edges(c: Circuit) -> set[tuple[str, str]]:
 
 
 def _has_cycle(nodes: Iterable[str], edges: set[tuple[str, str]]) -> bool:
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
+    sorter = TopologicalSorter({n: () for n in nodes})
     for f, g in edges:
-        if f in adj:
-            adj[f].append(g)
-    state: dict[str, int] = {}  # 1 while on the depth-first stack, 2 when finished
-    for root in adj:
-        if state.get(root, 0):
-            continue
-        state[root] = 1
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            n, succ = stack[-1]
-            for m in succ:
-                s = state.get(m, 0)
-                if s == 1:
-                    return True
-                if s == 0:
-                    state[m] = 1
-                    stack.append((m, iter(adj.get(m, ()))))
-                    break
-            else:
-                state[n] = 2
-                stack.pop()
+        sorter.add(g, f)
+    try:
+        sorter.prepare()
+    except CycleError:
+        return True
     return False
 
 
@@ -608,24 +598,10 @@ def _input_trace(c: Circuit, rho: DensityOperator) -> float:
 
 
 def _simulate(c: Circuit, rho: DensityOperator, route: tuple[str, ...] | None = None):
-    """Yield ``(prefixes, probabilities, traces, outputs)`` per chunk of the complete paths
-    the walk reaches, in walk order, or of the one path ``route``, a complete prefix that
-    ``_resume`` carries ``V`` down: their outcome prefixes, probabilities and output
-    traces, and the ``(m, D, D)`` stack of their outputs ``V rho V^dag``.
-
-    The walk carries ``V = C E``, so ``V rho V^dag`` is the path's output
-    ``C (rho (x) |a><a|) C^dag``: column i of E is ``e_i (x) ancilla``. A
-    chunk is a run of consecutive paths whose blocks and outputs fit in
-    ``linalg._STACK_BYTES``, made by one stacked product
-    (``linalg._leaf_outputs``); an output above the bound (D = 256) is made
-    alone. Each output is bit for bit what ``simulate_path`` gives.
-    """
-    t0 = _input_trace(c, rho)
-    if route is None:
-        leaves = ((prefix, v) for prefix, g, _, v in _walk(c, c._isometry) if g is None)
-    else:
-        leaves = [(route, _resume(c, route))]
-    yield from _leaf_outputs(leaves, rho.matrix, t0)
+    """``linalg._run`` on ``c``: ``(prefixes, probabilities, traces, outputs)`` per chunk of
+    the complete paths in walk order, or of the one complete prefix ``route``. Each output
+    is bit for bit what ``simulate_path`` gives."""
+    yield from _run(c, rho.matrix, _input_trace(c, rho), route)
 
 
 def simulate_path(c: Circuit, path: Mapping[str, str], rho: DensityOperator) -> tuple[float, np.ndarray]:

@@ -42,7 +42,6 @@ from .linalg import (
     configure_tolerances,
     embed_principal,
     frob_norm,
-    partial_trace_matrix,
     projector,
 )
 from .reduction import _branch_of, linearize, reduce_circuit
@@ -57,7 +56,7 @@ from .serialize import (
     tree_from_json,
     tree_to_dot,
 )
-from .trees import MeasurementTree, _principal_part, _route_labels, run_tree, validate_tree
+from .trees import MeasurementTree, _principal_part, _route_labels, _runs, validate_tree
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -177,6 +176,15 @@ def _load_valid_circuit(path: str) -> Circuit:
     return c
 
 
+def _load_valid_tree(path: str) -> MeasurementTree:
+    """The tree in ``path``; InvalidCircuitError with its ``validate_tree`` problems, which
+    ``main`` reports as it reports a circuit's violations: one a line, exit 2."""
+    t = tree_from_json(_load_json(path))
+    if problems := validate_tree(t):
+        raise InvalidCircuitError(problems)
+    return t
+
+
 def _state_matrix(kind: str, arr: np.ndarray) -> np.ndarray:
     """The matrix of a state file's ket or density matrix. A ket too large to
     square gives entries of inf or NaN, which ``DensityOperator.of`` rejects."""
@@ -273,39 +281,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.path and not args.circuit:
         raise ValueError("--path applies only with --circuit")
     kind, arr = state_from_json(_load_json(args.input))
-    rows: list[dict[str, Any]] = []
     if args.circuit:
-        c = _load_valid_circuit(args.circuit)
+        roles = c = _load_valid_circuit(args.circuit)
         rho = DensityOperator.of(_state_matrix(kind, arr), c.principal_spec)
-        route = _path_route(c, args.path) if args.path else None
-        order, prefixes = c._order, []
-        # each chunk of paths is reduced before the next is made: at most one chunk of outputs is held
-        for chunk, probabilities, traces, sigmas in _simulate(c, rho, route):
-            prefixes += chunk
-            reduced = _partial_traces(sigmas, c.space, c.output_principal)
-            rows += [
-                {"path": _path_json(order, p), "probability": prob, "output_trace": trace, "principal_output": r}
-                for p, prob, trace, r in zip(chunk, probabilities, traces, reduced)
-            ]
-        if args.format == "table":
-            _require_path_texts("simulate", order, prefixes)
-            labels = [_path_text(order, p) for p in prefixes]
+        key, runs = "path", _simulate(c, rho, _path_route(c, args.path) if args.path else None)
     else:
-        t = tree_from_json(_load_json(args.tree))
-        problems = validate_tree(t)
-        if problems:
-            for line in problems:
-                print(line, file=sys.stderr)
-            return EXIT_INVALID
-        sigma0 = _tree_input(t, kind, arr)
-        results = run_tree(t, sigma0)  # in walk order, the order of t.branches()
-        labels = _route_labels(list(results))
-        for label, (prob, sigma) in zip(labels, results.values()):
-            row: dict[str, Any] = {"branch": label, "probability": prob, "output_trace": float(sigma.trace().real)}
-            if t.has_roles():
-                row["principal_output"] = partial_trace_matrix(sigma, t.space, t.output_principal)
-            rows.append(row)
-        labels = [label or "(root)" for label in labels]
+        roles = t = _load_valid_tree(args.tree)
+        key, runs = "branch", _runs(t, _tree_input(t, kind, arr))  # in walk order, the order of t.branches()
+    routes, rows = [], []
+    # each chunk is reduced before the next is made: at most one chunk of outputs is held
+    for chunk, probabilities, traces, sigmas in runs:
+        routes += chunk
+        rows += [{key: None, "probability": prob, "output_trace": trace} for prob, trace in zip(probabilities, traces)]
+        reduced = _partial_traces(sigmas, roles.space, roles.output_principal) if roles.has_roles() else ()
+        for row, r in zip(rows[-len(chunk) :], reduced):
+            row["principal_output"] = r
+    if args.circuit:
+        order = c._order
+        names = [_path_json(order, p) for p in routes]
+        if args.format == "table":
+            _require_path_texts("simulate", order, routes)
+            labels = [_path_text(order, p) for p in routes]
+    else:
+        names = _route_labels(routes)
+        labels = [name or "(root)" for name in names]
+    for row, name in zip(rows, names):
+        row[key] = name
 
     if args.format == "table":
         table_rows = [
@@ -333,12 +334,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         c = _load_valid_circuit(args.circuit)
         t, _ = reduce_circuit(c)
     else:
-        t = tree_from_json(_load_json(args.tree))
-        problems = validate_tree(t)
-        if problems:
-            for line in problems:
-                print(line, file=sys.stderr)
-            return EXIT_INVALID
+        t = _load_valid_tree(args.tree)
     if args.dot:
         _write_or_print(tree_to_dot(t), args.output)
     else:

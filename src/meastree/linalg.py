@@ -32,13 +32,13 @@ only while its ``n`` images and ``n`` operators fit in
 and is slower than ``n`` single ones, and edges are applied one by one,
 each operator through the same kernel as a one-row stack.
 
-Leaves are finished the same way: ``_chunks`` cuts a walk's leaves into
-runs of consecutive blocks that fit in ``_STACK_BYTES`` with their
-``D x D`` outputs, ``_outputs`` makes a run's outputs ``V rho V^dag``
-in one matmul pair (``_branch_output`` is its single-block case) and
-``_probabilities`` their traces in one batched trace, as
-``_partial_traces`` reduces a stack of outputs in one einsum
-(``partial_trace_matrix`` is its one-row case).
+Leaves are finished the same way, by one leaf loop, ``_run``: ``_chunks``
+cuts a walk's leaves into runs of consecutive blocks that fit in
+``_STACK_BYTES`` with their ``D x D`` outputs, ``_outputs`` makes a
+run's outputs ``V rho V^dag`` in one matmul pair (``_branch_output`` is
+its single-block case) and ``_probabilities`` their traces in one
+batched trace, as ``_partial_traces`` reduces a stack of outputs in one
+einsum (``partial_trace_matrix`` is its one-row case).
 """
 
 from __future__ import annotations
@@ -522,6 +522,10 @@ class _Roles:
     def output_principal(self) -> tuple[str, ...] | None:
         return self.output_principal_wires if self.output_principal_wires is not None else self.principal_wires
 
+    def has_roles(self) -> bool:
+        """Are the principal wires and the ancilla vector known? Always, for a circuit."""
+        return self.principal_wires is not None and self.ancilla_init is not None
+
     @_cached_property
     def _isometry(self) -> np.ndarray:
         """The input isometry ``E``, read-only, built on first use."""
@@ -664,11 +668,16 @@ def _chunks(leaves: Iterable[tuple[object, np.ndarray]], outputs: bool = False):
         yield stacked()
 
 
-def _leaf_outputs(leaves: Iterable[tuple[object, np.ndarray]], rho: np.ndarray, t0: float):
-    """``(keys, probabilities, traces, outputs)`` per run of ``leaves``, consecutive pairs
-    ``(key, V)`` of carried blocks ``V = C E`` chunked by ``_chunks``: one ``_outputs``
-    product per run, so never more than ``_STACK_BYTES`` of outputs are made at once,
-    and a ``D x D`` output above the bound is made alone, as ``_branch_output`` makes it."""
+def _run(roles, rho: np.ndarray, t0: float, route: tuple[str, ...] | None = None):
+    """``(keys, probabilities, traces, outputs)`` per ``_chunks`` run of the leaves of ``roles``,
+    a circuit or a tree, on the principal input ``rho`` of joint trace ``t0``: every leaf in
+    walk order, or the one ``route`` that ``_resume`` carries ``V = C E`` down. An output is
+    ``V rho V^dag = C (rho (x) |a><a|) C^dag``, from one ``_outputs`` product per run; one
+    above ``_STACK_BYTES`` is made alone, as ``_branch_output`` makes it."""
+    if route is None:
+        leaves = ((key, v) for key, _, m, v in _walk(roles, roles._isometry) if m is None)
+    else:
+        leaves = [(route, _resume(roles, route))]
     for keys, vs in _chunks(leaves, outputs=True):
         sigmas = _outputs(vs, rho)
         yield keys, *_probabilities(sigmas, t0), sigmas

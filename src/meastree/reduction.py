@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, Path, Selection, _completeness_violations
-from .linalg import _joint, _walk
+from .linalg import TOL, _joint, _walk
 from .trees import Branch, MeasurementTree, TreeNode
 
 __all__ = ["Bijection", "linearize", "tree_from_linear", "reduce_circuit"]
@@ -130,11 +130,11 @@ def linearize(c: Circuit) -> tuple[Circuit, Bijection]:
     )
     # Merged from a valid circuit, the linear circuit can fail validation only
     # where a merged measurement is not complete: check that alone, once, and
-    # record the result as the linear circuit's violations.
+    # record the result as the linear circuit's violations under this TOL.complete.
     violations = [x for g in new_gates for x in _completeness_violations(g.gate_id, g.measurements)]
     if violations:
         raise ValueError("; ".join(map(str, violations)))
-    linear.violations = violations
+    linear._verdict = (TOL.complete, violations)
     return linear, Bijection.from_pairs((c._path(prefix), linear._path(segment)) for prefix, segment in ends)
 
 

@@ -10,9 +10,9 @@ outcome operators into one composed operator, so the set of all
 branches behaves like a single measurement over branch labels. Running
 a tree carries unnormalized states downward and never renormalizes. On
 a principal input ``E rho E^dag`` of a tree with a small principal
-space it carries ``V = C E`` (``D x d_P``), as the circuit simulator
-does, and forms the ``D x D`` output only at the leaves; any other
-input carries the ``D x D`` state itself.
+space it runs the circuit's leaf loop, ``linalg._run``, carrying
+``V = C E`` (``D x d_P``); any other input carries the ``D x D`` state
+itself. Both carries yield the same chunks of leaves (``_runs``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .linalg import (
     Measurement,
     _chunks,
     _edges,
-    _leaf_outputs,
     _probabilities,
     _Roles,
+    _run,
     _sandwich,
     _walk,
     apply_local,
@@ -105,9 +105,6 @@ class MeasurementTree(_Roles):
         if (node := self.nodes.get(key)) is None:
             raise ValueError(f"the tree has no node at {key!r}")
         return node, node.measurement, self.wires_of(node)
-
-    def has_roles(self) -> bool:
-        return self.principal_wires is not None and self.ancilla_init is not None
 
 
 def build_tree(
@@ -198,34 +195,41 @@ def run_tree(
 
     A branch's probability is its output's trace over the input's trace,
     so it does not depend on the input's scale; below a running state
-    that hits zero, outputs and probabilities are zero.
+    that hits zero, outputs and probabilities are zero. The outputs are
+    the caller's: none shares memory with the input or with another run.
 
     A principal input ``sigma0 = E rho E^dag`` on a tree whose principal
-    space is at most an eighth of the whole carries the ``D x d_P`` block
-    ``V = C E`` down each edge and gives ``V rho V^dag`` at each leaf, as
-    the circuit simulator does. Any other input carries the ``D x D``
-    state and applies each edge on both sides. Either way the leaves are
-    taken in chunks of consecutive leaves that fit in
-    ``linalg._STACK_BYTES`` (``linalg._chunks``): each chunk's outputs come
-    from one stacked product, or its traces from one batched trace, and a
-    leaf above the bound is taken alone.
+    space is at most an eighth of the whole runs the circuit's leaf loop,
+    ``linalg._run``: ``V = C E`` down each edge, ``V rho V^dag`` at each
+    leaf. Any other input carries the ``D x D`` state and applies each
+    edge on both sides. Either way the leaves are taken in chunks of
+    consecutive leaves that fit in ``linalg._STACK_BYTES``
+    (``linalg._chunks``): each chunk's outputs come from one stacked
+    product, or its traces from one batched trace, and a leaf above the
+    bound is taken alone.
     """
+    out: dict[Branch, tuple[float, np.ndarray]] = {}
+    for keys, probabilities, _, sigmas in _runs(t, sigma0):
+        out.update(zip(keys, zip(probabilities, sigmas)))
+    return out
+
+
+def _runs(t: MeasurementTree, sigma0: DensityOperator):
+    """``(branches, probabilities, traces, outputs)`` per chunk of ``t``'s branches in walk
+    order on ``sigma0``, from the carry ``run_tree`` describes; ValueError for an input of
+    the wrong size or of zero trace."""
     if sigma0.matrix.shape[0] != t.space.dim:
         raise ValueError(f"input dim {sigma0.matrix.shape[0]} != tree space dim {t.space.dim}")
     if (t0 := sigma0.trace()) <= TOL.zero:
         raise ValueError("input state has zero trace")
     sigma = np.asarray(sigma0.matrix, dtype=complex)
-    out: dict[Branch, tuple[float, np.ndarray]] = {}
     if (rho := _principal_part(t, sigma)) is not None:
-        leaves = ((key, v) for key, _, m, v in _walk(t, t._isometry) if m is None)
-        for keys, probabilities, _, sigmas in _leaf_outputs(leaves, rho, t0):
-            out.update(zip(keys, zip(probabilities, sigmas)))
-        return out
-    leaves = ((key, s) for key, _, m, s in _walk(t, sigma, apply=_sandwich) if m is None)
+        yield from _run(t, rho, t0)
+        return
+    # a copy: the root's block is the carried state, and the output of a root leaf
+    leaves = ((key, s) for key, _, m, s in _walk(t, sigma.copy(), apply=_sandwich) if m is None)
     for keys, sigmas in _chunks(leaves):
-        probabilities, _ = _probabilities(sigmas, t0)
-        out.update(zip(keys, zip(probabilities, sigmas)))
-    return out
+        yield keys, *_probabilities(sigmas, t0), sigmas
 
 
 def _principal_part(t: MeasurementTree, sigma: np.ndarray) -> np.ndarray | None:

@@ -396,6 +396,19 @@ def _z_on_q0(**kw):
             "cycle",
             id="prereq-cycle",
         ),
+        pytest.param(
+            lambda: Circuit.build(
+                HilbertSpec.of([("q0", 2), ("q1", 2), ("q2", 2)]),
+                ["q0"],
+                [
+                    selected_gate(g, (w,), [s], [measure_z()], [({s: "0"}, 0), ({s: "1"}, 0)])
+                    for g, w, s in (("a", "q0", "c"), ("b", "q1", "a"), ("c", "q2", "b"))
+                ],
+            ),
+            "PREREQ_CYCLE",
+            "cycle",
+            id="prereq-three-cycle",
+        ),
         pytest.param(lambda: dataclasses.replace(_z_on_q0(), gate_order=()), "GATE_ORDER", "permutation", id="gate-order"),
         pytest.param(
             lambda: _z_on_q0(ancilla_init=Ket.of([1, 0, 0, 0])), "ANCILLA_INIT", "does not live on the ancilla wires", id="ancilla-space"

@@ -11,11 +11,11 @@ import pytest
 
 from meastree import linalg
 from meastree.circuits import enumerate_paths, simulate_path
-from meastree.cli import _matrix_lines, main
+from meastree.cli import _matrix_lines, _paths, main
 from meastree.demos import DEMOS, teleportation
 from meastree.linalg import HilbertSpec, Measurement, _walk, configure_tolerances, measure_z, partial_trace_matrix
 from meastree.rand import random_circuit, random_density
-from meastree.serialize import circuit_from_json, circuit_to_json, matrix_to_json, tree_to_json, vector_to_json
+from meastree.serialize import circuit_from_json, circuit_to_json, matrix_from_json, matrix_to_json, tree_to_json, vector_to_json
 from meastree.trees import build_tree
 
 
@@ -410,6 +410,24 @@ def test_scaling_of_a_tilted_coin_is_failed_within_a_loose_tolerance():
     assert (report.verdict, report.detail) == ("failed", "rescaled operator is not an isometry")
 
 
+def test_a_kept_verdict_follows_the_completeness_tolerance_both_ways():
+    """A circuit validated at the default tolerance is validated again within 1e-5, where the
+    tilted coin is valid and its scaling is failed, and again back at the default, where it
+    is invalid: the kept verdict is the one of the ``TOL.complete`` in force."""
+    from meastree.circuits import InvalidCircuitError, validate_circuit
+    from meastree.independence import check_isometry_scaling
+    from meastree.linalg import ID2
+
+    c = tilted_coin()
+    assert [v.code for v in c.violations] == ["MEASUREMENT_COMPLETENESS"]
+    configure_tolerances(1e-5)
+    assert validate_circuit(c) == c.violations == []
+    assert check_isometry_scaling(c, ID2).verdict == "failed"
+    configure_tolerances(1e-9)
+    with pytest.raises(InvalidCircuitError, match="MEASUREMENT_COMPLETENESS"):
+        check_isometry_scaling(c, ID2)
+
+
 @pytest.mark.parametrize("tol, code", [(None, 2), ("1e-5", 3)], ids=["default", "loose"])
 def test_check_unitary_on_a_tilted_coin(tmp_path, capsys, monkeypatch, tol, code):
     """At the default tolerance the tilted coin is no valid circuit; within 1e-5 it is, and its
@@ -634,11 +652,26 @@ def test_simulate_circuit_rows_equal_simulate_path(tmp_path, capsys):
             }
 
 
+def _assert_paths_and_branches_agree(c, path_rows, branch_rows):
+    """Row i of ``simulate --tree`` on ``c``'s tree is the branch of path i, row i of
+    ``simulate --circuit``, under the label the analysis verbs give it (``cli._paths``),
+    with its probability, output trace and principal output within 1e-12."""
+    paths = _paths(c)
+    assert [row["path"] for row in path_rows] == [path for path, _ in paths]
+    assert [row["branch"] for row in branch_rows] == [label for _, label in paths]
+    for a, b in zip(path_rows, branch_rows, strict=True):
+        assert abs(a["probability"] - b["probability"]) <= 1e-12
+        assert abs(a["output_trace"] - b["output_trace"]) <= 1e-12
+        diff = matrix_from_json(a["principal_output"]) - matrix_from_json(b["principal_output"])
+        assert np.abs(diff).max() <= 1e-12
+
+
 def test_simulate_prints_the_same_bytes_at_every_chunk_bound(tmp_path, capsys, monkeypatch):
     """``simulate`` on a circuit and on its tree prints the same stdout, in json and table
     format, whether leaves are taken one by one (bound 0), in runs of a few (4 KiB), at the
     default bound or all at once: on the five demos and on random draws, and on the
-    circuit of a draw of 324 paths."""
+    circuit of a draw of 324 paths. The circuit's paths and the tree's branches agree
+    row for row."""
     rng = np.random.default_rng(17)
     cases = [(name, make()) for name, make in sorted(DEMOS.items())]
     cases += [(f"random{s}", random_circuit(np.random.default_rng(s))) for s in range(3)]
@@ -650,12 +683,16 @@ def test_simulate_prints_the_same_bytes_at_every_chunk_bound(tmp_path, capsys, m
         if c is not many:
             sources.append(["--tree", tree := str(tmp_path / f"{name}_tree.json")])
             assert run_cli(capsys, ["tree", "--circuit", circuit, "-o", tree])[0] == 0
+        docs = []
         for fmt, source in itertools.product(("json", "table"), sources):
             outs = []
             for bound in bounds:
                 monkeypatch.setattr(linalg, "_STACK_BYTES", bound)
                 outs.append(run_cli(capsys, ["simulate", *source, "--input", state, "--format", fmt]))
             assert outs[0][0] == 0 and all(out == outs[0] for out in outs)
+            docs.append(outs[0][1])
+        if c is not many:
+            _assert_paths_and_branches_agree(c, *map(json.loads, docs[:2]))
     assert len(enumerate_paths(many)) == 324  # two chunks at the default bound
 
 

@@ -18,6 +18,7 @@ from meastree.circuits import (
 from meastree.demos import DEMOS, feedforward_x, teleportation
 from meastree.linalg import (
     CNOT,
+    TOL,
     DensityOperator,
     HilbertSpec,
     _walk,
@@ -228,7 +229,7 @@ def test_linearize_records_what_validating_the_linear_circuit_finds():
     circuits += [random_circuit(rng, require_multigate_layer=True, require_classical_channel=True) for _ in range(10)]
     for c in circuits:
         linear, _ = linearize(c)
-        assert "violations" in vars(linear)  # recorded, not computed on first read
+        assert vars(linear)["_verdict"] == (TOL.complete, [])  # recorded, not computed on first read
         assert validate_circuit(linear) == linear.violations == []
 
 

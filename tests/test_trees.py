@@ -608,7 +608,9 @@ def test_leaf_outputs_in_chunks_and_one_by_one_are_the_same_bit_for_bit(seed, n_
     """With no chunk stacked (bound 0) and every leaf of a walk in one chunk (bound inf),
     ``_simulate``, ``simulate_path`` and both carries of ``run_tree`` give the same paths and
     branches in the same order, equal probabilities and traces, and outputs equal bit for bit;
-    one by one, each output is its block's own ``V rho V^dag``."""
+    one by one, each output is its block's own ``V rho V^dag``. The outputs of ``run_tree``
+    are the caller's on both carries, a root leaf's too: writable, and overwriting them
+    changes neither the input nor the next run."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, n_wires=n_wires, max_paths=24)
     t, _ = reduce_circuit(c)
@@ -631,6 +633,14 @@ def test_leaf_outputs_in_chunks_and_one_by_one_are_the_same_bit_for_bit(seed, n_
     blocks = [v for prefix, g, _, v in _walk(c, c._isometry) if g is None]
     for v, row in zip(blocks, sims, strict=True):
         assert np.array_equal(v @ rho.matrix @ v.conj().T, row[3])
+    for tree, sigma, want in ((t, sigma0, trees[0]), (t, full, trees[1]), (single_node_tree(t.space), full, None)):
+        kept = sigma.matrix.copy()
+        for _, out in run_tree(tree, sigma).values():
+            assert out.flags.writeable
+            out.fill(np.nan)
+        assert np.array_equal(sigma.matrix, kept)
+        if want is not None:
+            assert all(np.array_equal(a, b) for (_, (_, a)), (_, (_, b)) in zip(run_tree(tree, sigma).items(), want, strict=True))
 
 
 def _chunk_sizes(n_leaves, block, d):
